@@ -59,13 +59,15 @@ that nesting order.  CSV columns (stable, documented): pattern,
 size_mode, scheduler, nominal_load_pct, measured_load_pct,
 utilization_pct, p1, p50, p75, p90, p95, p99, p100, retx, fc_events,
 seed.  Percentiles are cell latencies in cell times; fields that do
-not apply to a row kind are left empty.  Lines starting with ``#``
-in any CSV are comments.
+not apply to a row kind are left empty, as are utilization and
+percentiles of a run cut short before its first delivery.  Lines
+starting with ``#`` in any CSV are comments.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 simulation
-invariant violation or internal error (a traceback file is written
-beside the outputs).  ``compare --strict`` treats an out-of-tolerance
-verdict as a configuration-style failure (exit 1).
+invariant violation or any other internal error (the traceback is
+written to ``cellswitch-error.txt`` in the current directory).
+``compare --strict`` treats an out-of-tolerance verdict as a
+configuration-style failure (exit 1).
 """
 
 from __future__ import annotations
@@ -77,14 +79,13 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from .codec import (
     CELL_PAYLOAD_BYTES,
     Cell,
-    CellTrace,
     L1Meta,
     L2Header,
     RouteKind,
@@ -93,8 +94,19 @@ from .codec import (
     selector_for,
     source_address,
 )
-from .engine import ISLIP, SAFC, EngineConfig, run_star
-from .errors import CellSwitchError, ConfigError, SimInvariantError
+from .engine import (
+    DEFAULT_CHANNEL_BUFFER,
+    DEFAULT_OFF_THRESHOLD,
+    DEFAULT_ON_THRESHOLD,
+    DOWNLINK_DELAY,
+    EGRESS_DELAY,
+    ISLIP,
+    SAFC,
+    UPLINK_DELAY,
+    EngineConfig,
+    run_star,
+)
+from .errors import ConfigError, SimInvariantError
 from .link import FaultSchedule, run_point_to_point
 from .traffic import BERNOULLI, BURSTY, TrafficSpec
 
@@ -102,10 +114,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INTERNAL = 2
 
+LATENCY_COLUMNS = ["p1", "p50", "p75", "p90", "p95", "p99", "p100"]
+
 CSV_COLUMNS = [
     "pattern", "size_mode", "scheduler", "nominal_load_pct",
-    "measured_load_pct", "utilization_pct",
-    "p1", "p50", "p75", "p90", "p95", "p99", "p100",
+    "measured_load_pct", "utilization_pct", *LATENCY_COLUMNS,
     "retx", "fc_events", "seed",
 ]
 
@@ -121,28 +134,32 @@ KIND_CHECKS = "protocol-checks"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment file, fully parsed and validated."""
+    """One experiment file, fully parsed and validated.
+
+    The sweep fields default to the engine's and the traffic source's
+    own defaults; only the per-flow volume has one of its own.
+    """
 
     name: str
-    kind: str
-    seeds: tuple[int, ...]
+    kind: str = KIND_SWEEP
+    seeds: tuple[int, ...] = (1,)
     # kind = sweep
     ports: int = 32
     schedulers: tuple[str, ...] = (ISLIP,)
     islip_iterations: int | None = None
-    uplink_delay: int = 7
-    downlink_delay: int = 7
-    egress_delay: int = 3
-    on_threshold: int | None = None
-    off_threshold: int | None = None
-    channel_buffer: int | None = None
+    uplink_delay: int = UPLINK_DELAY
+    downlink_delay: int = DOWNLINK_DELAY
+    egress_delay: int = EGRESS_DELAY
+    on_threshold: int = DEFAULT_ON_THRESHOLD
+    off_threshold: int = DEFAULT_OFF_THRESHOLD
+    channel_buffer: int | None = DEFAULT_CHANNEL_BUFFER
     max_slots: int | None = None
     patterns: tuple[str, ...] = (BERNOULLI,)
-    size_mode: str = "fixed"
+    size_mode: str = TrafficSpec.size_mode
     volume_bytes: int = 500_000
-    min_packet_bytes: int = 64
-    max_packet_bytes: int = 2048
-    burst_mean_cells: float = 4.0
+    min_packet_bytes: int = TrafficSpec.min_packet_bytes
+    max_packet_bytes: int = TrafficSpec.max_packet_bytes
+    burst_mean_cells: float = TrafficSpec.burst_mean_cells
     workloads: tuple[float, ...] = ()
     # kind = ber-sweep / protocol-checks
     one_way_delay: int = 7
@@ -153,44 +170,46 @@ class ExperimentSpec:
     round_trip_ports: int = 8
 
 
-def _get(parser, section, option, default=None):
+def _get(parser, section, option):
+    """The option's text, or None when it is absent or blank."""
     if not parser.has_option(section, option):
-        return default
-    raw = parser.get(section, option).strip()
-    return raw if raw else default
+        return None
+    return parser.get(section, option).strip() or None
 
 
-def _get_int(parser, section, option, default=None):
-    raw = _get(parser, section, option)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {option} must be an integer, "
-                          f"got {raw!r}") from None
+def _words(convert):
+    return lambda raw: tuple(convert(part) for part in raw.split())
 
 
-def _get_float(parser, section, option, default=None):
-    raw = _get(parser, section, option)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {option} must be a number, "
-                          f"got {raw!r}") from None
-
-
-def _get_list(parser, section, option, convert, default=()):
-    raw = _get(parser, section, option)
-    if raw is None:
-        return tuple(default)
-    try:
-        return tuple(convert(part) for part in raw.split())
-    except ValueError:
-        raise ConfigError(f"[{section}] {option}: cannot parse "
-                          f"{raw!r}") from None
+# (section, option, ExperimentSpec field, parser).  An option absent
+# from the file, or blank, leaves its field at the default.
+_OPTIONS = (
+    ("experiment", "kind", "kind", str),
+    ("run", "seeds", "seeds", _words(int)),
+    ("topology", "ports", "ports", int),
+    ("topology", "scheduler", "schedulers", _words(str)),
+    ("topology", "islip_iterations", "islip_iterations", int),
+    ("topology", "uplink_delay", "uplink_delay", int),
+    ("topology", "downlink_delay", "downlink_delay", int),
+    ("topology", "egress_delay", "egress_delay", int),
+    ("topology", "on_threshold", "on_threshold", int),
+    ("topology", "off_threshold", "off_threshold", int),
+    ("topology", "channel_buffer", "channel_buffer", int),
+    ("topology", "max_slots", "max_slots", int),
+    ("traffic", "pattern", "patterns", _words(str)),
+    ("traffic", "size_mode", "size_mode", str),
+    ("traffic", "volume_bytes", "volume_bytes", int),
+    ("traffic", "min_packet_bytes", "min_packet_bytes", int),
+    ("traffic", "max_packet_bytes", "max_packet_bytes", int),
+    ("traffic", "burst_mean_cells", "burst_mean_cells", float),
+    ("traffic", "workloads", "workloads", _words(float)),
+    ("link", "one_way_delay", "one_way_delay", int),
+    ("link", "slots", "slots", int),
+    ("link", "bers", "bers", _words(float)),
+    ("link", "load", "link_load", float),
+    ("checks", "max_ports", "max_ports", int),
+    ("checks", "round_trip_ports", "round_trip_ports", int),
+)
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
@@ -203,49 +222,21 @@ def parse_experiment(text: str) -> ExperimentSpec:
     if not parser.has_section("experiment"):
         raise ConfigError("experiment file needs an [experiment] section")
     name = _get(parser, "experiment", "name")
-    kind = _get(parser, "experiment", "kind", KIND_SWEEP)
     if not name:
         raise ConfigError("[experiment] name is required")
-    if kind not in (KIND_SWEEP, KIND_BER, KIND_CHECKS):
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-
-    seeds = _get_list(parser, "run", "seeds", int, default=(1,))
-    if not seeds:
-        seeds = (1,)
-
-    spec = ExperimentSpec(
-        name=name,
-        kind=kind,
-        seeds=seeds,
-        ports=_get_int(parser, "topology", "ports", 32),
-        schedulers=_get_list(parser, "topology", "scheduler", str,
-                             default=(ISLIP,)),
-        islip_iterations=_get_int(parser, "topology", "islip_iterations"),
-        uplink_delay=_get_int(parser, "topology", "uplink_delay", 7),
-        downlink_delay=_get_int(parser, "topology", "downlink_delay", 7),
-        egress_delay=_get_int(parser, "topology", "egress_delay", 3),
-        on_threshold=_get_int(parser, "topology", "on_threshold"),
-        off_threshold=_get_int(parser, "topology", "off_threshold"),
-        channel_buffer=_get_int(parser, "topology", "channel_buffer"),
-        max_slots=_get_int(parser, "topology", "max_slots"),
-        patterns=_get_list(parser, "traffic", "pattern", str,
-                           default=(BERNOULLI,)),
-        size_mode=_get(parser, "traffic", "size_mode", "fixed"),
-        volume_bytes=_get_int(parser, "traffic", "volume_bytes", 500_000),
-        min_packet_bytes=_get_int(parser, "traffic", "min_packet_bytes", 64),
-        max_packet_bytes=_get_int(parser, "traffic", "max_packet_bytes",
-                                  2048),
-        burst_mean_cells=_get_float(parser, "traffic", "burst_mean_cells",
-                                    4.0),
-        workloads=_get_list(parser, "traffic", "workloads", float),
-        one_way_delay=_get_int(parser, "link", "one_way_delay", 7),
-        slots=_get_int(parser, "link", "slots", 1_000_000),
-        bers=_get_list(parser, "link", "bers", float),
-        link_load=_get_float(parser, "link", "load", 1.0),
-        max_ports=_get_int(parser, "checks", "max_ports", 16),
-        round_trip_ports=_get_int(parser, "checks", "round_trip_ports", 8),
-    )
-
+    present = {}
+    for section, option, attr, convert in _OPTIONS:
+        raw = _get(parser, section, option)
+        if raw is None:
+            continue
+        try:
+            present[attr] = convert(raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {option}: cannot parse "
+                              f"{raw!r}") from None
+    spec = ExperimentSpec(name=name, **present)
+    if spec.kind not in (KIND_SWEEP, KIND_BER, KIND_CHECKS):
+        raise ConfigError(f"unknown experiment kind {spec.kind!r}")
     if spec.kind == KIND_SWEEP:
         if not spec.workloads:
             raise ConfigError("[traffic] workloads is required for sweeps")
@@ -306,22 +297,18 @@ def _points_for(spec: ExperimentSpec, seed: int) -> list[dict]:
 
 def _run_sweep_point(point: dict) -> dict:
     spec: ExperimentSpec = point["spec"]
-    overrides = {}
-    if spec.on_threshold is not None:
-        overrides["on_threshold"] = spec.on_threshold
-    if spec.off_threshold is not None:
-        overrides["off_threshold"] = spec.off_threshold
     config = EngineConfig(
         n_ports=spec.ports,
         scheduler=point["scheduler"],
         seed=point["seed"],
+        on_threshold=spec.on_threshold,
+        off_threshold=spec.off_threshold,
         channel_buffer=spec.channel_buffer,
         islip_iterations=spec.islip_iterations,
         uplink_delay=spec.uplink_delay,
         downlink_delay=spec.downlink_delay,
         egress_delay=spec.egress_delay,
         max_slots=spec.max_slots,
-        **overrides,
     )
     traffic = TrafficSpec(
         mode=point["pattern"],
@@ -333,17 +320,23 @@ def _run_sweep_point(point: dict) -> dict:
         burst_mean_cells=spec.burst_mean_cells,
     )
     report = run_star(config, traffic)
-    summary = report.latency_summary()
+    # A run cut short before its first delivery has no latencies and
+    # no delivery window: those fields stay empty.
+    utilization = ""
+    latencies = dict.fromkeys(LATENCY_COLUMNS, "")
+    if report.delivered_cells:
+        utilization = f"{report.utilization_pct:.2f}"
+        summary = report.latency_summary()
+        latencies = dict(zip(LATENCY_COLUMNS,
+                             (report.percentile(1), *summary[1:])))
     return {
         "pattern": point["pattern"],
         "size_mode": spec.size_mode,
         "scheduler": point["scheduler"],
         "nominal_load_pct": _fmt(point["load"]),
         "measured_load_pct": f"{report.offered_load_pct:.2f}",
-        "utilization_pct": f"{report.utilization_pct:.2f}",
-        "p1": report.percentile(1),
-        "p50": summary[1], "p75": summary[2], "p90": summary[3],
-        "p95": summary[4], "p99": summary[5], "p100": summary[6],
+        "utilization_pct": utilization,
+        **latencies,
         "retx": 0,
         "fc_events": report.pauses + report.unpauses,
         "seed": point["seed"],
@@ -369,8 +362,7 @@ def _run_ber_point(point: dict) -> dict:
         "nominal_load_pct": _fmt(spec.link_load * 100),
         "measured_load_pct": f"{100 * result.sent_a / spec.slots:.2f}",
         "utilization_pct": f"{100 * result.goodput():.4f}",
-        "p1": "", "p50": "", "p75": "", "p90": "", "p95": "", "p99": "",
-        "p100": "",
+        **dict.fromkeys(LATENCY_COLUMNS, ""),
         "retx": result.cycles_a + result.cycles_b,
         "fc_events": 0,
         "seed": point["seed"],
@@ -433,7 +425,6 @@ def _check_round_trip(spec: ExperimentSpec, seed: int) -> str:
                     selector_for(trunk_b, dst, n),
                     0, 0, 0]),
                 payload=bytes(CELL_PAYLOAD_BYTES),
-                trace=CellTrace(src=src, dst=dst),
             )
             if _route_one_hop(cell, src, n) != trunk_a:
                 raise SimInvariantError("first hop left the trunk port")
@@ -447,7 +438,6 @@ def _check_round_trip(spec: ExperimentSpec, seed: int) -> str:
                 l2=L2Header(total_hops=2, remain_hops=2,
                             dst_ports=back + [0] * (5 - len(back))),
                 payload=bytes(CELL_PAYLOAD_BYTES),
-                trace=CellTrace(src=dst, dst=src),
             )
             if _route_one_hop(reply, dst, n) != trunk_b:
                 raise SimInvariantError("reply missed the trunk port")
@@ -729,8 +719,7 @@ def _cmd_run(args) -> int:
             else Path(args.spec).read_text())
     spec = parse_experiment(text)
     if args.seed:
-        spec = ExperimentSpec(**{**spec.__dict__,
-                                 "seeds": tuple(args.seed)})
+        spec = replace(spec, seeds=tuple(args.seed))
     if args.workers < 1:
         raise ConfigError("need at least one worker")
     for path in run_experiment(spec, args.out, workers=args.workers,
@@ -777,13 +766,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CellSwitchError as exc:
+    except Exception as exc:
         trace_path = Path("cellswitch-error.txt")
         trace_path.write_text(traceback.format_exc())
         print(f"internal error: {exc} (trace: {trace_path})",

@@ -11,6 +11,11 @@ among the ports of the ingress switch excluding the ingress port
 itself.  Each switch consumes the leading selector, shifts the route
 left, and writes the selector of the reverse hop into the vacated
 slot, so a delivered cell carries the route back to its source.
+
+``Cell`` is the wire format only: it is what links, the protocol
+checks and the codec tests build and parse.  The star engine never
+serializes a cell and carries the plain record documented in
+``traffic`` instead.
 """
 
 from __future__ import annotations
@@ -86,21 +91,12 @@ class L2Header:
 
 
 @dataclass(slots=True)
-class CellTrace:
-    """Simulation bookkeeping attached to a cell.  Never serialized."""
-
-    src: int = 0
-    dst: int = 0
-    flow_seq: int = 0
-    injected_at: int = -1
-
-
-@dataclass(slots=True)
 class Cell:
+    """One 264-byte frame: line metadata, route header and payload."""
+
     l1: L1Meta
     l2: L2Header
     payload: bytes
-    trace: CellTrace | None = None
 
 
 @dataclass(slots=True)

@@ -99,7 +99,6 @@ class EngineConfig:
     uplink_delay: int = UPLINK_DELAY
     downlink_delay: int = DOWNLINK_DELAY
     egress_delay: int = EGRESS_DELAY
-    fabric_mode: str = "checked"
     max_slots: int | None = None
 
     def __post_init__(self):
@@ -194,7 +193,10 @@ class MetricsReport:
                 self.percentile(90), self.percentile(95),
                 self.percentile(99), hi)
 
-    def mean_latency(self) -> float:
+    def mean_latency(self) -> float | None:
+        """Mean delivered-cell latency; None before any delivery."""
+        if not self.delivered_cells:
+            return None
         total = sum(k * c for k, c in self.latency_hist.items())
         return total / self.delivered_cells
 
@@ -206,9 +208,12 @@ class MetricsReport:
         return self.last_delivery - self.first_injection + 1
 
     @property
-    def utilization_pct(self) -> float:
+    def utilization_pct(self) -> float | None:
         """Delivered header+payload bytes as a percentage of the raw
-        capacity of all downlinks over the delivery window."""
+        capacity of all downlinks over the delivery window; None
+        before any delivery, when the window is undefined."""
+        if not self.delivered_cells:
+            return None
         wire = FRAME_BYTES * self.config.n_ports * self.delivery_window
         return 100.0 * self.delivered_wire_bytes / wire
 
@@ -236,7 +241,10 @@ class MetricsReport:
                 f", delivered {self.delivered_cells}")
 
     def to_dict(self) -> dict:
-        summary = self.latency_summary() if self.delivered_cells else None
+        """The report's figures; latency and utilization are None
+        before any delivery."""
+        delivered = self.delivered_cells
+        summary = self.latency_summary() if delivered else None
         return {
             "n_ports": self.config.n_ports,
             "scheduler": self.config.scheduler,
@@ -244,13 +252,15 @@ class MetricsReport:
             "size_mode": self.traffic.size_mode,
             "nominal_load_pct": 100.0 * self.traffic.load,
             "offered_load_pct": round(self.offered_load_pct, 4),
-            "utilization_pct": round(self.utilization_pct, 4),
+            "utilization_pct":
+                round(self.utilization_pct, 4) if delivered else None,
             "slots_run": self.slots_run,
             "drained": self.drained,
             "generated_cells": self.generated_cells,
             "delivered_cells": self.delivered_cells,
             "latency_min_p50_p75_p90_p95_p99_max": summary,
-            "mean_latency": round(self.mean_latency(), 3),
+            "mean_latency":
+                round(self.mean_latency(), 3) if delivered else None,
             "pauses": self.pauses,
             "unpauses": self.unpauses,
             "peak_voq_occupancy": self.peak_voq_occupancy,
@@ -269,16 +279,13 @@ class StarNetwork:
         self.sources = make_sources(traffic, n, config.seed)
         on, off = config.thresholds()
         capacity = config.voq_capacity()
-        self.banks = [
-            VOQBank([j for j in range(n) if j != i], capacity, on, off)
-            for i in range(n)
-        ]
+        self.banks = [VOQBank(n, capacity, on, off) for _ in range(n)]
         if config.scheduler == ISLIP:
             self.scheduler = IslipScheduler(n, config.islip_iterations)
             # Only a conflict-free matching can cross the physical
             # sort-and-steer fabric, so the independent-output arbiter
             # models a switch with its own buffered data path instead.
-            self.fabric = SortRouteFabric(n, mode=config.fabric_mode)
+            self.fabric = SortRouteFabric(n)
         else:
             self.scheduler = SafcScheduler(n)
             self.fabric = None
@@ -314,6 +321,9 @@ class StarNetwork:
         staging = (math.inf if config.channel_buffer is None
                    else config.channel_buffer)
 
+        # Staging queues hold traffic cell records (src, dst, flow_seq,
+        # valid_bytes, eop); from the uplink on, each record travels
+        # paired with its transmit slot as (injected_at, record).
         # Links are rings: the entry written at slot t is read at slot
         # t + delay, just before being overwritten.  Control words ride
         # a parallel queue stamped with their arrival slot.
@@ -348,24 +358,22 @@ class StarNetwork:
                         src_pause[i] &= ~(1 << command.channel)
                 item = downlink[i][down_idx]
                 if item is not None:
-                    trace = item.trace
-                    latency = slot - trace.injected_at
+                    injected_at, (src, dst, flow_seq, valid, _) = item
+                    latency = slot - injected_at
                     latency_hist[latency] = \
                         latency_hist.get(latency, 0) + 1
-                    if trace.dst != i or trace.flow_seq != \
-                            expected_seq[trace.src][i]:
+                    if dst != i or flow_seq != expected_seq[src][i]:
                         order_violations += 1
-                    expected_seq[trace.src][i] = trace.flow_seq + 1
+                    expected_seq[src][i] = flow_seq + 1
                     delivered += 1
-                    delivered_bytes += item.l1.valid_bytes + header_bytes
+                    delivered_bytes += valid + header_bytes
                     last_delivery = slot
 
                 # uplink arrival: admit into this input's queue bank
-                cell = uplink[i][up_idx]
-                if cell is not None:
-                    selector = cell.l2.dst_ports[0]
-                    out_port = selector if selector < i else selector + 1
-                    command = bank_enqueue[i](out_port, cell)
+                item = uplink[i][up_idx]
+                if item is not None:
+                    out_port = item[1][1]  # the record's dst
+                    command = bank_enqueue[i](out_port, item)
                     depth = len(bank_queues[i][out_port])
                     if depth == 1:
                         out_requests[out_port] |= 1 << i
@@ -383,8 +391,8 @@ class StarNetwork:
                 # only the most recent slice of the arrival process.
                 cell = src_hold[i]
                 if cell is not None and \
-                        len(src_chan[i][cell.trace.dst]) < staging:
-                    dst = cell.trace.dst
+                        len(src_chan[i][cell[1]]) < staging:
+                    dst = cell[1]
                     src_chan[i][dst].append(cell)
                     src_mask[i] |= 1 << dst
                     src_hold[i] = cell = None
@@ -395,7 +403,7 @@ class StarNetwork:
                         if first_generation < 0:
                             first_generation = slot
                         last_generation = slot
-                        dst = cell.trace.dst
+                        dst = cell[1]
                         if len(src_chan[i][dst]) < staging:
                             src_chan[i][dst].append(cell)
                             src_mask[i] |= 1 << dst
@@ -419,11 +427,10 @@ class StarNetwork:
                     cell = queue.popleft()
                     if not queue:
                         src_mask[i] &= ~(1 << dst)
-                    cell.trace.injected_at = slot
                     injected += 1
                     if first_injection < 0:
                         first_injection = slot
-                    uplink[i][up_idx] = cell
+                    uplink[i][up_idx] = (slot, cell)
                 else:
                     uplink[i][up_idx] = None
 
@@ -446,10 +453,10 @@ class StarNetwork:
                 ready_at = slot + ready_offset
                 fc_at = slot + 1 + down_delay  # next downlink frame
                 for i, out_port in pairs:
-                    cell, command = bank_dequeue[i](out_port)
+                    item, command = bank_dequeue[i](out_port)
                     if not bank_queues[i][out_port]:
                         out_requests[out_port] &= ~(1 << i)
-                    egress[out_port].append((ready_at, cell))
+                    egress[out_port].append((ready_at, item))
                     if command is not None:
                         fc_pipe[i].append((fc_at, command))
                         unpauses += 1

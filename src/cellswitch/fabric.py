@@ -9,11 +9,11 @@ whose 2x2 elements steer by one destination bit per stage, most
 significant first.  Sorted-and-concentrated input is exactly the
 condition under which that network is collision-free.
 
-``route`` models the network element by element.  ``route_crossbar``
-is the behavioral oracle (output j receives the cell addressed to j).
-The default checked mode uses the crossbar mapping for speed and
-replays a structural pass at a fixed slot cadence, failing loudly if
-the two ever disagree.
+``route_structural`` models the network element by element.
+``route_crossbar`` is the behavioral oracle (output j receives the
+cell addressed to j).  The per-slot ``route`` uses the crossbar
+mapping for speed and replays a structural pass at a fixed slot
+cadence, failing loudly if the two ever disagree.
 """
 
 from __future__ import annotations
@@ -59,26 +59,17 @@ def omega_shuffle(width: int) -> list[int]:
 
 
 class SortRouteFabric:
-    """Routes one cell batch per slot across the sort-then-steer net.
-
-    mode "checked" (default): crossbar semantics every slot plus a
-    full structural replay every ``check_interval`` routed slots.
-    mode "structural": model every comparator and element every slot.
-    mode "crossbar": behavioral only (the oracle itself).
+    """Routes one cell batch per slot across the sort-then-steer net:
+    crossbar semantics every slot plus a full structural replay every
+    ``check_interval`` routed slots.
     """
 
-    MODES = ("checked", "structural", "crossbar")
-
-    def __init__(self, n_ports: int, mode: str = "checked",
-                 check_interval: int = 256):
+    def __init__(self, n_ports: int, check_interval: int = 256):
         if n_ports < 2:
             raise ConfigError("need at least two ports")
-        if mode not in self.MODES:
-            raise ConfigError(f"unknown fabric mode {mode!r}")
         if check_interval < 1:
             raise ConfigError("check interval must be positive")
         self.n_ports = n_ports
-        self.mode = mode
         self.check_interval = check_interval
         self.width, self.k = _log2_width(n_ports)
         self.stages = sorter_stages(self.width)
@@ -154,11 +145,8 @@ class SortRouteFabric:
 
     def route(self, dests) -> list[int | None]:
         self.slots_routed += 1
-        if self.mode == "structural":
-            return self.route_structural(dests)
         out = self.route_crossbar(dests)
-        if (self.mode == "checked"
-                and self.slots_routed % self.check_interval == 0):
+        if self.slots_routed % self.check_interval == 0:
             self.structural_checks += 1
             if self.route_structural(dests) != out:
                 raise SimInvariantError(

@@ -18,6 +18,17 @@ Packet sizes are either one full cell of payload or uniform over a
 byte range.  Each flow can carry an exact payload-byte budget; the
 last packet of a flow is truncated so the budget is hit exactly, and
 an exhausted source stops emitting.
+
+A source emits each cell as a plain tuple, the cell record that the
+star engine carries from source to sink:
+
+    (src, dst, flow_seq, valid_bytes, eop)
+
+``src`` and ``dst`` are the flow's ports, ``flow_seq`` counts the
+flow's cells from 0, ``valid_bytes`` is the payload the cell carries
+and ``eop`` marks the last cell of a packet.  The star path never
+serializes a cell, so it has no frame; ``codec.Cell`` is the wire
+format.
 """
 
 from __future__ import annotations
@@ -26,10 +37,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .codec import CELL_PAYLOAD_BYTES, Cell, CellTrace, L1Meta, L2Header, selector_for
+from .codec import CELL_PAYLOAD_BYTES
 from .errors import ConfigError
-
-_ZERO_PAYLOAD = bytes(CELL_PAYLOAD_BYTES)
 
 BERNOULLI = "bernoulli"
 BURSTY = "bursty"
@@ -104,26 +113,16 @@ class SourceProcess:
             dst: spec.volume_bytes for dst in range(n_ports) if dst != port
         }
         self.flow_cells = {dst: 0 for dst in self.budget}
-        self._pending: list[Cell] = []  # remaining cells of current packet
+        self._pending: list[tuple] = []  # remaining cells of current packet
         self._burst_dst = -1
         self._burst_cells_left = 0
         self._idle_left = 0
-        self._emitted_cells = 0
         self._emitted_payload_bytes = 0
         # Hot-path caches: the open-flow list changes only when a
-        # budget runs dry, and these spec fields never change.  All
-        # cells of a flow share one route-header object; it is never
-        # mutated on the single-hop path through the switch.
+        # budget runs dry, and the size mode never changes.
         self._open: list[int] = list(self.budget)
         self._rand = self.rng.random
-        self._load = spec.load
         self._fixed = spec.size_mode == FIXED
-        self._route = {
-            dst: L2Header(total_hops=1, remain_hops=1,
-                          dst_ports=[selector_for(port, dst, n_ports),
-                                     0, 0, 0, 0])
-            for dst in self.budget
-        }
         # A Bernoulli process is equivalently a geometric gap between
         # arrivals (P(gap = k) = load * (1 - load)^k), sampled by
         # inverse transform; this costs one random draw per arrival
@@ -139,17 +138,10 @@ class SourceProcess:
 
     # -- flow bookkeeping ----------------------------------------------------
 
-    def _open_flows(self) -> list[int]:
-        return self._open
-
     @property
     def exhausted(self) -> bool:
         """True once every flow budget is spent and nothing is pending."""
         return not self._pending and not self._open
-
-    @property
-    def emitted_cells(self) -> int:
-        return self._emitted_cells
 
     @property
     def emitted_payload_bytes(self) -> int:
@@ -172,23 +164,17 @@ class SourceProcess:
                 self._open.remove(dst)
         return size
 
-    def _build_packet(self, dst: int) -> list[Cell]:
+    def _build_packet(self, dst: int) -> list[tuple]:
+        """The packet's cell records, in order (see the module doc)."""
         size = self._draw_packet_bytes(dst)
         n_cells = -(-size // CELL_PAYLOAD_BYTES)
-        route = self._route[dst]
         src = self.port
         base_seq = self.flow_cells[dst]
-        cells = []
-        for k in range(n_cells):
-            last = k == n_cells - 1
-            valid = size - CELL_PAYLOAD_BYTES * k if last else \
-                CELL_PAYLOAD_BYTES
-            cells.append(Cell(
-                l1=L1Meta(valid_bytes=valid, eop=last, seq=k % 128),
-                l2=route,
-                payload=_ZERO_PAYLOAD,
-                trace=CellTrace(src=src, dst=dst, flow_seq=base_seq + k),
-            ))
+        last = n_cells - 1
+        cells = [(src, dst, base_seq + k, CELL_PAYLOAD_BYTES, False)
+                 for k in range(last)]
+        cells.append((src, dst, base_seq + last,
+                      size - CELL_PAYLOAD_BYTES * last, True))
         self.flow_cells[dst] = base_seq + n_cells
         return cells
 
@@ -205,7 +191,7 @@ class SourceProcess:
     # poll() is bound in __init__ to the method for the configured
     # arrival process; call it exactly once per slot.
 
-    def _poll_bernoulli(self) -> Cell | None:
+    def _poll_bernoulli(self) -> tuple | None:
         if self._gap:
             self._gap -= 1
             return None
@@ -218,11 +204,10 @@ class SourceProcess:
         if scale is not None:
             self._gap = int(math.log(1.0 - self._rand()) * scale)
         cell = pending.pop(0)
-        self._emitted_cells += 1
-        self._emitted_payload_bytes += cell.l1.valid_bytes
+        self._emitted_payload_bytes += cell[3]
         return cell
 
-    def _poll_bursty(self) -> Cell | None:
+    def _poll_bursty(self) -> tuple | None:
         spec = self.spec
         if self._idle_left > 0:
             self._idle_left -= 1
@@ -251,8 +236,7 @@ class SourceProcess:
             self._start_packet(self._burst_dst)
             pending = self._pending
         cell = pending.pop(0)
-        self._emitted_cells += 1
-        self._emitted_payload_bytes += cell.l1.valid_bytes
+        self._emitted_payload_bytes += cell[3]
         self._burst_cells_left -= 1
         return cell
 

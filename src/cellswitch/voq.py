@@ -1,20 +1,20 @@
 """Virtual output queues with on/off flow control.
 
-Each switch input owns a bank of per-output-channel FIFO queues.
-Crossing the on-threshold on an enqueue asks the upstream device to
-pause that one channel; draining back to the off-threshold asks it to
-resume.  Queues must never overflow: the thresholds leave enough
-headroom for every cell already in flight when the pause lands, so an
-overflow is a simulation bug and aborts the run.
+Each switch input owns a bank of per-output-channel FIFO queues,
+indexed by output port; the input's own slot is never used.  Crossing
+the on-threshold on an enqueue asks the upstream device to pause that
+one channel; draining back to the off-threshold asks it to resume.
+Queues must never overflow: ``EngineConfig`` sizes them and checks
+that the thresholds leave enough headroom for every cell already in
+flight when the pause lands, so an overflow is a simulation bug and
+aborts the run.  Queued items are opaque to the bank.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
-from .codec import CELL_PAYLOAD_BYTES, Cell
 from .errors import ConfigError, SimInvariantError
 
 
@@ -26,34 +26,6 @@ class FlowControlPayload:
     pause: bool
 
 
-@dataclass(slots=True, frozen=True)
-class CapacityReport:
-    per_channel_cells: int
-    per_port_bytes: int
-    total_bytes: int
-
-
-def required_capacity(rtt: int, n_ports: int) -> CapacityReport:
-    """Buffer headroom needed so a pause command can never arrive late.
-
-    A channel keeps absorbing in-flight cells for up to 1.5 round
-    trips after its pause threshold fires, so each of the n-1 channels
-    of a port needs that many cell slots of headroom.
-    """
-    per_channel = math.ceil(1.5 * rtt)
-    per_port = per_channel * (n_ports - 1) * CELL_PAYLOAD_BYTES
-    return CapacityReport(per_channel, per_port, per_port * n_ports)
-
-
-def default_thresholds(capacity: int, rtt: int) -> tuple[int, int]:
-    """(on, off) thresholds leaving 1.5 RTT of post-pause headroom."""
-    on = capacity - math.ceil(1.5 * rtt)
-    if on < 0:
-        raise ConfigError(
-            f"capacity {capacity} below in-flight headroom for rtt {rtt}")
-    return on, on // 2
-
-
 class VOQBank:
     """Per-input bank of per-channel cell queues with FC hysteresis.
 
@@ -63,7 +35,7 @@ class VOQBank:
     to exactly the off-threshold.
     """
 
-    def __init__(self, channels, capacity: int,
+    def __init__(self, n_ports: int, capacity: int,
                  on_threshold: int, off_threshold: int):
         if capacity < 1:
             raise ConfigError("capacity must be at least one cell")
@@ -74,45 +46,27 @@ class VOQBank:
         self.capacity = capacity
         self.on_threshold = on_threshold
         self.off_threshold = off_threshold
-        self.queues: dict[int, deque[Cell]] = {ch: deque() for ch in channels}
-        self.paused_upstream: dict[int, bool] = {ch: False for ch in channels}
-        # Bit per nonempty channel; the scheduler reads this directly.
-        self.request_mask = 0
+        self.queues: list[deque] = [deque() for _ in range(n_ports)]
+        self.paused_upstream = [False] * n_ports
 
-    @property
-    def channels(self) -> list[int]:
-        return list(self.queues)
-
-    def occupancy(self, channel: int) -> int:
-        return len(self.queues[channel])
-
-    def enqueue(self, channel: int, cell: Cell) -> FlowControlPayload | None:
+    def enqueue(self, channel: int, cell) -> FlowControlPayload | None:
         q = self.queues[channel]
         if len(q) >= self.capacity:
             raise SimInvariantError(
                 f"VOQ overflow on channel {channel}: occupancy {len(q)} "
                 f"at capacity {self.capacity}; upstream ignored a pause")
         q.append(cell)
-        self.request_mask |= 1 << channel
         if len(q) > self.on_threshold and not self.paused_upstream[channel]:
             self.paused_upstream[channel] = True
             return FlowControlPayload(channel, pause=True)
         return None
 
-    def dequeue(self, channel: int) -> tuple[Cell, FlowControlPayload | None]:
+    def dequeue(self, channel: int) -> tuple[object, FlowControlPayload | None]:
         q = self.queues[channel]
         if not q:
             raise SimInvariantError(f"dequeue from empty channel {channel}")
         cell = q.popleft()
-        if not q:
-            self.request_mask &= ~(1 << channel)
         if len(q) == self.off_threshold and self.paused_upstream[channel]:
             self.paused_upstream[channel] = False
             return cell, FlowControlPayload(channel, pause=False)
         return cell, None
-
-    def request_vector(self) -> dict[int, bool]:
-        return {ch: bool(q) for ch, q in self.queues.items()}
-
-    def total_occupancy(self) -> int:
-        return sum(len(q) for q in self.queues.values())

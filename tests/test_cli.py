@@ -5,7 +5,8 @@ import csv
 import pytest
 
 from cellswitch import cli
-from cellswitch.errors import ConfigError
+from cellswitch.engine import DEFAULT_ON_THRESHOLD
+from cellswitch.errors import ConfigError, SimInvariantError
 
 TINY_SWEEP = """
 [experiment]
@@ -59,7 +60,7 @@ class TestParsing:
         assert spec.ports == 32
         assert spec.schedulers == ("islip",)
         assert spec.patterns == ("bernoulli",)
-        assert spec.on_threshold is None  # engine default applies
+        assert spec.on_threshold == DEFAULT_ON_THRESHOLD
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ConfigError):
@@ -211,11 +212,20 @@ class TestRunCommand:
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
 
-    def test_invariant_abort_is_internal_error(self, tmp_path, monkeypatch):
-        from cellswitch.errors import SimInvariantError
+    def test_truncated_run_without_deliveries(self, tmp_path):
+        ini = TINY_SWEEP.replace("ports = 4", "ports = 4\nmax_slots = 5")
+        code, out = run_main(tmp_path, ini)
+        assert code == cli.EXIT_OK
+        for row in cli.read_csv(out / "tiny.csv"):
+            for column in ["utilization_pct", *cli.LATENCY_COLUMNS]:
+                assert row[column] == ""
+            assert float(row["measured_load_pct"]) > 0
 
+    @pytest.mark.parametrize("error", [SimInvariantError, RuntimeError])
+    def test_invariant_abort_is_internal_error(self, tmp_path, monkeypatch,
+                                               error):
         def boom(*args, **kwargs):
-            raise SimInvariantError("synthetic failure")
+            raise error("synthetic failure")
 
         monkeypatch.setattr(cli, "run_experiment", boom)
         monkeypatch.chdir(tmp_path)

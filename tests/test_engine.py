@@ -1,19 +1,14 @@
 """Star-network engine: floor, conservation, determinism, metrics."""
 
+import hashlib
+import itertools
+import json
 import random
 from collections import deque
 
 import pytest
 
-from cellswitch.codec import (
-    CELL_PAYLOAD_BYTES,
-    FRAME_BYTES,
-    Cell,
-    CellTrace,
-    L1Meta,
-    L2Header,
-    selector_for,
-)
+from cellswitch.codec import CELL_PAYLOAD_BYTES, FRAME_BYTES
 from cellswitch.engine import (
     DEFAULT_OFF_THRESHOLD,
     DEFAULT_ON_THRESHOLD,
@@ -78,15 +73,9 @@ class TestConfigValidation:
         assert config.latency_floor() == 6
 
 
-def one_cell(src, dst, n_ports, flow_seq=0):
-    return Cell(
-        l1=L1Meta(valid_bytes=CELL_PAYLOAD_BYTES, eop=True,
-                  seq=flow_seq % 128),
-        l2=L2Header(total_hops=1, remain_hops=1,
-                    dst_ports=[selector_for(src, dst, n_ports), 0, 0, 0, 0]),
-        payload=bytes(CELL_PAYLOAD_BYTES),
-        trace=CellTrace(src=src, dst=dst, flow_seq=flow_seq),
-    )
+def one_cell(src, dst):
+    """A one-cell packet as a traffic cell record."""
+    return (src, dst, 0, CELL_PAYLOAD_BYTES, True)
 
 
 class ScriptSource:
@@ -110,7 +99,7 @@ class TestLatencyFloor:
         n = 4
         config = EngineConfig(n_ports=n)
         net = StarNetwork(config, TrafficSpec())
-        net.sources = [ScriptSource([one_cell(i, (i + 1) % n, n)])
+        net.sources = [ScriptSource([one_cell(i, (i + 1) % n)])
                        for i in range(n)]
         report = net.run()
         report.verify()
@@ -308,3 +297,27 @@ class TestBandwidthAccounting:
         assert data["delivered_cells"] == report.delivered_cells
         assert data["latency_min_p50_p75_p90_p95_p99_max"] == \
             report.latency_summary()
+
+
+class TestByteIdentity:
+    """Pins every reported figure of a grid of small runs, so a change
+    meant to keep results identical is checked to do so."""
+
+    DIGEST = "79bf0d401b53c768284a37cbc1b98ec6b1c981e5d733bf907aba5dc1b5314808"
+
+    def test_grid_digest_unchanged(self):
+        digest = hashlib.sha256()
+        for scheduler, mode, size_mode, load, buffer in itertools.product(
+                (ISLIP, SAFC), ("bernoulli", "bursty"), ("fixed", "variable"),
+                (0.1, 0.5, 0.9, 1.0), (None, 2)):
+            report = run_star(
+                EngineConfig(n_ports=8, scheduler=scheduler, seed=3,
+                             channel_buffer=buffer),
+                TrafficSpec(mode=mode, size_mode=size_mode, load=load,
+                            volume_bytes=6_000))
+            digest.update(json.dumps([
+                report.to_dict(), sorted(report.latency_hist.items()),
+                report.delivered_wire_bytes, report.first_generation,
+                report.last_generation, report.first_injection,
+                report.last_delivery]).encode())
+        assert digest.hexdigest() == self.DIGEST

@@ -66,21 +66,21 @@ class TestShuffle:
 
 class TestStructuralRouting:
     def test_identity_and_reversal(self):
-        f = SortRouteFabric(8, mode="structural")
+        f = SortRouteFabric(8)
         ident = list(range(8))
-        assert f.route(ident) == ident
+        assert f.route_structural(ident) == ident
         rev = list(reversed(range(8)))
-        assert f.route(rev) == rev  # out[j]=i with i=7-j
+        assert f.route_structural(rev) == rev  # out[j]=i with i=7-j
 
     def test_single_cell(self):
-        f = SortRouteFabric(8, mode="structural")
+        f = SortRouteFabric(8)
         dests = [None] * 8
         dests[3] = 6
-        out = f.route(dests)
+        out = f.route_structural(dests)
         assert out == [None, None, None, None, None, None, 3, None]
 
     def test_exhaustive_equivalence_width_four(self):
-        f = SortRouteFabric(4, mode="structural")
+        f = SortRouteFabric(4)
         count = 0
         for dests in partial_maps(4):
             assert f.route_structural(dests) == f.route_crossbar(dests)
@@ -90,7 +90,7 @@ class TestStructuralRouting:
     @pytest.mark.parametrize("n", [8, 16, 32])
     def test_random_equivalence(self, n):
         rng = random.Random(0xFAB + n)
-        f = SortRouteFabric(n, mode="structural")
+        f = SortRouteFabric(n)
         for _ in range(1500):
             outs = list(range(n))
             rng.shuffle(outs)
@@ -101,22 +101,22 @@ class TestStructuralRouting:
             assert f.route_structural(dests) == f.route_crossbar(dests)
 
     def test_non_power_of_two_port_count(self):
-        f = SortRouteFabric(6, mode="structural")
+        f = SortRouteFabric(6)
         assert f.width == 8
         dests = [5, None, 0, 1, None, 3]
-        assert f.route(dests) == [2, 3, None, 5, None, 0]
+        assert f.route_structural(dests) == [2, 3, None, 5, None, 0]
 
     def test_duplicate_destination_detected_both_paths(self):
-        f = SortRouteFabric(4, mode="structural")
+        f = SortRouteFabric(4)
         with pytest.raises(SimInvariantError):
             f.route_structural([2, None, 2, None])
         with pytest.raises(SimInvariantError):
             f.route_crossbar([2, None, 2, None])
 
     def test_out_of_range_destination(self):
-        f = SortRouteFabric(4, mode="structural")
+        f = SortRouteFabric(4)
         with pytest.raises(ConfigError):
-            f.route([0, 4, None, None])
+            f.route_structural([0, 4, None, None])
 
 
 class TestCheckedMode:
@@ -135,8 +135,6 @@ class TestCheckedMode:
             f.route([1, 0, None, None])
 
     def test_mode_validation(self):
-        with pytest.raises(ConfigError):
-            SortRouteFabric(4, mode="quantum")
         with pytest.raises(ConfigError):
             SortRouteFabric(4, check_interval=0)
         assert "steering stages" in SortRouteFabric(32).describe()

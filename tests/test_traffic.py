@@ -5,9 +5,12 @@ from collections import Counter
 
 import pytest
 
-from cellswitch.codec import RouteKind, route_lookup
 from cellswitch.errors import ConfigError
 from cellswitch.traffic import SourceProcess, TrafficSpec, make_sources
+
+
+# Fields of a source's cell record (src, dst, flow_seq, valid_bytes, eop).
+SRC, DST, FLOW_SEQ, VALID, EOP = range(5)
 
 
 def drain(source, max_slots):
@@ -45,17 +48,15 @@ class TestSpecValidation:
 
 
 class TestRouting:
-    def test_headers_route_to_traced_destination(self):
+    def test_records_address_every_other_port(self):
         n = 8
         for src in range(n):
             source = SourceProcess(TrafficSpec(load=1.0), src, n, seed=1)
             seen = set()
             for _ in range(500):
                 cell = source.poll()
-                decision = route_lookup(src, cell.l2, n)
-                assert decision.kind is RouteKind.UNICAST
-                assert decision.egress == cell.trace.dst
-                seen.add(cell.trace.dst)
+                assert cell[SRC] == src
+                seen.add(cell[DST])
             assert seen == set(range(n)) - {src}
 
 
@@ -67,16 +68,14 @@ class TestPacketStructure:
         for _ in range(50_000):
             cell = source.poll()
             current.append(cell)
-            if not cell.l1.eop:
-                assert cell.l1.valid_bytes == 256
+            if not cell[EOP]:
+                assert cell[VALID] == 256
                 continue
-            size = sum(c.l1.valid_bytes for c in current)
+            size = sum(c[VALID] for c in current)
             assert 64 <= size <= 2048
             assert len(current) == -(-size // 256)
-            assert [c.l1.seq for c in current] == \
-                list(range(len(current)))
-            assert len({c.trace.dst for c in current}) == 1
-            assert [c.l1.eop for c in current] == \
+            assert len({c[DST] for c in current}) == 1
+            assert [c[EOP] for c in current] == \
                 [False] * (len(current) - 1) + [True]
             current = []
 
@@ -89,9 +88,9 @@ class TestPacketStructure:
             cell = source.poll()
             if cell is None:
                 continue
-            assert cell.trace.src == 2
-            assert cell.trace.flow_seq == next_seq[cell.trace.dst]
-            next_seq[cell.trace.dst] += 1
+            assert cell[SRC] == 2
+            assert cell[FLOW_SEQ] == next_seq[cell[DST]]
+            next_seq[cell[DST]] += 1
 
 
 class TestBernoulliProcess:
@@ -102,7 +101,7 @@ class TestBernoulliProcess:
 
     def test_destinations_uniform(self):
         source = SourceProcess(TrafficSpec(load=1.0), 0, 8, seed=4)
-        counts = Counter(source.poll().trace.dst for _ in range(70_000))
+        counts = Counter(source.poll()[DST] for _ in range(70_000))
         for dst in range(1, 8):
             assert counts[dst] == pytest.approx(10_000, rel=0.1)
 
@@ -112,9 +111,9 @@ class TestBernoulliProcess:
         sizes, cells_per, cur_bytes, cur_cells = [], [], 0, 0
         for _ in range(200_000):
             cell = source.poll()
-            cur_bytes += cell.l1.valid_bytes
+            cur_bytes += cell[VALID]
             cur_cells += 1
-            if cell.l1.eop:
+            if cell[EOP]:
                 sizes.append(cur_bytes)
                 cells_per.append(cur_cells)
                 cur_bytes = cur_cells = 0
@@ -172,7 +171,7 @@ class TestVolumeBudget:
         source = SourceProcess(
             TrafficSpec(load=1.0, volume_bytes=2560), 1, 4, seed=7)
         cells, slots = drain(source, 10_000)
-        counts = Counter(c.trace.dst for c in cells)
+        counts = Counter(c[DST] for c in cells)
         assert counts == {0: 10, 2: 10, 3: 10}
         assert source.exhausted
         assert source.poll() is None
@@ -184,7 +183,7 @@ class TestVolumeBudget:
         cells, _ = drain(source, 100_000)
         by_flow = Counter()
         for c in cells:
-            by_flow[c.trace.dst] += c.l1.valid_bytes
+            by_flow[c[DST]] += c[VALID]
         assert by_flow == {1: 50_000, 2: 50_000, 3: 50_000}
 
     def test_bursty_volume_conserved(self):
@@ -192,7 +191,7 @@ class TestVolumeBudget:
             TrafficSpec(mode="bursty", load=0.9, volume_bytes=25_600),
             2, 4, seed=17)
         cells, _ = drain(source, 100_000)
-        counts = Counter(c.trace.dst for c in cells)
+        counts = Counter(c[DST] for c in cells)
         assert counts == {0: 100, 1: 100, 3: 100}
         assert source.emitted_payload_bytes == 3 * 25_600
 
@@ -206,8 +205,7 @@ class TestDeterminism:
             out = []
             for _ in range(5_000):
                 c = s.poll()
-                out.append(None if c is None else
-                           (c.trace.dst, c.l1.valid_bytes, c.l1.eop))
+                out.append(None if c is None else c[DST:])
             return out
 
         assert stream(42, 3) == stream(42, 3)

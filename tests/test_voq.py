@@ -4,90 +4,67 @@ import random
 
 import pytest
 
-from cellswitch.codec import CELL_PAYLOAD_BYTES, Cell, CellTrace, L1Meta, L2Header
+from cellswitch.codec import CELL_PAYLOAD_BYTES
+from cellswitch.engine import EngineConfig
 from cellswitch.errors import ConfigError, SimInvariantError
-from cellswitch.voq import (
-    VOQBank,
-    default_thresholds,
-    required_capacity,
-)
+from cellswitch.voq import VOQBank
 
 
-def make_cell(tag: int) -> Cell:
-    return Cell(
-        l1=L1Meta(seq=tag % 128),
-        l2=L2Header(total_hops=1, remain_hops=1, dst_ports=[0, 0, 0, 0, 0]),
-        payload=bytes(CELL_PAYLOAD_BYTES),
-        trace=CellTrace(flow_seq=tag),
-    )
+def make_cell(tag: int) -> tuple:
+    """A traffic cell record whose flow sequence number is ``tag``."""
+    return (0, 1, tag, CELL_PAYLOAD_BYTES, True)
 
 
 class TestSizing:
     def test_reference_fabric_size(self):
         # 64 ports, 15-cell round trip: 23 cells of headroom per channel.
-        rep = required_capacity(rtt=15, n_ports=64)
-        assert rep.per_channel_cells == 23
-        assert rep.per_port_bytes == 23 * 63 * 256 == 370_944
-        assert rep.total_bytes == 370_944 * 64 == 23_740_416
-        assert 360 <= rep.per_port_bytes / 1024 <= 365
-        assert 22 <= rep.total_bytes / 2**20 <= 24
+        config = EngineConfig(n_ports=64, uplink_delay=7, downlink_delay=6)
+        assert config.fc_rtt() == 15
+        per_channel = config.voq_capacity()
+        per_port = per_channel * 63 * CELL_PAYLOAD_BYTES
+        total = per_port * 64
+        assert per_channel == 23
+        assert per_port == 23 * 63 * 256 == 370_944
+        assert total == 370_944 * 64 == 23_740_416
+        assert 360 <= per_port / 1024 <= 365
+        assert 22 <= total / 2**20 <= 24
 
     def test_headroom_rounds_up(self):
-        assert required_capacity(rtt=16, n_ports=4).per_channel_cells == 24
-        assert required_capacity(rtt=15, n_ports=4).per_channel_cells == 23
-
-    def test_default_thresholds(self):
-        assert default_thresholds(capacity=46, rtt=15) == (23, 11)
-        assert default_thresholds(capacity=23, rtt=15) == (0, 0)
-        with pytest.raises(ConfigError):
-            default_thresholds(capacity=22, rtt=15)
+        # 1.5 round trips: 16 -> 24 exactly, 15 -> 22.5 rounds up to 23.
+        assert EngineConfig(n_ports=4).voq_capacity() == 24
+        assert EngineConfig(n_ports=4, downlink_delay=6).voq_capacity() \
+            == 23
 
 
 class TestConstruction:
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ConfigError):
-            VOQBank([0], capacity=8, on_threshold=8, off_threshold=2)
+            VOQBank(2, capacity=8, on_threshold=8, off_threshold=2)
         with pytest.raises(ConfigError):
-            VOQBank([0], capacity=8, on_threshold=3, off_threshold=4)
+            VOQBank(2, capacity=8, on_threshold=3, off_threshold=4)
         with pytest.raises(ConfigError):
-            VOQBank([0], capacity=0, on_threshold=0, off_threshold=0)
-
-    def test_channel_set(self):
-        bank = VOQBank([1, 2, 3], capacity=4, on_threshold=2, off_threshold=1)
-        assert bank.channels == [1, 2, 3]
-        assert bank.request_mask == 0
-        assert bank.request_vector() == {1: False, 2: False, 3: False}
+            VOQBank(2, capacity=0, on_threshold=0, off_threshold=0)
 
 
 class TestFifoOrder:
     def test_cells_come_back_in_order(self):
-        bank = VOQBank([0, 1], capacity=16, on_threshold=12, off_threshold=6)
+        bank = VOQBank(2, capacity=16, on_threshold=12, off_threshold=6)
         for tag in range(10):
             bank.enqueue(tag % 2, make_cell(tag))
-        evens = [bank.dequeue(0)[0].trace.flow_seq for _ in range(5)]
-        odds = [bank.dequeue(1)[0].trace.flow_seq for _ in range(5)]
+        evens = [bank.dequeue(0)[0][2] for _ in range(5)]
+        odds = [bank.dequeue(1)[0][2] for _ in range(5)]
         assert evens == [0, 2, 4, 6, 8]
         assert odds == [1, 3, 5, 7, 9]
 
     def test_dequeue_empty_raises(self):
-        bank = VOQBank([0], capacity=4, on_threshold=2, off_threshold=1)
+        bank = VOQBank(2, capacity=4, on_threshold=2, off_threshold=1)
         with pytest.raises(SimInvariantError):
             bank.dequeue(0)
-
-    def test_request_mask_tracks_occupancy(self):
-        bank = VOQBank([0, 1, 2], capacity=4, on_threshold=2, off_threshold=1)
-        bank.enqueue(2, make_cell(0))
-        assert bank.request_mask == 0b100
-        bank.enqueue(0, make_cell(1))
-        assert bank.request_mask == 0b101
-        bank.dequeue(2)
-        assert bank.request_mask == 0b001
-        assert bank.request_vector() == {0: True, 1: False, 2: False}
 
 
 class TestFlowControlEvents:
     def setup_method(self):
-        self.bank = VOQBank([0], capacity=8, on_threshold=4, off_threshold=2)
+        self.bank = VOQBank(2, capacity=8, on_threshold=4, off_threshold=2)
 
     def fill(self, n):
         return [self.bank.enqueue(0, make_cell(i)) for i in range(n)]
@@ -134,8 +111,7 @@ class TestAlternationProperty:
         """Random enqueue/dequeue mix against an independent FSM."""
         for seed in range(5):
             rng = random.Random(0xF0C + seed)
-            bank = VOQBank([0, 2, 5], capacity=12,
-                           on_threshold=6, off_threshold=3)
+            bank = VOQBank(6, capacity=12, on_threshold=6, off_threshold=3)
             occupancy = {0: 0, 2: 0, 5: 0}
             paused = {0: False, 2: False, 5: False}
             history = {0: [], 2: [], 5: []}
@@ -159,7 +135,7 @@ class TestAlternationProperty:
                     assert ev.pause is do_enq
                     paused[ch] = ev.pause
                     history[ch].append(ev.pause)
-                assert bank.occupancy(ch) == occupancy[ch]
+                assert len(bank.queues[ch]) == occupancy[ch]
             for ch, evs in history.items():
                 assert evs, "scenario too quiet to exercise FC"
                 assert evs[0] is True  # first event is always a pause
