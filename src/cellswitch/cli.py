@@ -47,12 +47,12 @@ Experiment file schema (INI; lists are space-separated)::
     bers = 0 1e-12 1e-11 1e-10 1e-9 1e-8 1e-7 1e-6 1e-5
     load = 1.0
 
-    [checks]                  ; kind = protocol-checks
-    max_ports = 16
-    round_trip_ports = 8
-
     [run]
     seeds = 1
+
+Any other section or option is rejected as a configuration error, so
+a misspelled name never falls back silently to a default.  The
+protocol checks (see ``checks``) use only ``one_way_delay``.
 
 Sweep rows multiply ``pattern`` x ``workloads`` x ``scheduler``, in
 that nesting order.  CSV columns (stable, documented): pattern,
@@ -75,25 +75,18 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
-from .codec import (
-    CELL_PAYLOAD_BYTES,
-    Cell,
-    L1Meta,
-    L2Header,
-    RouteKind,
-    route_lookup,
-    rotate_header,
-    selector_for,
-    source_address,
-)
+from .checks import CHECKS
 from .engine import (
     DEFAULT_CHANNEL_BUFFER,
     DEFAULT_OFF_THRESHOLD,
@@ -107,7 +100,7 @@ from .engine import (
     run_star,
 )
 from .errors import ConfigError, SimInvariantError
-from .link import FaultSchedule, run_point_to_point
+from .link import run_point_to_point
 from .traffic import BERNOULLI, BURSTY, TrafficSpec
 
 EXIT_OK = 0
@@ -166,50 +159,32 @@ class ExperimentSpec:
     slots: int = 1_000_000
     bers: tuple[float, ...] = ()
     link_load: float = 1.0
-    max_ports: int = 16
-    round_trip_ports: int = 8
-
-
-def _get(parser, section, option):
-    """The option's text, or None when it is absent or blank."""
-    if not parser.has_option(section, option):
-        return None
-    return parser.get(section, option).strip() or None
 
 
 def _words(convert):
     return lambda raw: tuple(convert(part) for part in raw.split())
 
 
-# (section, option, ExperimentSpec field, parser).  An option absent
-# from the file, or blank, leaves its field at the default.
-_OPTIONS = (
-    ("experiment", "kind", "kind", str),
-    ("run", "seeds", "seeds", _words(int)),
-    ("topology", "ports", "ports", int),
-    ("topology", "scheduler", "schedulers", _words(str)),
-    ("topology", "islip_iterations", "islip_iterations", int),
-    ("topology", "uplink_delay", "uplink_delay", int),
-    ("topology", "downlink_delay", "downlink_delay", int),
-    ("topology", "egress_delay", "egress_delay", int),
-    ("topology", "on_threshold", "on_threshold", int),
-    ("topology", "off_threshold", "off_threshold", int),
-    ("topology", "channel_buffer", "channel_buffer", int),
-    ("topology", "max_slots", "max_slots", int),
-    ("traffic", "pattern", "patterns", _words(str)),
-    ("traffic", "size_mode", "size_mode", str),
-    ("traffic", "volume_bytes", "volume_bytes", int),
-    ("traffic", "min_packet_bytes", "min_packet_bytes", int),
-    ("traffic", "max_packet_bytes", "max_packet_bytes", int),
-    ("traffic", "burst_mean_cells", "burst_mean_cells", float),
-    ("traffic", "workloads", "workloads", _words(float)),
-    ("link", "one_way_delay", "one_way_delay", int),
-    ("link", "slots", "slots", int),
-    ("link", "bers", "bers", _words(float)),
-    ("link", "load", "link_load", float),
-    ("checks", "max_ports", "max_ports", int),
-    ("checks", "round_trip_ports", "round_trip_ports", int),
-)
+# The file schema: section -> option -> parser.  Each option sets the
+# ExperimentSpec field of its name, or the one _FIELDS gives; an option
+# left blank keeps its field's default.
+_OPTIONS = {
+    "experiment": dict(name=str, kind=str),
+    "run": dict(seeds=_words(int)),
+    "topology": dict(
+        ports=int, scheduler=_words(str), islip_iterations=int,
+        uplink_delay=int, downlink_delay=int, egress_delay=int,
+        on_threshold=int, off_threshold=int, channel_buffer=int,
+        max_slots=int),
+    "traffic": dict(
+        pattern=_words(str), size_mode=str, volume_bytes=int,
+        min_packet_bytes=int, max_packet_bytes=int, burst_mean_cells=float,
+        workloads=_words(float)),
+    "link": dict(one_way_delay=int, slots=int, bers=_words(float),
+                 load=float),
+}
+_FIELDS = {"scheduler": "schedulers", "pattern": "patterns",
+           "load": "link_load"}
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
@@ -219,22 +194,25 @@ def parse_experiment(text: str) -> ExperimentSpec:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed experiment file: {exc}") from None
-    if not parser.has_section("experiment"):
-        raise ConfigError("experiment file needs an [experiment] section")
-    name = _get(parser, "experiment", "name")
-    if not name:
-        raise ConfigError("[experiment] name is required")
     present = {}
-    for section, option, attr, convert in _OPTIONS:
-        raw = _get(parser, section, option)
-        if raw is None:
-            continue
-        try:
-            present[attr] = convert(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {option}: cannot parse "
-                              f"{raw!r}") from None
-    spec = ExperimentSpec(name=name, **present)
+    for section in parser.sections():
+        options = _OPTIONS.get(section)
+        if options is None:
+            raise ConfigError(f"unknown section [{section}]")
+        for option, raw in parser.items(section):
+            if option not in options:
+                raise ConfigError(f"[{section}] {option}: unknown option")
+            raw = raw.strip()
+            if not raw:
+                continue
+            try:
+                present[_FIELDS.get(option, option)] = options[option](raw)
+            except ValueError:
+                raise ConfigError(f"[{section}] {option}: cannot parse "
+                                  f"{raw!r}") from None
+    if "name" not in present:
+        raise ConfigError("[experiment] name is required")
+    spec = ExperimentSpec(**present)
     if spec.kind not in (KIND_SWEEP, KIND_BER, KIND_CHECKS):
         raise ConfigError(f"unknown experiment kind {spec.kind!r}")
     if spec.kind == KIND_SWEEP:
@@ -269,56 +247,42 @@ def preset_names() -> list[str]:
                   if p.name.endswith(".ini"))
 
 
-# -- sweep-point execution -------------------------------------------------
+# -- row calls -------------------------------------------------------------
 
 
-def _sweep_points(spec: ExperimentSpec, seed: int) -> list[dict]:
-    points = []
-    for pattern in spec.patterns:
-        for load in spec.workloads:
-            for scheduler in spec.schedulers:
-                points.append({
-                    "kind": KIND_SWEEP, "spec": spec, "seed": seed,
-                    "pattern": pattern, "load": load,
-                    "scheduler": scheduler,
-                })
-    return points
-
-
-def _points_for(spec: ExperimentSpec, seed: int) -> list[dict]:
+def _points_for(spec: ExperimentSpec, seed: int) -> list[partial]:
+    """One picklable call per CSV row, in row order."""
     if spec.kind == KIND_SWEEP:
-        return _sweep_points(spec, seed)
+        return [
+            partial(_sweep_row, EngineConfig(
+                n_ports=spec.ports, scheduler=scheduler, seed=seed,
+                on_threshold=spec.on_threshold,
+                off_threshold=spec.off_threshold,
+                channel_buffer=spec.channel_buffer,
+                islip_iterations=spec.islip_iterations,
+                uplink_delay=spec.uplink_delay,
+                downlink_delay=spec.downlink_delay,
+                egress_delay=spec.egress_delay,
+                max_slots=spec.max_slots,
+            ), TrafficSpec(
+                mode=pattern, size_mode=spec.size_mode, load=load / 100.0,
+                volume_bytes=spec.volume_bytes,
+                min_packet_bytes=spec.min_packet_bytes,
+                max_packet_bytes=spec.max_packet_bytes,
+                burst_mean_cells=spec.burst_mean_cells,
+            ))
+            for pattern in spec.patterns
+            for load in spec.workloads
+            for scheduler in spec.schedulers
+        ]
     if spec.kind == KIND_BER:
-        return [{"kind": KIND_BER, "spec": spec, "seed": seed, "ber": ber}
-                for ber in spec.bers]
-    return [{"kind": KIND_CHECKS, "spec": spec, "seed": seed,
-             "check": check} for check in CHECKS]
+        return [partial(_ber_row, spec.one_way_delay, spec.slots, ber,
+                        spec.link_load, seed) for ber in spec.bers]
+    return [partial(_check_row, check, spec.one_way_delay)
+            for check in CHECKS]
 
 
-def _run_sweep_point(point: dict) -> dict:
-    spec: ExperimentSpec = point["spec"]
-    config = EngineConfig(
-        n_ports=spec.ports,
-        scheduler=point["scheduler"],
-        seed=point["seed"],
-        on_threshold=spec.on_threshold,
-        off_threshold=spec.off_threshold,
-        channel_buffer=spec.channel_buffer,
-        islip_iterations=spec.islip_iterations,
-        uplink_delay=spec.uplink_delay,
-        downlink_delay=spec.downlink_delay,
-        egress_delay=spec.egress_delay,
-        max_slots=spec.max_slots,
-    )
-    traffic = TrafficSpec(
-        mode=point["pattern"],
-        size_mode=spec.size_mode,
-        load=point["load"] / 100.0,
-        volume_bytes=spec.volume_bytes,
-        min_packet_bytes=spec.min_packet_bytes,
-        max_packet_bytes=spec.max_packet_bytes,
-        burst_mean_cells=spec.burst_mean_cells,
-    )
+def _sweep_row(config: EngineConfig, traffic: TrafficSpec) -> dict:
     report = run_star(config, traffic)
     # A run cut short before its first delivery has no latencies and
     # no delivery window: those fields stay empty.
@@ -330,24 +294,23 @@ def _run_sweep_point(point: dict) -> dict:
         latencies = dict(zip(LATENCY_COLUMNS,
                              (report.percentile(1), *summary[1:])))
     return {
-        "pattern": point["pattern"],
-        "size_mode": spec.size_mode,
-        "scheduler": point["scheduler"],
-        "nominal_load_pct": _fmt(point["load"]),
+        "pattern": traffic.mode,
+        "size_mode": traffic.size_mode,
+        "scheduler": config.scheduler,
+        "nominal_load_pct": _fmt(traffic.load * 100),
         "measured_load_pct": f"{report.offered_load_pct:.2f}",
         "utilization_pct": utilization,
         **latencies,
         "retx": 0,
         "fc_events": report.pauses + report.unpauses,
-        "seed": point["seed"],
+        "seed": config.seed,
     }
 
 
-def _run_ber_point(point: dict) -> dict:
-    spec: ExperimentSpec = point["spec"]
-    result = run_point_to_point(spec.one_way_delay, spec.slots,
-                                ber=point["ber"], load=spec.link_load,
-                                seed=point["seed"])
+def _ber_row(one_way_delay: int, slots: int, ber: float, load: float,
+             seed: int) -> dict:
+    result = run_point_to_point(one_way_delay, slots, ber=ber, load=load,
+                                seed=seed)
     for delivered, sent in ((result.delivered_at_b, result.sent_a),
                             (result.delivered_at_a, result.sent_b)):
         if delivered != list(range(len(delivered))):
@@ -356,156 +319,26 @@ def _run_ber_point(point: dict) -> dict:
         if len(delivered) > sent:
             raise SimInvariantError("delivered more than was sent")
     return {
-        "pattern": f"p2p-ber-{point['ber']:g}",
+        "pattern": f"p2p-ber-{ber:g}",
         "size_mode": "fixed",
         "scheduler": "",
-        "nominal_load_pct": _fmt(spec.link_load * 100),
-        "measured_load_pct": f"{100 * result.sent_a / spec.slots:.2f}",
+        "nominal_load_pct": _fmt(load * 100),
+        "measured_load_pct": f"{100 * result.sent_a / slots:.2f}",
         "utilization_pct": f"{100 * result.goodput():.4f}",
         **dict.fromkeys(LATENCY_COLUMNS, ""),
         "retx": result.cycles_a + result.cycles_b,
         "fc_events": 0,
-        "seed": point["seed"],
+        "seed": seed,
     }
 
 
-# -- protocol checks -------------------------------------------------------
+def _check_row(check: str, one_way_delay: int) -> dict:
+    return {"check": check, "status": "pass",
+            "detail": CHECKS[check](one_way_delay)}
 
 
-def _check_selector_algebra(spec: ExperimentSpec, seed: int) -> str:
-    """Relative addressing is a bijection and inverts cleanly."""
-    for n in range(2, spec.max_ports + 1):
-        for ingress in range(n):
-            seen = set()
-            for egress in range(n):
-                if egress == ingress:
-                    continue
-                sel = selector_for(ingress, egress, n)
-                decision = route_lookup(
-                    ingress,
-                    L2Header(total_hops=1, remain_hops=1,
-                             dst_ports=[sel, 0, 0, 0, 0]),
-                    n)
-                if decision.kind is not RouteKind.UNICAST \
-                        or decision.egress != egress:
-                    raise SimInvariantError(
-                        f"selector does not invert at n={n} "
-                        f"{ingress}->{egress}")
-                seen.add(sel)
-            if seen != set(range(n - 1)):
-                raise SimInvariantError(
-                    f"selectors not a bijection at n={n} ingress {ingress}")
-    return f"ports 2..{spec.max_ports} exhaustive"
-
-
-def _route_one_hop(cell: Cell, ingress: int, n_ports: int) -> int:
-    decision = route_lookup(ingress, cell.l2, n_ports)
-    if decision.kind is not RouteKind.UNICAST:
-        raise SimInvariantError(f"expected a unicast hop, got {decision}")
-    rotate_header(cell, ingress, decision.egress, n_ports)
-    return decision.egress
-
-
-def _check_round_trip(spec: ExperimentSpec, seed: int) -> str:
-    """Two chained switches: there and back again for all port pairs.
-
-    Switch A port ``n-1`` is cabled to switch B port 0.  An endpoint
-    on A sends to an endpoint on B through both hops; the delivered
-    header's recorded trail must route a reply back to the sender.
-    """
-    n = spec.round_trip_ports
-    trunk_a, trunk_b = n - 1, 0
-    pairs = 0
-    for src in range(n - 1):
-        for dst in range(1, n):
-            cell = Cell(
-                l1=L1Meta(valid_bytes=CELL_PAYLOAD_BYTES, eop=True),
-                l2=L2Header(total_hops=2, remain_hops=2, dst_ports=[
-                    selector_for(src, trunk_a, n),
-                    selector_for(trunk_b, dst, n),
-                    0, 0, 0]),
-                payload=bytes(CELL_PAYLOAD_BYTES),
-            )
-            if _route_one_hop(cell, src, n) != trunk_a:
-                raise SimInvariantError("first hop left the trunk port")
-            if _route_one_hop(cell, trunk_b, n) != dst:
-                raise SimInvariantError(f"missed endpoint {dst}")
-            if route_lookup(dst, cell.l2, n).kind is not RouteKind.DELIVER:
-                raise SimInvariantError("route not spent on delivery")
-            back = source_address(cell)
-            reply = Cell(
-                l1=L1Meta(valid_bytes=CELL_PAYLOAD_BYTES, eop=True),
-                l2=L2Header(total_hops=2, remain_hops=2,
-                            dst_ports=back + [0] * (5 - len(back))),
-                payload=bytes(CELL_PAYLOAD_BYTES),
-            )
-            if _route_one_hop(reply, dst, n) != trunk_b:
-                raise SimInvariantError("reply missed the trunk port")
-            if _route_one_hop(reply, trunk_a, n) != src:
-                raise SimInvariantError("reply missed the original sender")
-            pairs += 1
-    return f"{pairs} ordered pairs across two {n}-port switches"
-
-
-def _check_recovery_timing(spec: ExperimentSpec, seed: int) -> str:
-    """One corrupted frame: pause 2.5 RTT, correction 3.5 RTT (+1)."""
-    delay = spec.one_way_delay
-    rtt = 2 * delay
-    fault = 10 * delay
-    result = run_point_to_point(
-        delay, slots=30 * delay + 60,
-        faults=FaultSchedule(b_to_a=frozenset({fault})),
-        record_kinds=True)
-    pause = sum(kind == "rereq" for kind in result.kinds_a)
-    if not abs(pause - 2.5 * rtt) <= 1:
-        raise SimInvariantError(f"pause was {pause} slots, "
-                                f"expected about {2.5 * rtt}")
-    last_replay = max(i for i, kind in enumerate(result.kinds_b)
-                      if kind == "replay")
-    correction = last_replay - fault
-    if not abs(correction - 3.5 * rtt) <= 1:
-        raise SimInvariantError(f"correction took {correction} slots, "
-                                f"expected about {3.5 * rtt}")
-    return (f"pause {pause} slots, correction {correction} slots "
-            f"at {rtt}-cell round trip")
-
-
-def _check_bidirectional_faults(spec: ExperimentSpec, seed: int) -> str:
-    """Simultaneous errors in both directions at every phase offset."""
-    delay = spec.one_way_delay
-    fault = 10 * delay
-    offsets = range(0, 7 * delay + 2)
-    for offset in offsets:
-        result = run_point_to_point(
-            delay, slots=40 * delay + 120,
-            faults=FaultSchedule(a_to_b=frozenset({fault + offset}),
-                                 b_to_a=frozenset({fault})))
-        for delivered in (result.delivered_at_a, result.delivered_at_b):
-            if delivered != list(range(len(delivered))):
-                raise SimInvariantError(
-                    f"loss or reorder at fault offset {offset}")
-    return f"offsets 0..{offsets[-1]} recovered losslessly"
-
-
-CHECKS = {
-    "selector-algebra": _check_selector_algebra,
-    "two-switch-round-trip": _check_round_trip,
-    "recovery-timing": _check_recovery_timing,
-    "bidirectional-faults": _check_bidirectional_faults,
-}
-
-
-def _run_check_point(point: dict) -> dict:
-    detail = CHECKS[point["check"]](point["spec"], point["seed"])
-    return {"check": point["check"], "status": "pass", "detail": detail}
-
-
-def _run_point(point: dict) -> dict:
-    if point["kind"] == KIND_SWEEP:
-        return _run_sweep_point(point)
-    if point["kind"] == KIND_BER:
-        return _run_ber_point(point)
-    return _run_check_point(point)
+def _call(row_call: partial) -> dict:
+    return row_call()
 
 
 # -- report emission -------------------------------------------------------
@@ -515,8 +348,11 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
-def write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    with path.open("w", newline="") as handle:
+def write_csv(path: Path | None, columns: list[str],
+              rows: list[dict]) -> None:
+    """Write a report to ``path``, or to stdout when it is None."""
+    with (path.open("w", newline="") if path
+          else nullcontext(sys.stdout)) as handle:
         writer = csv.DictWriter(handle, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
@@ -557,17 +393,15 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path, workers: int = 1,
     columns = CHECK_COLUMNS if spec.kind == KIND_CHECKS else CSV_COLUMNS
     written = []
     for seed in spec.seeds:
-        points = _points_for(spec, seed)
+        calls = _points_for(spec, seed)
         start = time.monotonic()
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_point, points))
-        else:
-            rows = []
-            for point in points:
-                rows.append(_run_point(point))
+        rows = []
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+              else nullcontext()) as pool:
+            for row in (pool.map if pool else map)(_call, calls):
+                rows.append(row)
                 if verbose:
-                    print(f"  done {rows[-1]}", file=sys.stderr)
+                    print(f"  done {row}", file=sys.stderr)
         elapsed = time.monotonic() - start
         stem = (spec.name if len(spec.seeds) == 1
                 else f"{spec.name}-seed{seed}")
@@ -594,7 +428,7 @@ def parse_tolerance(text: str) -> tuple[str, float]:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"bad tolerance {text!r}") from None
-    if mode not in ("abs", "rel") or value < 0:
+    if mode not in ("abs", "rel") or not math.isfinite(value) or value < 0:
         raise ConfigError(f"bad tolerance {text!r}")
     return mode, value
 
@@ -626,28 +460,27 @@ def compare_reports(measured: list[dict], reference: list[dict],
     for ref in reference:
         key = _row_key(ref)
         got_row = index.get(key)
+        key_fields = {field: ref.get(field, "") for field in KEY_FIELDS}
         if got_row is None:
-            verdicts.append({
-                "pattern": ref.get("pattern", ""),
-                "size_mode": ref.get("size_mode", ""),
-                "scheduler": ref.get("scheduler", ""),
-                "nominal_load_pct": ref.get("nominal_load_pct", ""),
-                "metric": "", "measured": "", "reference": "",
-                "tolerance": "", "status": "missing",
-            })
+            verdicts.append({**key_fields, "metric": "", "measured": "",
+                             "reference": "", "tolerance": "",
+                             "status": "missing"})
             continue
         for metric, (mode, value) in sorted(tolerances.items()):
             want_raw = (ref.get(metric) or "").strip()
             got_raw = (got_row.get(metric) or "").strip()
             if not want_raw or not got_raw:
                 continue
-            want, got = float(want_raw), float(got_raw)
+            try:
+                want, got = float(want_raw), float(got_raw)
+            except ValueError:
+                raise ConfigError(
+                    f"row {'/'.join(key)}: {metric} is not a number "
+                    f"(measured {got_raw!r}, reference {want_raw!r})"
+                ) from None
             allowed = value if mode == "abs" else abs(want) * value / 100.0
             verdicts.append({
-                "pattern": ref.get("pattern", ""),
-                "size_mode": ref.get("size_mode", ""),
-                "scheduler": ref.get("scheduler", ""),
-                "nominal_load_pct": ref.get("nominal_load_pct", ""),
+                **key_fields,
                 "metric": metric,
                 "measured": got_raw,
                 "reference": want_raw,
@@ -663,9 +496,7 @@ def reference_rows(name: str) -> list[dict]:
         "data", f"reference_{name}.csv")
     if not path.is_file():
         raise ConfigError(f"no reference table named {name!r}")
-    lines = [line for line in path.read_text().splitlines()
-             if not line.startswith("#")]
-    return list(csv.DictReader(lines))
+    return read_csv(path)
 
 
 VERDICT_COLUMNS = ["pattern", "size_mode", "scheduler", "nominal_load_pct",
@@ -741,12 +572,7 @@ def _cmd_compare(args) -> int:
     reference = (reference_rows(args.builtin) if args.builtin
                  else read_csv(args.reference))
     verdicts = compare_reports(measured, reference, tolerances)
-    if args.out:
-        write_csv(args.out, VERDICT_COLUMNS, verdicts)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=VERDICT_COLUMNS)
-        writer.writeheader()
-        writer.writerows(verdicts)
+    write_csv(args.out, VERDICT_COLUMNS, verdicts)
     failed = sum(v["status"] != "pass" for v in verdicts)
     print(f"# {len(verdicts) - failed} of {len(verdicts)} within tolerance",
           file=sys.stderr)

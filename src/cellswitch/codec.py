@@ -72,7 +72,7 @@ class L1Meta:
     """Line-level metadata carried in the 2-byte frame header.
 
     The checksum rides alongside the frame rather than being bit-packed
-    into the header word; see README for the serialized layout.
+    into the header word; ``encode_cell`` gives the serialized layout.
     """
 
     valid_bytes: int = CELL_PAYLOAD_BYTES

@@ -160,6 +160,8 @@ class MetricsReport:
     generated_cells: int
     injected_cells: int
     delivered_cells: int
+    staged_cells: int       # at exit: in endpoint staging, held included
+    in_flight_cells: int    # at exit: on links, in VOQs, in egress
     delivered_wire_bytes: int
     first_injection: int
     last_delivery: int
@@ -233,11 +235,14 @@ class MetricsReport:
                 f"{self.order_violations} per-flow sequence violations")
         if self.peak_voq_occupancy > self.config.voq_capacity():
             raise SimInvariantError("queue exceeded its stated capacity")
-        if self.drained and not (self.generated_cells == self.injected_cells
-                                 == self.delivered_cells):
+        if (self.generated_cells != self.staged_cells + self.injected_cells
+                or self.injected_cells
+                != self.delivered_cells + self.in_flight_cells):
             raise SimInvariantError(
                 f"cell conservation broken: generated {self.generated_cells}"
+                f", staged {self.staged_cells}"
                 f", injected {self.injected_cells}"
+                f", in flight {self.in_flight_cells}"
                 f", delivered {self.delivered_cells}")
 
     def to_dict(self) -> dict:
@@ -475,6 +480,15 @@ class StarNetwork:
                 drained = False
                 break
 
+        # Count the cells where they sit, independently of the running
+        # counters, so verify() can check conservation on any run.
+        staged = sum(map(len, (chan for chans in src_chan for chan in chans)))
+        staged += sum(cell is not None for cell in src_hold)
+        in_flight = sum(item is not None
+                        for ring in uplink + downlink for item in ring)
+        in_flight += sum(map(len, egress))
+        in_flight += sum(len(queue) for queues in bank_queues
+                         for queue in queues)
         return MetricsReport(
             config=config,
             traffic=self.traffic,
@@ -483,6 +497,8 @@ class StarNetwork:
             generated_cells=generated,
             injected_cells=injected,
             delivered_cells=delivered,
+            staged_cells=staged,
+            in_flight_cells=in_flight,
             delivered_wire_bytes=delivered_bytes,
             first_injection=first_injection,
             last_delivery=last_delivery,

@@ -95,10 +95,6 @@ class LinkEndpoint:
 
     # -- transmit ------------------------------------------------------------
 
-    @property
-    def retransmitting(self) -> bool:
-        return bool(self.cycle_queue)
-
     def queue_flow_control(self, command) -> None:
         self.pending_fc.append(command)
 
@@ -195,20 +191,6 @@ class FaultSchedule:
 
     a_to_b: frozenset = field(default_factory=frozenset)
     b_to_a: frozenset = field(default_factory=frozenset)
-
-    @classmethod
-    def parse(cls, text: str) -> "FaultSchedule":
-        """Parse "ab:3,17 ba:20" style fault lists."""
-        ab: set[int] = set()
-        ba: set[int] = set()
-        for part in text.replace(";", " ").split():
-            try:
-                direction, slots = part.split(":", 1)
-                target = {"ab": ab, "ba": ba}[direction.strip().lower()]
-                target.update(int(s) for s in slots.split(",") if s)
-            except (ValueError, KeyError):
-                raise ConfigError(f"bad fault entry {part!r}") from None
-        return cls(frozenset(ab), frozenset(ba))
 
 
 class DuplexLink:

@@ -117,7 +117,6 @@ class SourceProcess:
         self._burst_dst = -1
         self._burst_cells_left = 0
         self._idle_left = 0
-        self._emitted_payload_bytes = 0
         # Hot-path caches: the open-flow list changes only when a
         # budget runs dry, and the size mode never changes.
         self._open: list[int] = list(self.budget)
@@ -142,10 +141,6 @@ class SourceProcess:
     def exhausted(self) -> bool:
         """True once every flow budget is spent and nothing is pending."""
         return not self._pending and not self._open
-
-    @property
-    def emitted_payload_bytes(self) -> int:
-        return self._emitted_payload_bytes
 
     # -- packet construction -------------------------------------------------
 
@@ -203,9 +198,7 @@ class SourceProcess:
         scale = self._gap_scale
         if scale is not None:
             self._gap = int(math.log(1.0 - self._rand()) * scale)
-        cell = pending.pop(0)
-        self._emitted_payload_bytes += cell[3]
-        return cell
+        return pending.pop(0)
 
     def _poll_bursty(self) -> tuple | None:
         spec = self.spec
@@ -236,7 +229,6 @@ class SourceProcess:
             self._start_packet(self._burst_dst)
             pending = self._pending
         cell = pending.pop(0)
-        self._emitted_payload_bytes += cell[3]
         self._burst_cells_left -= 1
         return cell
 

@@ -1,10 +1,13 @@
 """Experiment runner: config parsing, presets, reports, comparisons."""
 
 import csv
+import hashlib
+from dataclasses import replace
 
 import pytest
 
 from cellswitch import cli
+from cellswitch.checks import CHECKS
 from cellswitch.engine import DEFAULT_ON_THRESHOLD
 from cellswitch.errors import ConfigError, SimInvariantError
 
@@ -85,11 +88,19 @@ class TestParsing:
             cli.parse_experiment(
                 "[experiment]\nname = x\n[topology]\nports = many\n"
                 "[traffic]\nworkloads = 50\n")
+        with pytest.raises(ConfigError, match="schedulers"):  # misspelled
+            cli.parse_experiment(
+                "[experiment]\nname = x\n[topology]\nschedulers = safc\n"
+                "[tarffic]\npattern = bursty\n[traffic]\nworkloads = 50\n")
+        with pytest.raises(ConfigError, match="tarffic"):  # misspelled
+            cli.parse_experiment(
+                "[experiment]\nname = x\n[tarffic]\npattern = bursty\n"
+                "[traffic]\nworkloads = 50\n")
 
     def test_tolerance_parsing(self):
         assert cli.parse_tolerance("abs:1.5") == ("abs", 1.5)
         assert cli.parse_tolerance("rel:20") == ("rel", 20.0)
-        for bad in ("pct:5", "abs:", "abs:-1", "1.5"):
+        for bad in ("pct:5", "abs:", "abs:-1", "1.5", "abs:inf", "rel:nan"):
             with pytest.raises(ConfigError):
                 cli.parse_tolerance(bad)
 
@@ -107,18 +118,19 @@ class TestPresets:
             cli.load_preset("bandwidth-bernoulli-fixed-islip"))
         assert len(spec.workloads) == 10
         assert spec.schedulers == ("islip",)
-        assert len(cli._points_for(spec, seed=1)) == 10
+        loads = [call.args[1].load for call in cli._points_for(spec, 1)]
+        assert loads == [w / 100 for w in spec.workloads]
 
     def test_latency_grid_has_sixteen_rows(self):
         spec = cli.parse_experiment(cli.load_preset("latency-grid"))
-        points = cli._points_for(spec, seed=1)
-        assert len(points) == 16
-        combos = [(p["pattern"], p["load"], p["scheduler"])
-                  for p in points]
+        calls = cli._points_for(spec, seed=1)
+        assert len(calls) == 16
+        combos = [(traffic.mode, traffic.load, config.scheduler)
+                  for config, traffic in (call.args for call in calls)]
         assert len(set(combos)) == 16
-        assert combos[0] == ("bernoulli", 30.0, "islip")
-        assert combos[1] == ("bernoulli", 30.0, "safc")
-        assert combos[-1] == ("bursty", 100.0, "safc")
+        assert combos[0] == ("bernoulli", 0.3, "islip")
+        assert combos[1] == ("bernoulli", 0.3, "safc")
+        assert combos[-1] == ("bursty", 1.0, "safc")
 
     def test_ber_preset_covers_clean_to_hopeless(self):
         spec = cli.parse_experiment(cli.load_preset("ber-sweep"))
@@ -194,12 +206,10 @@ class TestRunCommand:
         assert int(noisy["retx"]) > 0
 
     def test_protocol_checks_pass(self, tmp_path):
-        ini = cli.load_preset("protocol-checks")
-        ini = ini.replace("max_ports = 16", "max_ports = 8")
-        code, out = run_main(tmp_path, ini)
+        code, out = run_main(tmp_path, cli.load_preset("protocol-checks"))
         assert code == cli.EXIT_OK
         rows = cli.read_csv(out / "protocol-checks.csv")
-        assert [r["check"] for r in rows] == list(cli.CHECKS)
+        assert [r["check"] for r in rows] == list(CHECKS)
         assert all(r["status"] == "pass" for r in rows)
 
     def test_bad_spec_path_is_config_error(self, tmp_path):
@@ -299,6 +309,20 @@ class TestCompare:
         assert cli.main(["compare", "--measured", str(measured),
                          "--builtin", "latency"]) == cli.EXIT_CONFIG
 
+    def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
+        measured = tmp_path / "measured.csv"
+        with measured.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(self.ROW))
+            writer.writeheader()
+            writer.writerow(dict(self.ROW, p50="n/a"))
+        with pytest.raises(ConfigError, match="bernoulli/fixed/islip/100"):
+            cli.compare_reports(cli.read_csv(measured), [dict(self.ROW)],
+                                {"p50": ("rel", 20)})
+        assert cli.main(["compare", "--measured", str(measured),
+                         "--builtin", "latency",
+                         "--tolerance", "p50=rel:20"]) == cli.EXIT_CONFIG
+        assert "p50" in capsys.readouterr().err
+
     def test_verdict_file_output(self, tmp_path):
         measured = tmp_path / "measured.csv"
         with measured.open("w", newline="") as handle:
@@ -341,3 +365,26 @@ class TestReferenceTables:
     def test_unknown_table_is_config_error(self):
         with pytest.raises(ConfigError):
             cli.reference_rows("throughput")
+
+
+# SHA-256 over the CSV bytes of every shipped preset at reduced size,
+# in preset-name order; recorded before the runner was restructured.
+PRESET_CSV_DIGEST = (
+    "5500c6c558a34351579d8c7ffa5d27c9e40f2c0bbd8bd3a1302e4226e41afa54")
+
+
+def test_reduced_presets_csv_bytes_unchanged(tmp_path):
+    """Every preset through run_experiment, small: rows, their order
+    and their formatting stay byte-identical, pool path included."""
+    digest = hashlib.sha256()
+    for name in cli.preset_names():
+        spec = cli.parse_experiment(cli.load_preset(name))
+        if spec.kind == cli.KIND_SWEEP:
+            spec = replace(spec, ports=8, volume_bytes=2048)
+        elif spec.kind == cli.KIND_BER:
+            spec = replace(spec, slots=10_000)
+        workers = 2 if name == "latency-grid" else 1
+        csv_path = cli.run_experiment(spec, tmp_path / name,
+                                      workers=workers)[0]
+        digest.update(name.encode() + b"\0" + csv_path.read_bytes())
+    assert digest.hexdigest() == PRESET_CSV_DIGEST

@@ -165,12 +165,25 @@ class TestConservationAndIntegrity:
         report.delivered_cells -= 1
         with pytest.raises(SimInvariantError):
             report.verify()
+        # a run cut short still has every cell accounted for
+        report = StarNetwork(EngineConfig(n_ports=8, max_slots=400),
+                             TrafficSpec(load=1.0,
+                                         volume_bytes=1_000_000)).run()
+        assert report.staged_cells and report.in_flight_cells
+        report.verify()
+        report.in_flight_cells -= 1
+        with pytest.raises(SimInvariantError):
+            report.verify()
+        report.in_flight_cells += 1
+        report.staged_cells += 1
+        with pytest.raises(SimInvariantError):
+            report.verify()
 
     def test_max_slots_cuts_run_short(self):
         config = EngineConfig(n_ports=8, max_slots=400)
         traffic = TrafficSpec(load=1.0, volume_bytes=1_000_000)
         report = StarNetwork(config, traffic).run()
-        report.verify()  # conservation is only demanded of drained runs
+        report.verify()  # conservation counts staged and in-flight cells
         assert not report.drained
         assert report.slots_run == 400
 
@@ -223,6 +236,7 @@ def report_with(hist):
         config=EngineConfig(n_ports=2), traffic=TrafficSpec(),
         slots_run=1, drained=True, generated_cells=delivered,
         injected_cells=delivered, delivered_cells=delivered,
+        staged_cells=0, in_flight_cells=0,
         delivered_wire_bytes=delivered * FRAME_BYTES, first_injection=0,
         last_delivery=max(hist), first_generation=0, last_generation=0,
         pauses=0, unpauses=0, peak_voq_occupancy=0, order_violations=0,

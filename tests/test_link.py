@@ -59,20 +59,6 @@ class TestFrameErrorProbability:
             frame_error_probability(1.0)
 
 
-class TestFaultSchedule:
-    def test_parse(self):
-        fs = FaultSchedule.parse("ab:3,17 ba:20")
-        assert fs.a_to_b == frozenset({3, 17})
-        assert fs.b_to_a == frozenset({20})
-        assert FaultSchedule.parse("") == FaultSchedule()
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            FaultSchedule.parse("xy:3")
-        with pytest.raises(ConfigError):
-            FaultSchedule.parse("ab=3")
-
-
 class TestEndpointBasics:
     def test_delay_bounds(self):
         with pytest.raises(ConfigError):
