@@ -51,8 +51,9 @@ Experiment file schema (INI; lists are space-separated)::
     seeds = 1
 
 Any other section or option is rejected as a configuration error, so
-a misspelled name never falls back silently to a default.  The
-protocol checks (see ``checks``) use only ``one_way_delay``.
+a misspelled name never falls back silently to a default, and so is
+one the experiment kind does not read: the protocol checks (see
+``checks``) read ``[link] one_way_delay`` and nothing else there.
 
 Sweep rows multiply ``pattern`` x ``workloads`` x ``scheduler``, in
 that nesting order.  CSV columns (stable, documented): pattern,
@@ -165,23 +166,27 @@ def _words(convert):
     return lambda raw: tuple(convert(part) for part in raw.split())
 
 
-# The file schema: section -> option -> parser.  Each option sets the
-# ExperimentSpec field of its name, or the one _FIELDS gives; an option
-# left blank keeps its field's default.
-_OPTIONS = {
-    "experiment": dict(name=str, kind=str),
-    "run": dict(seeds=_words(int)),
-    "topology": dict(
-        ports=int, scheduler=_words(str), islip_iterations=int,
-        uplink_delay=int, downlink_delay=int, egress_delay=int,
-        on_threshold=int, off_threshold=int, channel_buffer=int,
-        max_slots=int),
-    "traffic": dict(
-        pattern=_words(str), size_mode=str, volume_bytes=int,
-        min_packet_bytes=int, max_packet_bytes=int, burst_mean_cells=float,
-        workloads=_words(float)),
-    "link": dict(one_way_delay=int, slots=int, bers=_words(float),
-                 load=float),
+# The file schema of each experiment kind: section -> option ->
+# parser.  Each option sets the ExperimentSpec field of its name, or
+# the one _FIELDS gives; an option left blank keeps its field's default.
+_COMMON = {"experiment": dict(name=str, kind=str),
+           "run": dict(seeds=_words(int))}
+_SCHEMAS = {
+    KIND_SWEEP: {
+        **_COMMON,
+        "topology": dict(
+            ports=int, scheduler=_words(str), islip_iterations=int,
+            uplink_delay=int, downlink_delay=int, egress_delay=int,
+            on_threshold=int, off_threshold=int, channel_buffer=int,
+            max_slots=int),
+        "traffic": dict(
+            pattern=_words(str), size_mode=str, volume_bytes=int,
+            min_packet_bytes=int, max_packet_bytes=int,
+            burst_mean_cells=float, workloads=_words(float)),
+    },
+    KIND_BER: {**_COMMON, "link": dict(
+        one_way_delay=int, slots=int, bers=_words(float), load=float)},
+    KIND_CHECKS: {**_COMMON, "link": dict(one_way_delay=int)},
 }
 _FIELDS = {"scheduler": "schedulers", "pattern": "patterns",
            "load": "link_load"}
@@ -189,19 +194,27 @@ _FIELDS = {"scheduler": "schedulers", "pattern": "patterns",
 
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse and validate the INI form of an experiment."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed experiment file: {exc}") from None
+    kind = parser.get("experiment", "kind", fallback="").strip() \
+        or ExperimentSpec.kind
+    schema = _SCHEMAS.get(kind)
+    if schema is None:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
     present = {}
     for section in parser.sections():
-        options = _OPTIONS.get(section)
+        options = schema.get(section)
         if options is None:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ConfigError(f"[{section}]: unknown section for a {kind} "
+                              "experiment")
         for option, raw in parser.items(section):
             if option not in options:
-                raise ConfigError(f"[{section}] {option}: unknown option")
+                raise ConfigError(f"[{section}] {option}: unknown option "
+                                  f"for a {kind} experiment")
             raw = raw.strip()
             if not raw:
                 continue
@@ -213,8 +226,6 @@ def parse_experiment(text: str) -> ExperimentSpec:
     if "name" not in present:
         raise ConfigError("[experiment] name is required")
     spec = ExperimentSpec(**present)
-    if spec.kind not in (KIND_SWEEP, KIND_BER, KIND_CHECKS):
-        raise ConfigError(f"unknown experiment kind {spec.kind!r}")
     if spec.kind == KIND_SWEEP:
         if not spec.workloads:
             raise ConfigError("[traffic] workloads is required for sweeps")

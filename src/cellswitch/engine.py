@@ -11,18 +11,24 @@ frame slot carries a small control word out-of-band of the 264-byte
 cell budget (like the line checksum), so backpressure costs latency
 but never data bandwidth.
 
-Every slot runs the same phase sequence, port by port:
+Each fixed delay is a ring of per-slot lists shared by all ports: an
+entry put ``delay`` slots ahead is taken when its slot comes round, so
+only cells and control words that are due cost any work.  Both
+arbiters give an output at most one cell per slot, so the egress
+stages and the downlink form one fixed delay from match to sink.
+Every slot runs the same phases, each over all ports before the next:
 
-1. downlink arrival: cells reach sinks, control words update the
-   endpoint's paused-channel set
-2. uplink arrival: enqueue into the input's virtual output queue,
+1. control words land and update the endpoints' paused-channel sets
+2. cells reach sinks
+3. uplink arrivals enter their input's virtual output queue,
    possibly firing a pause command
-3. traffic generation into the source's per-channel staging queues
-4. transmission -- each endpoint sends one staged cell from an
-   unpaused channel, and the switch sends one ready egress cell per
-   downlink
-then, once per slot:
-5. arbitration and fabric traversal, possibly firing unpauses
+4. each endpoint generates at most one cell into its per-channel
+   staging queues and sends one staged cell from an unpaused channel
+5. while any queue holds a cell: arbitration and fabric traversal,
+   possibly firing unpauses
+
+No phase of one port reads another port's state within a slot, so
+this order gives the results of running each port's phases in turn.
 
 Each endpoint works in real time: the host produces at most one cell
 per slot and deposits it in generation order into a per-channel
@@ -161,7 +167,7 @@ class MetricsReport:
     injected_cells: int
     delivered_cells: int
     staged_cells: int       # at exit: in endpoint staging, held included
-    in_flight_cells: int    # at exit: on links, in VOQs, in egress
+    in_flight_cells: int    # at exit: on links, in egress, in VOQs
     delivered_wire_bytes: int
     first_injection: int
     last_delivery: int
@@ -300,7 +306,7 @@ class StarNetwork:
         n = config.n_ports
         up_delay = config.uplink_delay
         down_delay = config.downlink_delay
-        ready_offset = config.egress_delay + 1
+        out_delay = config.egress_delay + 1 + down_delay  # match to sink
         max_slots = config.max_slots
         header_bytes = HEADER_BYTES
 
@@ -321,21 +327,20 @@ class StarNetwork:
         src_hold = [None] * n                # generated, staging full
         src_rr = [0] * n
         src_pause = [0] * n
-        src_done = [False] * n
-        active_sources = n
         staging = (math.inf if config.channel_buffer is None
                    else config.channel_buffer)
 
         # Staging queues hold traffic cell records (src, dst, flow_seq,
         # valid_bytes, eop); from the uplink on, each record travels
-        # paired with its transmit slot as (injected_at, record).
-        # Links are rings: the entry written at slot t is read at slot
-        # t + delay, just before being overwritten.  Control words ride
-        # a parallel queue stamped with their arrival slot.
-        uplink = [[None] * up_delay for _ in ports]
-        downlink = [[None] * down_delay for _ in ports]
-        fc_pipe = [deque() for _ in ports]
-        egress = [deque() for _ in ports]
+        # paired with its transmit slot as (injected_at, record).  The
+        # rings hold, per slot, (port, (injected_at, record)) uplink
+        # arrivals, (out_port, (injected_at, record)) sink deliveries
+        # and (port, command) control words; an entry put at
+        # ring[(slot + delay) % size] is taken at slot + delay.
+        size = max(up_delay, out_delay) + 1
+        uplink = [[] for _ in range(size)]
+        downlink = [[] for _ in range(size)]
+        control = [[] for _ in range(size)]
         out_requests = [0] * n
         expected_seq = [[0] * n for _ in ports]
 
@@ -349,46 +354,43 @@ class StarNetwork:
         order_violations = 0
 
         slot = 0
-        up_idx = down_idx = 0
         while True:
+            now = slot % size
+            for i, command in control[now]:
+                if command.pause:
+                    src_pause[i] |= 1 << command.channel
+                else:
+                    src_pause[i] &= ~(1 << command.channel)
+            control[now].clear()
+
+            for out_port, (injected_at, record) in downlink[now]:
+                src, dst, flow_seq, valid, _ = record
+                latency = slot - injected_at
+                latency_hist[latency] = latency_hist.get(latency, 0) + 1
+                if dst != out_port or flow_seq != expected_seq[src][out_port]:
+                    order_violations += 1
+                expected_seq[src][out_port] = flow_seq + 1
+                delivered += 1
+                delivered_bytes += valid + header_bytes
+                last_delivery = slot
+            downlink[now].clear()
+
+            for i, item in uplink[now]:
+                out_port = item[1][1]  # the record's dst
+                command = bank_enqueue[i](out_port, item)
+                depth = len(bank_queues[i][out_port])
+                if depth == 1:
+                    out_requests[out_port] |= 1 << i
+                if depth > peak_occupancy:
+                    peak_occupancy = depth
+                if command is not None:
+                    # departs with this slot's downlink frame
+                    control[(slot + down_delay) % size].append((i, command))
+                    pauses += 1
+            uplink[now].clear()
+
+            sent = uplink[(slot + up_delay) % size]
             for i in ports:
-                # downlink arrival: control words first (they gate the
-                # transmit pick below), then the data slot to the sink
-                pipe = fc_pipe[i]
-                while pipe and pipe[0][0] <= slot:
-                    command = pipe.popleft()[1]
-                    if command.pause:
-                        src_pause[i] |= 1 << command.channel
-                    else:
-                        src_pause[i] &= ~(1 << command.channel)
-                item = downlink[i][down_idx]
-                if item is not None:
-                    injected_at, (src, dst, flow_seq, valid, _) = item
-                    latency = slot - injected_at
-                    latency_hist[latency] = \
-                        latency_hist.get(latency, 0) + 1
-                    if dst != i or flow_seq != expected_seq[src][i]:
-                        order_violations += 1
-                    expected_seq[src][i] = flow_seq + 1
-                    delivered += 1
-                    delivered_bytes += valid + header_bytes
-                    last_delivery = slot
-
-                # uplink arrival: admit into this input's queue bank
-                item = uplink[i][up_idx]
-                if item is not None:
-                    out_port = item[1][1]  # the record's dst
-                    command = bank_enqueue[i](out_port, item)
-                    depth = len(bank_queues[i][out_port])
-                    if depth == 1:
-                        out_requests[out_port] |= 1 << i
-                    if depth > peak_occupancy:
-                        peak_occupancy = depth
-                    if command is not None:
-                        # departs with this slot's downlink frame
-                        pipe.append((slot + down_delay, command))
-                        pauses += 1
-
                 # host step, closed-loop: retry the held cell, then
                 # generate at most one new cell.  The host never runs
                 # ahead of real time and blocks -- suspending
@@ -401,7 +403,7 @@ class StarNetwork:
                     src_chan[i][dst].append(cell)
                     src_mask[i] |= 1 << dst
                     src_hold[i] = cell = None
-                if cell is None and not src_done[i]:
+                if cell is None:
                     cell = polls[i]()
                     if cell is not None:
                         generated += 1
@@ -414,9 +416,6 @@ class StarNetwork:
                             src_mask[i] |= 1 << dst
                         else:
                             src_hold[i] = cell
-                    elif sources[i].exhausted:
-                        src_done[i] = True
-                        active_sources -= 1
 
                 # adapter transmit: round robin over unpaused channels
                 eligible = src_mask[i] & ~src_pause[i]
@@ -429,51 +428,37 @@ class StarNetwork:
                         dst = (eligible & -eligible).bit_length() - 1
                     src_rr[i] = dst + 1 if dst + 1 < n else 0
                     queue = src_chan[i][dst]
-                    cell = queue.popleft()
+                    sent.append((i, (slot, queue.popleft())))
                     if not queue:
                         src_mask[i] &= ~(1 << dst)
                     injected += 1
                     if first_injection < 0:
                         first_injection = slot
-                    uplink[i][up_idx] = (slot, cell)
-                else:
-                    uplink[i][up_idx] = None
 
-                # switch transmit: next egress cell whose pipeline
-                # stages have elapsed
-                ready = egress[i]
-                if ready and ready[0][0] <= slot:
-                    downlink[i][down_idx] = ready.popleft()[1]
-                else:
-                    downlink[i][down_idx] = None
-
-            # arbitration and fabric traversal
-            pairs = match(out_requests)
-            if pairs:
+            # arbitration and fabric traversal, only while some queue
+            # holds a cell: an empty match moves no arbiter pointer
+            if any(out_requests):
+                pairs = match(out_requests)
                 if route is not None:
                     dests = [None] * n
                     for i, out_port in pairs:
                         dests[i] = out_port
                     route(dests)
-                ready_at = slot + ready_offset
-                fc_at = slot + 1 + down_delay  # next downlink frame
+                sink = downlink[(slot + out_delay) % size]
+                fc = control[(slot + 1 + down_delay) % size]
                 for i, out_port in pairs:
                     item, command = bank_dequeue[i](out_port)
                     if not bank_queues[i][out_port]:
                         out_requests[out_port] &= ~(1 << i)
-                    egress[out_port].append((ready_at, item))
+                    sink.append((out_port, item))
                     if command is not None:
-                        fc_pipe[i].append((fc_at, command))
+                        # departs with the next downlink frame
+                        fc.append((i, command))
                         unpauses += 1
 
             slot += 1
-            up_idx += 1
-            if up_idx == up_delay:
-                up_idx = 0
-            down_idx += 1
-            if down_idx == down_delay:
-                down_idx = 0
-            if active_sources == 0 and delivered == injected == generated:
+            if delivered == injected == generated and \
+                    all(source.exhausted for source in sources):
                 drained = True
                 break
             if max_slots is not None and slot >= max_slots:
@@ -484,9 +469,7 @@ class StarNetwork:
         # counters, so verify() can check conservation on any run.
         staged = sum(map(len, (chan for chans in src_chan for chan in chans)))
         staged += sum(cell is not None for cell in src_hold)
-        in_flight = sum(item is not None
-                        for ring in uplink + downlink for item in ring)
-        in_flight += sum(map(len, egress))
+        in_flight = sum(map(len, uplink)) + sum(map(len, downlink))
         in_flight += sum(len(queue) for queues in bank_queues
                          for queue in queues)
         return MetricsReport(

@@ -28,7 +28,8 @@ star engine carries from source to sink:
 flow's cells from 0, ``valid_bytes`` is the payload the cell carries
 and ``eop`` marks the last cell of a packet.  The star path never
 serializes a cell, so it has no frame; ``codec.Cell`` is the wire
-format.
+format.  A packet in progress is only its destination and the payload
+bytes it has left: each emitting poll cuts the next record from that.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class SourceProcess:
     Call poll() at most once per slot: each call advances the arrival
     process by one slot, so skipping a slot suspends the process in
     time rather than dropping anything (a closed-loop host that cannot
-    accept a cell simply does not poll).
+    accept a cell simply does not poll).  An exhausted source returns
+    None and draws nothing.
     """
 
     def __init__(self, spec: TrafficSpec, port: int, n_ports: int, seed: int):
@@ -113,7 +115,8 @@ class SourceProcess:
             dst: spec.volume_bytes for dst in range(n_ports) if dst != port
         }
         self.flow_cells = {dst: 0 for dst in self.budget}
-        self._pending: list[tuple] = []  # remaining cells of current packet
+        self._dst = -1      # packet in progress: destination,
+        self._left = 0      # and payload bytes not yet emitted
         self._burst_dst = -1
         self._burst_cells_left = 0
         self._idle_left = 0
@@ -139,8 +142,8 @@ class SourceProcess:
 
     @property
     def exhausted(self) -> bool:
-        """True once every flow budget is spent and nothing is pending."""
-        return not self._pending and not self._open
+        """True once every flow budget is spent and no packet is left."""
+        return not self._left and not self._open
 
     # -- packet construction -------------------------------------------------
 
@@ -159,28 +162,17 @@ class SourceProcess:
                 self._open.remove(dst)
         return size
 
-    def _build_packet(self, dst: int) -> list[tuple]:
-        """The packet's cell records, in order (see the module doc)."""
-        size = self._draw_packet_bytes(dst)
-        n_cells = -(-size // CELL_PAYLOAD_BYTES)
-        src = self.port
-        base_seq = self.flow_cells[dst]
-        last = n_cells - 1
-        cells = [(src, dst, base_seq + k, CELL_PAYLOAD_BYTES, False)
-                 for k in range(last)]
-        cells.append((src, dst, base_seq + last,
-                      size - CELL_PAYLOAD_BYTES * last, True))
-        self.flow_cells[dst] = base_seq + n_cells
-        return cells
-
-    def _start_packet(self, dst: int | None = None) -> bool:
-        if dst is None:
-            flows = self._open
-            if not flows:
-                return False
-            dst = flows[int(self._rand() * len(flows))]
-        self._pending = self._build_packet(dst)
-        return True
+    def _next_cell(self) -> tuple:
+        """The next record of the packet in progress (see the module
+        doc)."""
+        dst, left = self._dst, self._left
+        seq = self.flow_cells[dst]
+        self.flow_cells[dst] = seq + 1
+        if left > CELL_PAYLOAD_BYTES:
+            self._left = left - CELL_PAYLOAD_BYTES
+            return (self.port, dst, seq, CELL_PAYLOAD_BYTES, False)
+        self._left = 0
+        return (self.port, dst, seq, left, True)
 
     # -- arrival processes ---------------------------------------------------
     # poll() is bound in __init__ to the method for the configured
@@ -190,47 +182,47 @@ class SourceProcess:
         if self._gap:
             self._gap -= 1
             return None
-        pending = self._pending
-        if not pending:
-            if not self._start_packet():
+        if not self._left:
+            flows = self._open
+            if not flows:
                 return None
-            pending = self._pending
+            self._dst = dst = flows[int(self._rand() * len(flows))]
+            self._left = self._draw_packet_bytes(dst)
         scale = self._gap_scale
         if scale is not None:
             self._gap = int(math.log(1.0 - self._rand()) * scale)
-        return pending.pop(0)
+        return self._next_cell()
 
     def _poll_bursty(self) -> tuple | None:
         spec = self.spec
         if self._idle_left > 0:
             self._idle_left -= 1
             return None
-        if not self._pending and self._burst_cells_left <= 0:
+        if not self._left and self._burst_cells_left <= 0:
             # burst boundary: draw the idle gap, then the next burst
+            flows = self._open
+            if not flows:
+                return None
             if spec.load < 1.0:
                 idle_mean = spec.burst_mean_cells * (1.0 - spec.load) \
                     / spec.load
                 self._idle_left = _geometric_from_zero(self.rng, idle_mean)
-            flows = self._open
-            if not flows:
-                return None
             self._burst_dst = flows[int(self._rand() * len(flows))]
             self._burst_cells_left = _geometric_from_one(
                 self.rng, spec.burst_mean_cells)
             if self._idle_left > 0:
                 self._idle_left -= 1
                 return None
-        pending = self._pending
-        if not pending:
-            if self.budget.get(self._burst_dst) == 0:
+        if not self._left:
+            dst = self._burst_dst
+            if self.budget[dst] == 0:
                 # flow drained mid-burst: end the burst early
                 self._burst_cells_left = 0
-                return self._poll_bursty() if not self.exhausted else None
-            self._start_packet(self._burst_dst)
-            pending = self._pending
-        cell = pending.pop(0)
+                return self._poll_bursty()
+            self._dst = dst
+            self._left = self._draw_packet_bytes(dst)
         self._burst_cells_left -= 1
-        return cell
+        return self._next_cell()
 
 
 def make_sources(spec: TrafficSpec, n_ports: int, seed: int

@@ -96,6 +96,17 @@ class TestParsing:
             cli.parse_experiment(
                 "[experiment]\nname = x\n[tarffic]\npattern = bursty\n"
                 "[traffic]\nworkloads = 50\n")
+        for section in ("[topology]\nports = 4", "[traffic]\nworkloads = 50"):
+            with pytest.raises(ConfigError, match=r"\[.*ber-sweep"):
+                cli.parse_experiment(TINY_BER + section + "\n")
+        with pytest.raises(ConfigError, match="slots.*protocol-checks"):
+            cli.parse_experiment(TINY_BER.replace("ber-sweep",
+                                                  "protocol-checks"))
+
+    def test_percent_sign_is_literal(self):
+        spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
+                                                     "name = 50% load"))
+        assert spec.name == "50% load"
 
     def test_tolerance_parsing(self):
         assert cli.parse_tolerance("abs:1.5") == ("abs", 1.5)

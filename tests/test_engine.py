@@ -1,5 +1,6 @@
 """Star-network engine: floor, conservation, determinism, metrics."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -335,3 +336,64 @@ class TestByteIdentity:
                 report.last_generation, report.first_injection,
                 report.last_delivery]).encode())
         assert digest.hexdigest() == self.DIGEST
+
+    # Recorded on the engine with per-port link rings and deques.
+    WIDE_DIGEST = (
+        "518950b09201e3aaaa1546dfc6d61cb1fc687f2f3c7d12b3a1e45caf27801137")
+
+    def test_truncated_and_custom_delay_digest_unchanged(self):
+        # Every report field, staged and in-flight counts included, of
+        # runs cut short at several points and of links and egress
+        # stages of unequal depth (egress 0 among them).
+        digest = hashlib.sha256()
+        for delays, scheduler, mode, size_mode, load, max_slots in \
+                itertools.product(
+                    ((7, 7, 3), (3, 2, 0), (9, 1, 0), (1, 5, 4)),
+                    (ISLIP, SAFC), ("bernoulli", "bursty"),
+                    ("fixed", "variable"), (0.5, 1.0), (None, 37, 400)):
+            up, down, egress = delays
+            report = StarNetwork(
+                EngineConfig(n_ports=6, scheduler=scheduler, seed=5,
+                             uplink_delay=up, downlink_delay=down,
+                             egress_delay=egress, on_threshold=5,
+                             off_threshold=2, max_slots=max_slots,
+                             channel_buffer=1 if load == 1.0 else None),
+                TrafficSpec(mode=mode, size_mode=size_mode, load=load,
+                            volume_bytes=3_000)).run()
+            report.verify()
+            fields = dataclasses.asdict(report)
+            fields["latency_hist"] = sorted(report.latency_hist.items())
+            digest.update(json.dumps([fields, report.to_dict()],
+                                     sort_keys=True).encode())
+        assert digest.hexdigest() == self.WIDE_DIGEST
+
+
+def test_engine_calls_the_instance_hooks():
+    """The benchmark's tracer times a run by replacing these instance
+    callables; each must still be called, and the results must not
+    change."""
+    def build():
+        return StarNetwork(EngineConfig(n_ports=6, scheduler=ISLIP),
+                           TrafficSpec(load=0.9, volume_bytes=8_000))
+
+    calls = {}
+
+    def counting(name, fn):
+        calls[name] = 0
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    network = build()
+    for source in network.sources:
+        source.poll = counting("poll", source.poll)
+    for bank in network.banks:
+        bank.enqueue = counting("enqueue", bank.enqueue)
+        bank.dequeue = counting("dequeue", bank.dequeue)
+    network.scheduler.match = counting("match", network.scheduler.match)
+    network.fabric.route = counting("route", network.fabric.route)
+    report = network.run()
+    assert all(calls.values()), calls
+    assert report.to_dict() == build().run().to_dict()

@@ -1,5 +1,7 @@
 """Traffic sources: process statistics, packing, volume exactness."""
 
+import hashlib
+import itertools
 import statistics
 from collections import Counter
 
@@ -211,6 +213,23 @@ class TestDeterminism:
         assert stream(42, 3) == stream(42, 3)
         assert stream(42, 3) != stream(43, 3)
         assert stream(42, 3) != stream(42, 4)
+
+    # Recorded on the sources that built each packet as a cell list.
+    STREAM_DIGEST = (
+        "894d811014badd34286ea830ce53c87203762cecd52be577481702aa53613d5f")
+
+    def test_record_streams_unchanged(self):
+        # Finite flows, so each stream runs into exhaustion as well.
+        digest = hashlib.sha256()
+        for mode, size_mode, load, port in itertools.product(
+                ("bernoulli", "bursty"), ("fixed", "variable"),
+                (0.3, 1.0), (0, 5)):
+            source = SourceProcess(
+                TrafficSpec(mode=mode, size_mode=size_mode, load=load,
+                            volume_bytes=20_000), port, 8, seed=7)
+            stream = [source.poll() for _ in range(3_000)]
+            digest.update(repr((stream, source.exhausted)).encode())
+        assert digest.hexdigest() == self.STREAM_DIGEST
 
     def test_make_sources_covers_all_ports(self):
         sources = make_sources(TrafficSpec(), 8, seed=1)
