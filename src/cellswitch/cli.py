@@ -95,14 +95,13 @@ from .engine import (
     DOWNLINK_DELAY,
     EGRESS_DELAY,
     ISLIP,
-    SAFC,
     UPLINK_DELAY,
     EngineConfig,
     run_star,
 )
 from .errors import ConfigError, SimInvariantError
-from .link import run_point_to_point
-from .traffic import BERNOULLI, BURSTY, TrafficSpec
+from .link import frame_error_probability, run_point_to_point
+from .traffic import BERNOULLI, TrafficSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -226,20 +225,22 @@ def parse_experiment(text: str) -> ExperimentSpec:
     if "name" not in present:
         raise ConfigError("[experiment] name is required")
     spec = ExperimentSpec(**present)
+    if spec.name in (".", "..") or Path(spec.name).name != spec.name:
+        raise ConfigError(f"[experiment] name {spec.name!r} names the "
+                          "output files: it must be one path component")
     if spec.kind == KIND_SWEEP:
         if not spec.workloads:
             raise ConfigError("[traffic] workloads is required for sweeps")
         for load in spec.workloads:
             if not 0 < load <= 100:
                 raise ConfigError(f"workload {load} outside (0, 100]")
-        for scheduler in spec.schedulers:
-            if scheduler not in (ISLIP, SAFC):
-                raise ConfigError(f"unknown scheduler {scheduler!r}")
-        for pattern in spec.patterns:
-            if pattern not in (BERNOULLI, BURSTY):
-                raise ConfigError(f"unknown pattern {pattern!r}")
-    if spec.kind == KIND_BER and not spec.bers:
-        raise ConfigError("[link] bers is required for a ber sweep")
+    if spec.kind == KIND_BER:
+        if not spec.bers:
+            raise ConfigError("[link] bers is required for a ber sweep")
+        for ber in spec.bers:
+            frame_error_probability(ber)
+    # Building the rows validates every engine and traffic value.
+    _points_for(spec, spec.seeds[0])
     return spec
 
 

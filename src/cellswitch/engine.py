@@ -145,9 +145,6 @@ class EngineConfig:
         round trips."""
         return math.ceil(1.5 * self.fc_rtt())
 
-    def thresholds(self) -> tuple[int, int]:
-        return self.on_threshold, self.off_threshold
-
     def latency_floor(self) -> int:
         """Slots an uncontended cell needs from uplink transmission to
         sink delivery: both links, one fabric slot, the egress stages."""
@@ -288,9 +285,8 @@ class StarNetwork:
         self.traffic = traffic
         n = config.n_ports
         self.sources = make_sources(traffic, n, config.seed)
-        on, off = config.thresholds()
-        capacity = config.voq_capacity()
-        self.banks = [VOQBank(n, capacity, on, off) for _ in range(n)]
+        self.banks = [VOQBank(n, config.voq_capacity(), config.on_threshold,
+                              config.off_threshold) for _ in range(n)]
         if config.scheduler == ISLIP:
             self.scheduler = IslipScheduler(n, config.islip_iterations)
             # Only a conflict-free matching can cross the physical
@@ -335,8 +331,9 @@ class StarNetwork:
         # paired with its transmit slot as (injected_at, record).  The
         # rings hold, per slot, (port, (injected_at, record)) uplink
         # arrivals, (out_port, (injected_at, record)) sink deliveries
-        # and (port, command) control words; an entry put at
-        # ring[(slot + delay) % size] is taken at slot + delay.
+        # and (port, channel, pause) control words, pause False for an
+        # unpause; an entry put at ring[(slot + delay) % size] is taken
+        # at slot + delay.
         size = max(up_delay, out_delay) + 1
         uplink = [[] for _ in range(size)]
         downlink = [[] for _ in range(size)]
@@ -356,11 +353,11 @@ class StarNetwork:
         slot = 0
         while True:
             now = slot % size
-            for i, command in control[now]:
-                if command.pause:
-                    src_pause[i] |= 1 << command.channel
+            for i, channel, pause in control[now]:
+                if pause:
+                    src_pause[i] |= 1 << channel
                 else:
-                    src_pause[i] &= ~(1 << command.channel)
+                    src_pause[i] &= ~(1 << channel)
             control[now].clear()
 
             for out_port, (injected_at, record) in downlink[now]:
@@ -377,15 +374,16 @@ class StarNetwork:
 
             for i, item in uplink[now]:
                 out_port = item[1][1]  # the record's dst
-                command = bank_enqueue[i](out_port, item)
+                paused = bank_enqueue[i](out_port, item)
                 depth = len(bank_queues[i][out_port])
                 if depth == 1:
                     out_requests[out_port] |= 1 << i
                 if depth > peak_occupancy:
                     peak_occupancy = depth
-                if command is not None:
+                if paused:
                     # departs with this slot's downlink frame
-                    control[(slot + down_delay) % size].append((i, command))
+                    control[(slot + down_delay) % size].append(
+                        (i, out_port, True))
                     pauses += 1
             uplink[now].clear()
 
@@ -447,13 +445,13 @@ class StarNetwork:
                 sink = downlink[(slot + out_delay) % size]
                 fc = control[(slot + 1 + down_delay) % size]
                 for i, out_port in pairs:
-                    item, command = bank_dequeue[i](out_port)
+                    item, unpaused = bank_dequeue[i](out_port)
                     if not bank_queues[i][out_port]:
                         out_requests[out_port] &= ~(1 << i)
                     sink.append((out_port, item))
-                    if command is not None:
+                    if unpaused:
                         # departs with the next downlink frame
-                        fc.append((i, command))
+                        fc.append((i, out_port, False))
                         unpauses += 1
 
             slot += 1

@@ -2,16 +2,18 @@
 
 Every slot each endpoint transmits exactly one frame (idle if it has
 nothing to say) and receives the frame its peer sent ``one_way_delay``
-slots earlier.  Sequenced frames (cells and flow-control commands
-share one sequence space) are kept in a bounded replay buffer after
-transmission.  A receiver that sees a corrupted frame cannot trust
-anything about it, so it freezes its own sequenced transmissions (the
-corrupted frame may have been the peer's retransmit request) and asks
-the peer to replay by sending a request frame every slot.  The peer
-answers with a retransmission cycle: a fixed lead-in of control
-frames followed by its whole replay buffer in order, the last frame
-flagged as the end of the cycle.  Duplicates are discarded by
-sequence number, so delivery to the device is exactly-once in order.
+slots earlier.  Data frames are the only sequenced frames, and each
+is kept in a bounded replay buffer after transmission.  (Flow control
+is not carried on this link model: the star engine sends it as
+out-of-band control words.)  A receiver that sees a corrupted frame
+cannot trust anything about it, so it freezes its own sequenced
+transmissions (the corrupted frame may have been the peer's
+retransmit request) and asks the peer to replay by sending a request
+frame every slot.  The peer answers with a retransmission cycle: a
+fixed lead-in of control frames followed by its whole replay buffer
+in order, the last frame flagged as the end of the cycle.  Duplicates
+are discarded by sequence number, so delivery to the device is
+exactly-once in order.
 
 Replay buffer sizing: every frame carries the sender's "requesting"
 bit, and a receiver stops admitting new sequenced frames while its
@@ -38,11 +40,9 @@ FRAME_BITS = FRAME_BYTES * 8
 
 IDLE_KIND = "idle"
 DATA_KIND = "data"
-FLOWCTL_KIND = "flowctl"
 REREQ_KIND = "rereq"
 CTRL_KIND = "ctrl"
-
-_SEQUENCED = (DATA_KIND, FLOWCTL_KIND)
+REPLAY_KIND = "replay"  # a data frame sent again in a cycle
 
 
 @dataclass(slots=True)
@@ -77,16 +77,13 @@ class LinkEndpoint:
         self.next_seq = 0
         self.replay: deque[Frame] = deque(maxlen=self.window)
         self.cycle_queue: deque[Frame] = deque()
-        self.pending_fc: deque[object] = deque()
+        self.last_kind = IDLE_KIND  # of the frame emit just produced
         # receive side
         self.expected = 0
         self.highest_seen = -1
         self.requesting = False
         self.peer_requesting = False
         # counters
-        self.emitted = {k: 0 for k in
-                        (IDLE_KIND, DATA_KIND, FLOWCTL_KIND,
-                         REREQ_KIND, CTRL_KIND)}
         self.replays_emitted = 0
         self.delivered = 0
         self.dups_dropped = 0
@@ -95,45 +92,38 @@ class LinkEndpoint:
 
     # -- transmit ------------------------------------------------------------
 
-    def queue_flow_control(self, command) -> None:
-        self.pending_fc.append(command)
-
     def emit(self, data_provider=None) -> Frame:
         """Produce this slot's outbound frame.
 
         Priority: finish a retransmission cycle, else keep requesting
-        a replay, else send a queued flow-control command, else pull
-        one payload from the device, else idle.  New sequence numbers
-        are only assigned on the last two paths, so the replay buffer
-        is frozen for as long as either side is recovering.
+        a replay, else pull one payload from the device, else idle.
+        New sequence numbers are only assigned on the data path, so
+        the replay buffer is frozen for as long as either side is
+        recovering.  ``last_kind`` records the kind sent.
         """
         if self.cycle_queue:
             frame = self.cycle_queue.popleft()
             if frame.kind == CTRL_KIND:
-                self.emitted[CTRL_KIND] += 1
+                self.last_kind = CTRL_KIND
             else:
+                self.last_kind = REPLAY_KIND
                 self.replays_emitted += 1
             return frame
         if self.requesting:
-            self.emitted[REREQ_KIND] += 1
+            self.last_kind = REREQ_KIND
             return Frame(REREQ_KIND)
-        if self.peer_requesting:
-            # The peer is mid-recovery: hold all new sequence numbers
-            # so nothing it may still need falls out of the window.
-            self.emitted[IDLE_KIND] += 1
+        # While the peer is mid-recovery, hold all new sequence numbers
+        # so nothing it may still need falls out of the window.
+        payload = None
+        if not self.peer_requesting and data_provider is not None:
+            payload = data_provider()
+        if payload is None:
+            self.last_kind = IDLE_KIND
             return _IDLE
-        if self.pending_fc:
-            frame = Frame(FLOWCTL_KIND, seq=self.next_seq,
-                          payload=self.pending_fc.popleft())
-        else:
-            payload = data_provider() if data_provider is not None else None
-            if payload is None:
-                self.emitted[IDLE_KIND] += 1
-                return _IDLE
-            frame = Frame(DATA_KIND, seq=self.next_seq, payload=payload)
+        frame = Frame(DATA_KIND, seq=self.next_seq, payload=payload)
         self.next_seq += 1
         self.replay.append(frame)
-        self.emitted[frame.kind] += 1
+        self.last_kind = DATA_KIND
         return frame
 
     def _start_cycle(self) -> None:
@@ -161,7 +151,7 @@ class LinkEndpoint:
         if kind == REREQ_KIND:
             if not self.cycle_queue:
                 self._start_cycle()
-        elif kind in _SEQUENCED:
+        elif kind == DATA_KIND:
             seq = frame.seq
             if seq == self.expected:
                 self.expected += 1
@@ -247,10 +237,9 @@ class PointToPointResult:
     cycles_a: int
     cycles_b: int
 
-    def goodput(self, direction: str = "ab") -> float:
-        n = len(self.delivered_at_b if direction == "ab"
-                else self.delivered_at_a)
-        return n / self.slots
+    def goodput(self) -> float:
+        """Payloads delivered a to b per slot."""
+        return len(self.delivered_at_b) / self.slots
 
 
 def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
@@ -267,10 +256,12 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
     """
     if not 0.0 <= load <= 1.0:
         raise ConfigError("load must be in [0, 1]")
+    if slots < 1:
+        raise ConfigError("need at least one slot")
     link = DuplexLink(one_way_delay, ber=ber, seed=seed, faults=faults)
     src_rng = random.Random(seed ^ 0x5CE11)
-    counters = {"a": 0, "b": 0}
-    backlog = {"a": 0, "b": 0}
+    counters = [0, 0]   # payloads sent by a and by b
+    backlog = [0, 0]
 
     def provider(side):
         def pull():
@@ -282,32 +273,24 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
             return counters[side] - 1
         return pull
 
-    pull_a, pull_b = provider("a"), provider("b")
+    pull_a, pull_b = provider(0), provider(1)
     got_a: list = []
     got_b: list = []
     kinds_a: list[str] = []
     kinds_b: list[str] = []
 
-    def classify(endpoint):
-        if endpoint.cycle_queue:
-            head = endpoint.cycle_queue[0]
-            return CTRL_KIND if head.kind == CTRL_KIND else "replay"
-        return None
-
     for _ in range(slots):
         if load < 1.0:
-            backlog["a"] += src_rng.random() < load
-            backlog["b"] += src_rng.random() < load
-        if record_kinds:
-            pre_a, pre_b = classify(link.a), classify(link.b)
+            backlog[0] += src_rng.random() < load
+            backlog[1] += src_rng.random() < load
         to_a, to_b = link.step(pull_a, pull_b)
         got_a.extend(to_a)
         got_b.extend(to_b)
         if record_kinds:
-            kinds_a.append(pre_a or link._pipe_ab[-1][0].kind)
-            kinds_b.append(pre_b or link._pipe_ba[-1][0].kind)
+            kinds_a.append(link.a.last_kind)
+            kinds_b.append(link.b.last_kind)
     return PointToPointResult(
-        slots=slots, sent_a=counters["a"], sent_b=counters["b"],
+        slots=slots, sent_a=counters[0], sent_b=counters[1],
         delivered_at_b=got_b, delivered_at_a=got_a,
         kinds_a=kinds_a, kinds_b=kinds_b,
         cycles_a=link.a.cycles_started, cycles_b=link.b.cycles_started,

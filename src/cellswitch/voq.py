@@ -13,17 +13,8 @@ aborts the run.  Queued items are opaque to the bank.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import ConfigError, SimInvariantError
-
-
-@dataclass(slots=True, frozen=True)
-class FlowControlPayload:
-    """One pause or unpause command for a single channel."""
-
-    channel: int
-    pause: bool
 
 
 class VOQBank:
@@ -49,7 +40,9 @@ class VOQBank:
         self.queues: list[deque] = [deque() for _ in range(n_ports)]
         self.paused_upstream = [False] * n_ports
 
-    def enqueue(self, channel: int, cell) -> FlowControlPayload | None:
+    def enqueue(self, channel: int, cell) -> bool:
+        """Queue ``cell`` on ``channel``; True when this enqueue pauses
+        the channel."""
         q = self.queues[channel]
         if len(q) >= self.capacity:
             raise SimInvariantError(
@@ -58,15 +51,17 @@ class VOQBank:
         q.append(cell)
         if len(q) > self.on_threshold and not self.paused_upstream[channel]:
             self.paused_upstream[channel] = True
-            return FlowControlPayload(channel, pause=True)
-        return None
+            return True
+        return False
 
-    def dequeue(self, channel: int) -> tuple[object, FlowControlPayload | None]:
+    def dequeue(self, channel: int) -> tuple[object, bool]:
+        """Take the head cell of ``channel``; return it with True when
+        this dequeue unpauses the channel."""
         q = self.queues[channel]
         if not q:
             raise SimInvariantError(f"dequeue from empty channel {channel}")
         cell = q.popleft()
         if len(q) == self.off_threshold and self.paused_upstream[channel]:
             self.paused_upstream[channel] = False
-            return cell, FlowControlPayload(channel, pause=False)
-        return cell, None
+            return cell, True
+        return cell, False

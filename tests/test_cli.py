@@ -102,6 +102,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="slots.*protocol-checks"):
             cli.parse_experiment(TINY_BER.replace("ber-sweep",
                                                   "protocol-checks"))
+        for name in ("../escaped", "sub/x", ".", ".."):
+            with pytest.raises(ConfigError, match="one path component"):
+                cli.parse_experiment(TINY_BER.replace("name = tinyber",
+                                                      f"name = {name}"))
+        with pytest.raises(ConfigError, match="bit error rate"):
+            cli.parse_experiment(TINY_BER.replace("bers = 0 1e-5",
+                                                  "bers = 0 1e-5 1.5"))
+        with pytest.raises(ConfigError, match="headroom"):  # on too high
+            cli.parse_experiment(TINY_SWEEP.replace(
+                "ports = 4", "ports = 4\non_threshold = 30"))
+        with pytest.raises(ConfigError, match="arrival process"):
+            cli.parse_experiment(TINY_SWEEP.replace(
+                "pattern = bernoulli", "pattern = bernoulli poisson"))
 
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
@@ -241,6 +254,14 @@ class TestRunCommand:
             for column in ["utilization_pct", *cli.LATENCY_COLUMNS]:
                 assert row[column] == ""
             assert float(row["measured_load_pct"]) > 0
+
+    def test_zero_slot_ber_sweep_is_config_error(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_main(tmp_path, TINY_BER.replace("slots = 20000",
+                                                      "slots = 0"))
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "cellswitch-error.txt").exists()
 
     @pytest.mark.parametrize("error", [SimInvariantError, RuntimeError])
     def test_invariant_abort_is_internal_error(self, tmp_path, monkeypatch,

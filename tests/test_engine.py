@@ -61,8 +61,8 @@ class TestConfigValidation:
         assert config.pause_exposure() == 13
         assert config.voq_capacity() == 24
         assert config.latency_floor() == 18
-        assert config.thresholds() == (DEFAULT_ON_THRESHOLD,
-                                       DEFAULT_OFF_THRESHOLD)
+        assert (config.on_threshold, config.off_threshold) == (
+            DEFAULT_ON_THRESHOLD, DEFAULT_OFF_THRESHOLD)
 
     def test_custom_delays(self):
         config = EngineConfig(n_ports=4, uplink_delay=3, downlink_delay=2,

@@ -1,5 +1,7 @@
 """Link protocol: recovery timing, losslessness, window sufficiency."""
 
+import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -69,15 +71,6 @@ class TestEndpointBasics:
         assert e.window == 18
         assert e.cycle_lead_in == 22
 
-    def test_flow_control_preempts_data_and_shares_sequence_space(self):
-        e = LinkEndpoint(2)
-        e.queue_flow_control("fc0")
-        first = e.emit(lambda: "cell0")
-        second = e.emit(lambda: "cell1")
-        assert (first.kind, first.seq, first.payload) == ("flowctl", 0, "fc0")
-        assert (second.kind, second.seq, second.payload) == ("data", 1, "cell1")
-        assert len(e.replay) == 2
-
     def test_idle_when_no_payload(self):
         e = LinkEndpoint(2)
         frame = e.emit(lambda: None)
@@ -89,29 +82,31 @@ class TestEndpointBasics:
 
         e = LinkEndpoint(2)
         e.requesting = True
-        e.queue_flow_control("fc0")
         assert e.emit(lambda: "cell").kind == "rereq"
+        assert e.next_seq == 0
         e.cycle_queue.append(Frame("ctrl"))
         assert e.emit(lambda: "cell").kind == "ctrl"
+        assert e.last_kind == "ctrl"
 
     def test_peer_requesting_freezes_admissions(self):
         e = LinkEndpoint(2)
         e.peer_requesting = True
-        e.queue_flow_control("fc0")
         frame = e.emit(lambda: "cell")
         assert frame.kind == "idle"
-        assert e.next_seq == 0 and len(e.pending_fc) == 1
+        assert e.next_seq == 0 and not e.replay
         e.peer_requesting = False
-        assert e.emit(lambda: "cell").kind == "flowctl"
+        frame = e.emit(lambda: "cell")
+        assert (frame.kind, frame.seq, frame.payload) == ("data", 0, "cell")
 
     def test_cycle_contents(self):
         e = LinkEndpoint(2)
-        e.queue_flow_control("fc0")
+        e.emit(lambda: "cell0")
         e.emit(lambda: None)
         e.emit(lambda: "cell1")
         e._start_cycle()
         kinds = [f.kind for f in e.cycle_queue]
-        assert kinds == ["ctrl"] * 4 + ["flowctl", "data"]
+        assert kinds == ["ctrl"] * 4 + ["data", "data"]
+        assert [f.seq for f in e.cycle_queue][4:] == [0, 1]
         assert [f.cycle_end for f in e.cycle_queue] == \
             [False] * 5 + [True]
         # replay buffer itself is untouched by the cycle-end copy
@@ -201,15 +196,17 @@ class TestQuietLinkRecovery:
         link = DuplexLink(4, faults=FaultSchedule(b_to_a=frozenset({30})))
         src_a, src_b = limited_source(5), limited_source(0)
         got_a, got_b = [], []
+        requests = 0
         for _ in range(120):
             to_a, to_b = link.step(src_a, src_b)
             got_a.extend(to_a)
             got_b.extend(to_b)
+            requests += link.a.last_kind == "rereq"
         assert got_b == [0, 1, 2, 3, 4]
         assert got_a == []
         assert not link.a.requesting
         assert link.b.cycles_started == 2
-        assert link.a.emitted["rereq"] == 19
+        assert requests == 19
 
     def test_stale_replays_are_deduplicated(self):
         link = DuplexLink(3, faults=FaultSchedule(b_to_a=frozenset({40})))
@@ -281,10 +278,85 @@ class TestOfferedLoadGoodput:
                                   load=0.9, seed=42)
         hit = run_point_to_point(8, slots=150_000, ber=1e-7,
                                  load=0.9, seed=42)
-        assert base.goodput("ab") == pytest.approx(0.9, abs=0.005)
-        assert hit.goodput("ab") / base.goodput("ab") >= 0.99
+        assert base.goodput() == pytest.approx(0.9, abs=0.005)
+        assert hit.goodput() / base.goodput() >= 0.99
         assert exact_prefix(hit.delivered_at_b)
 
     def test_load_validation(self):
         with pytest.raises(ConfigError):
             run_point_to_point(2, slots=10, load=1.5)
+        with pytest.raises(ConfigError):
+            run_point_to_point(2, slots=0)
+
+
+class TestByteIdentity:
+    """Pins every field of a grid of link runs and the counters of
+    both endpoints, so a change meant to keep the link's results
+    identical is checked to do so."""
+
+    DIGEST = "b4d5872c1dfca11be3ab11c4dd41fa0aae7999a9eb4cc538328e121f7f0c1da8"
+    SLOTS = 800
+    FAULTS = (None, FaultSchedule(b_to_a=frozenset({40})),
+              FaultSchedule(a_to_b=frozenset({40, 250}),
+                            b_to_a=frozenset({43, 400})))
+
+    def test_grid_digest_unchanged(self):
+        digest = hashlib.sha256()
+        grid = itertools.product((1, 4, 7), (0.0, 1e-6, 1e-4), (0.5, 1.0),
+                                 self.FAULTS)
+        for seed, (delay, ber, load, faults) in enumerate(grid):
+            result = run_point_to_point(delay, self.SLOTS, ber=ber,
+                                        load=load, seed=seed, faults=faults,
+                                        record_kinds=True)
+            digest.update(repr(dataclasses.astuple(result)).encode())
+            quiet = run_point_to_point(delay, self.SLOTS, ber=ber,
+                                       load=load, seed=seed, faults=faults)
+            assert quiet.kinds_a == quiet.kinds_b == []
+            assert quiet.delivered_at_a == result.delivered_at_a
+            assert quiet.delivered_at_b == result.delivered_at_b
+
+            link = DuplexLink(delay, ber=ber, seed=seed, faults=faults)
+            pull_a = itertools.count().__next__
+            pull_b = limited_source(int(load * self.SLOTS) // 2)
+            for _ in range(self.SLOTS):
+                link.step(pull_a, pull_b)
+            digest.update(repr([
+                (e.next_seq, e.expected, e.delivered, e.dups_dropped,
+                 e.replays_emitted, e.cycles_started, e.corrupted_seen)
+                for e in (link.a, link.b)]).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+def test_link_calls_the_class_hooks(monkeypatch):
+    """The benchmark's tracer times a link run by replacing these
+    class methods, and collects endpoints through a positional-only
+    ``__init__``; each must still be called, and the results must
+    not change."""
+    def run():
+        return run_point_to_point(4, slots=2000, ber=1e-4, seed=3)
+
+    expected = run()
+    calls = {}
+
+    def counting(cls, name):
+        fn = cls.__dict__[name]
+        calls[name] = 0
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(cls, name, wrapped)
+
+    counting(DuplexLink, "step")
+    counting(LinkEndpoint, "emit")
+    counting(LinkEndpoint, "receive")
+    endpoints = []
+    init = LinkEndpoint.__dict__["__init__"]
+
+    def recording_init(self, *args):
+        init(self, *args)
+        endpoints.append(self)
+    monkeypatch.setattr(LinkEndpoint, "__init__", recording_init)
+    assert run() == expected
+    assert all(calls.values()), calls
+    assert len(endpoints) == 2

@@ -71,34 +71,33 @@ class TestFlowControlEvents:
 
     def test_pause_fires_only_on_upward_crossing(self):
         events = self.fill(8)
-        pauses = [i for i, ev in enumerate(events) if ev is not None]
-        assert pauses == [4]  # fifth enqueue, occupancy 5 > 4
-        assert events[4].pause is True and events[4].channel == 0
+        assert events == [False] * 4 + [True] + [False] * 3
+        # fifth enqueue, occupancy 5 > 4
+        assert self.bank.paused_upstream[0]
 
     def test_unpause_fires_exactly_at_off_threshold(self):
         self.fill(8)
         events = [self.bank.dequeue(0)[1] for _ in range(8)]
-        unpauses = [i for i, ev in enumerate(events) if ev is not None]
-        assert unpauses == [5]  # occupancy 8 -> 2 on the sixth dequeue
-        assert events[5].pause is False
+        # occupancy 8 -> 2 on the sixth dequeue
+        assert events == [False] * 5 + [True] + [False] * 2
+        assert not self.bank.paused_upstream[0]
 
     def test_no_unpause_without_prior_pause(self):
         self.fill(3)  # never crosses on=4
         events = [self.bank.dequeue(0)[1] for _ in range(3)]
-        assert events == [None, None, None]
+        assert events == [False, False, False]
 
     def test_repause_after_unpause(self):
         self.fill(5)
         for _ in range(3):
             self.bank.dequeue(0)  # down to 2 -> unpause
         events = self.fill(3)  # 2 -> 5 crosses again
-        assert [ev is not None for ev in events] == [False, False, True]
+        assert events == [False, False, True]
 
     def test_no_second_pause_while_paused(self):
         self.fill(5)  # pause at 5
         self.bank.dequeue(0)  # 4, still paused (off=2 not reached)
-        ev = self.bank.enqueue(0, make_cell(99))  # back to 5
-        assert ev is None
+        assert self.bank.enqueue(0, make_cell(99)) is False  # back to 5
 
     def test_overflow_raises(self):
         self.fill(8)
@@ -129,12 +128,10 @@ class TestAlternationProperty:
                     _, ev = bank.dequeue(ch)
                     occupancy[ch] -= 1
                     expect = occupancy[ch] == 3 and paused[ch]
-                assert (ev is not None) == expect, (seed, ch, occupancy[ch])
-                if ev is not None:
-                    assert ev.channel == ch
-                    assert ev.pause is do_enq
-                    paused[ch] = ev.pause
-                    history[ch].append(ev.pause)
+                assert ev is expect, (seed, ch, occupancy[ch])
+                if ev:
+                    paused[ch] = do_enq
+                    history[ch].append(do_enq)
                 assert len(bank.queues[ch]) == occupancy[ch]
             for ch, evs in history.items():
                 assert evs, "scenario too quiet to exercise FC"
