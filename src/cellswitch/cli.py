@@ -21,7 +21,7 @@ Experiment file schema (INI; lists are space-separated)::
     kind = sweep              ; sweep | ber-sweep | protocol-checks
 
     [topology]                ; kind = sweep
-    ports = 32
+    ports = 32                ; 2..256 (1-byte relative selectors)
     scheduler = islip         ; islip | safc | several, space-separated
     islip_iterations =        ; blank = automatic
     uplink_delay = 7
@@ -99,7 +99,7 @@ from .engine import (
     EngineConfig,
     run_star,
 )
-from .errors import ConfigError, SimInvariantError
+from .errors import ConfigError
 from .link import frame_error_probability, run_point_to_point
 from .traffic import BERNOULLI, TrafficSpec
 
@@ -323,13 +323,6 @@ def _ber_row(one_way_delay: int, slots: int, ber: float, load: float,
              seed: int) -> dict:
     result = run_point_to_point(one_way_delay, slots, ber=ber, load=load,
                                 seed=seed)
-    for delivered, sent in ((result.delivered_at_b, result.sent_a),
-                            (result.delivered_at_a, result.sent_b)):
-        if delivered != list(range(len(delivered))):
-            raise SimInvariantError(
-                "link delivery was not exactly-once in order")
-        if len(delivered) > sent:
-            raise SimInvariantError("delivered more than was sent")
     return {
         "pattern": f"p2p-ber-{ber:g}",
         "size_mode": "fixed",
@@ -406,9 +399,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path, workers: int = 1,
     written = []
     for seed in spec.seeds:
         calls = _points_for(spec, seed)
+        # A pool starts all its workers at once: never more than rows.
+        processes = min(workers, len(calls))
         start = time.monotonic()
         rows = []
-        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+        with (ProcessPoolExecutor(max_workers=processes) if processes > 1
               else nullcontext()) as pool:
             for row in (pool.map if pool else map)(_call, calls):
                 rows.append(row)
@@ -533,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, action="append", default=None,
                      help="override the spec's seeds; repeatable")
     run.add_argument("--workers", type=int, default=1,
-                     help="sweep points run in this many processes")
+                     help="run rows in at most this many processes")
     run.add_argument("-v", "--verbose", action="store_true")
 
     comp = sub.add_parser("compare", help="check a report against a "

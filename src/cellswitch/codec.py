@@ -2,9 +2,8 @@
 
 Every unit crossing a link is a fixed 264-byte frame: a 2-byte line
 header, a 1-byte hop counter pair, five 1-byte route selectors, and a
-256-byte payload.  Packets larger than one payload are segmented into
-cells and reassembled at the destination using the end-of-packet flag
-and the per-cell valid-byte count.
+256-byte payload.  The rule that cuts a packet into cells lives with
+the sources that emit them (``traffic``).
 
 Routing is relative: a selector names an egress port by its position
 among the ports of the ingress switch excluding the ingress port
@@ -12,10 +11,9 @@ itself.  Each switch consumes the leading selector, shifts the route
 left, and writes the selector of the reverse hop into the vacated
 slot, so a delivered cell carries the route back to its source.
 
-``Cell`` is the wire format only: it is what links, the protocol
-checks and the codec tests build and parse.  The star engine never
-serializes a cell and carries the plain record documented in
-``traffic`` instead.
+``Cell`` is the wire format only.  The routing functions read and
+rewrite just its ``L2Header``, and the star engine never serializes a
+cell: it carries the plain record documented in ``traffic`` instead.
 """
 
 from __future__ import annotations
@@ -23,13 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, auto
 
-from .errors import IncompletePacket, ProtocolError, SequenceGap
+from .errors import ProtocolError
 
 CELL_PAYLOAD_BYTES = 256
 HEADER_BYTES = 8
 FRAME_BYTES = CELL_PAYLOAD_BYTES + HEADER_BYTES
 ROUTE_SLOTS = 5
 BROADCAST_SELECTOR = 255
+# Unicast selectors 0..n-2 must stay below the broadcast selector.
+MAX_SWITCH_PORTS = BROADCAST_SELECTOR + 1
 # The line header stores the frame sequence modulo this; retransmission
 # windows are far shorter, so 7 bits disambiguate every in-flight frame.
 SEQ_MODULUS = 128
@@ -97,14 +97,6 @@ class Cell:
     l1: L1Meta
     l2: L2Header
     payload: bytes
-
-
-@dataclass(slots=True)
-class UpperPacket:
-    """A variable-length payload plus the route its cells will carry."""
-
-    payload: bytes
-    route: list[int]
 
 
 class RouteKind(Enum):
@@ -187,58 +179,6 @@ def verify_cell(cell: Cell) -> bool:
     return verify_frame(encode_cell(cell), cell.l1.checksum)
 
 
-def segment(packet: UpperPacket) -> list[Cell]:
-    """Split a packet into cells carrying its route.
-
-    The last cell gets the end-of-packet flag and a valid-byte count
-    equal to the payload remainder (256 for exact multiples); its
-    padding is zero bytes.  Cell sequence numbers count from 0 within
-    the packet.
-    """
-    hops = len(packet.route)
-    if not 1 <= hops <= ROUTE_SLOTS:
-        raise ProtocolError(f"route length must be 1..{ROUTE_SLOTS}, got {hops}")
-    if not packet.payload:
-        raise ProtocolError("cannot segment an empty payload")
-    route = list(packet.route) + [0] * (ROUTE_SLOTS - hops)
-    cells = []
-    total = len(packet.payload)
-    for seq, off in enumerate(range(0, total, CELL_PAYLOAD_BYTES)):
-        chunk = packet.payload[off:off + CELL_PAYLOAD_BYTES]
-        last = off + CELL_PAYLOAD_BYTES >= total
-        cell = Cell(
-            l1=L1Meta(valid_bytes=len(chunk), eop=last, seq=seq % SEQ_MODULUS),
-            l2=L2Header(total_hops=hops, remain_hops=hops, dst_ports=list(route)),
-            payload=chunk.ljust(CELL_PAYLOAD_BYTES, b"\x00"),
-        )
-        stamp_checksum(cell)
-        cells.append(cell)
-    return cells
-
-
-def reassemble(cells: list[Cell]) -> bytes:
-    """Concatenate the valid prefixes of an in-order cell stream.
-
-    Raises IncompletePacket if the stream does not end with an
-    end-of-packet cell, and SequenceGap if cell sequence numbers are
-    not contiguous (mod 128) or a non-final cell carries eop.
-    """
-    if not cells:
-        raise IncompletePacket("no cells to reassemble")
-    expected = cells[0].l1.seq
-    parts = []
-    for i, cell in enumerate(cells):
-        if cell.l1.seq != expected:
-            raise SequenceGap(f"expected seq {expected}, got {cell.l1.seq}")
-        expected = (expected + 1) % SEQ_MODULUS
-        if cell.l1.eop and i != len(cells) - 1:
-            raise SequenceGap("end-of-packet before final cell")
-        parts.append(cell.payload[:cell.l1.valid_bytes])
-    if not cells[-1].l1.eop:
-        raise IncompletePacket("final cell lacks end-of-packet flag")
-    return b"".join(parts)
-
-
 def route_lookup(ingress: int, header: L2Header, n_ports: int) -> RouteDecision:
     """Resolve the leading route selector at an ingress port.
 
@@ -272,7 +212,8 @@ def selector_for(ingress: int, egress: int, n_ports: int) -> int:
     return egress if egress < ingress else egress - 1
 
 
-def rotate_header(cell: Cell, ingress: int, egress: int, n_ports: int) -> Cell:
+def rotate_header(header: L2Header, ingress: int, egress: int,
+                  n_ports: int) -> L2Header:
     """Consume one hop as the cell enters the fabric.
 
     Decrements remain_hops and shifts the route left one slot.  The
@@ -280,23 +221,22 @@ def rotate_header(cell: Cell, ingress: int, egress: int, n_ports: int) -> Cell:
     egress switch port, it names this ingress port, so after the final
     hop the tail of the route spells the way back to the source.
     """
-    l2 = cell.l2
-    if l2.remain_hops == 0:
+    if header.remain_hops == 0:
         raise ProtocolError("cannot rotate a spent route")
-    l2.remain_hops -= 1
-    l2.dst_ports = l2.dst_ports[1:] + [selector_for(egress, ingress, n_ports)]
-    return cell
+    header.remain_hops -= 1
+    header.dst_ports = header.dst_ports[1:] + [
+        selector_for(egress, ingress, n_ports)]
+    return header
 
 
-def source_address(cell: Cell) -> list[int]:
+def source_address(header: L2Header) -> list[int]:
     """Route back to the source of a delivered cell.
 
     Reads the last total_hops selectors in reverse order; each was
     written by one traversed switch as the cell passed through.
     """
-    l2 = cell.l2
-    if l2.remain_hops != 0:
+    if header.remain_hops != 0:
         raise ProtocolError("source address is defined only after delivery")
-    if l2.total_hops == 0:
+    if header.total_hops == 0:
         return []
-    return list(reversed(l2.dst_ports[ROUTE_SLOTS - l2.total_hops:]))
+    return list(reversed(header.dst_ports[ROUTE_SLOTS - header.total_hops:]))

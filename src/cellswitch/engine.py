@@ -54,7 +54,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .codec import FRAME_BYTES, HEADER_BYTES
+from .codec import FRAME_BYTES, HEADER_BYTES, MAX_SWITCH_PORTS
 from .errors import ConfigError, SimInvariantError
 from .fabric import SortRouteFabric
 from .scheduler import IslipScheduler, SafcScheduler
@@ -108,8 +108,8 @@ class EngineConfig:
     max_slots: int | None = None
 
     def __post_init__(self):
-        if self.n_ports < 2:
-            raise ConfigError("need at least two ports")
+        if not 2 <= self.n_ports <= MAX_SWITCH_PORTS:
+            raise ConfigError(f"ports must be 2..{MAX_SWITCH_PORTS}")
         if self.scheduler not in (ISLIP, SAFC):
             raise ConfigError(f"unknown scheduler {self.scheduler!r}")
         if not 0 <= self.off_threshold < self.on_threshold:

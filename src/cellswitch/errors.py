@@ -13,18 +13,6 @@ class ProtocolError(CellSwitchError):
     """Malformed header, route selector, or codec misuse."""
 
 
-class ReassemblyError(ProtocolError):
-    """Cell stream cannot be reassembled into a packet."""
-
-
-class IncompletePacket(ReassemblyError):
-    """Cell stream ended without an end-of-packet marker."""
-
-
-class SequenceGap(ReassemblyError):
-    """Cell stream skipped one or more sequence numbers."""
-
-
 class SimInvariantError(CellSwitchError):
     """A simulation invariant was violated (queue overflow, fabric
     collision, conservation breach).  Always indicates a bug or a

@@ -32,9 +32,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import count
+from operator import ne
 
 from .codec import FRAME_BYTES
-from .errors import ConfigError
+from .errors import ConfigError, SimInvariantError
 
 FRAME_BITS = FRAME_BYTES * 8
 
@@ -241,6 +243,17 @@ class PointToPointResult:
         """Payloads delivered a to b per slot."""
         return len(self.delivered_at_b) / self.slots
 
+    def verify(self) -> None:
+        """Raise SimInvariantError unless each side delivered exactly
+        the payloads 0..k-1 in order, with k no more than its peer sent."""
+        for delivered, sent in ((self.delivered_at_b, self.sent_a),
+                                (self.delivered_at_a, self.sent_b)):
+            if any(map(ne, delivered, count())):
+                raise SimInvariantError(
+                    "link delivery was not exactly-once in order")
+            if len(delivered) > sent:
+                raise SimInvariantError("delivered more than was sent")
+
 
 def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
                        load: float = 1.0, seed: int = 0,
@@ -252,7 +265,8 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
     process into a queue, so payloads deferred by a recovery episode
     are sent later rather than lost; at 1.0 the sources are
     saturated.  Returned kind timelines (one entry per slot, replays
-    marked "replay") support exact timing analysis of recoveries.
+    marked "replay") support exact timing analysis of recoveries.  The
+    result is verified lossless before it is returned.
     """
     if not 0.0 <= load <= 1.0:
         raise ConfigError("load must be in [0, 1]")
@@ -289,9 +303,11 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
         if record_kinds:
             kinds_a.append(link.a.last_kind)
             kinds_b.append(link.b.last_kind)
-    return PointToPointResult(
+    result = PointToPointResult(
         slots=slots, sent_a=counters[0], sent_b=counters[1],
         delivered_at_b=got_b, delivered_at_a=got_a,
         kinds_a=kinds_a, kinds_b=kinds_b,
         cycles_a=link.a.cycles_started, cycles_b=link.b.cycles_started,
     )
+    result.verify()
+    return result

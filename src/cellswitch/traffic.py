@@ -30,6 +30,9 @@ and ``eop`` marks the last cell of a packet.  The star path never
 serializes a cell, so it has no frame; ``codec.Cell`` is the wire
 format.  A packet in progress is only its destination and the payload
 bytes it has left: each emitting poll cuts the next record from that.
+``SourceProcess._next_cell`` is the one packet-cutting rule: full
+``CELL_PAYLOAD_BYTES`` cells, then the remainder with ``eop`` set; an
+exact multiple gets no padding cell.
 """
 
 from __future__ import annotations

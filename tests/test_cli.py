@@ -236,6 +236,42 @@ class TestRunCommand:
         assert [r["check"] for r in rows] == list(CHECKS)
         assert all(r["status"] == "pass" for r in rows)
 
+    def test_pool_never_exceeds_row_count(self, tmp_path, monkeypatch):
+        created = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, calls):
+                return map(fn, calls)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        code = cli.main(["run", "--preset", "protocol-checks",
+                         "--workers", "500", "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert created == [len(CHECKS)]
+        code, _ = run_main(tmp_path, TINY_BER.replace("bers = 0 1e-5",
+                                                      "bers = 0"),
+                           "--workers", "500")
+        assert code == cli.EXIT_OK
+        assert created == [len(CHECKS)]  # one row runs serially
+
+    def test_oversized_port_count_is_config_error(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_main(tmp_path, TINY_SWEEP.replace("ports = 4",
+                                                          "ports = 257"))
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert not (tmp_path / "cellswitch-error.txt").exists()
+
     def test_bad_spec_path_is_config_error(self, tmp_path):
         code = cli.main(["run", "--spec", str(tmp_path / "missing.ini"),
                          "--out", str(tmp_path)])

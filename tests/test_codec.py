@@ -1,4 +1,4 @@
-"""Codec tests: frame layout, checksum, segmentation, relative routing."""
+"""Codec tests: frame layout, checksum, relative routing."""
 
 import random
 from pathlib import Path
@@ -14,21 +14,18 @@ from cellswitch.codec import (
     L1Meta,
     L2Header,
     RouteKind,
-    UpperPacket,
     crc12,
     decode_cell,
     encode_cell,
-    reassemble,
     rotate_header,
     route_lookup,
-    segment,
     selector_for,
     source_address,
     stamp_checksum,
     verify_cell,
     verify_frame,
 )
-from cellswitch.errors import IncompletePacket, ProtocolError, SequenceGap
+from cellswitch.errors import ProtocolError
 
 GOLDEN = Path(__file__).parent / "data" / "frame_golden.txt"
 
@@ -148,56 +145,6 @@ class TestSerialization:
             decode_cell(bytes(263))
 
 
-class TestSegmentation:
-    def test_600_bytes_splits_256_256_88(self):
-        cells = segment(UpperPacket(payload=bytes(600), route=[3]))
-        assert [c.l1.valid_bytes for c in cells] == [256, 256, 88]
-        assert [c.l1.eop for c in cells] == [False, False, True]
-        assert all(c.l2.total_hops == 1 and c.l2.remain_hops == 1 for c in cells)
-        assert all(c.l2.dst_ports == [3, 0, 0, 0, 0] for c in cells)
-        assert cells[-1].payload[88:] == bytes(168)
-
-    def test_exact_multiple_has_no_padding_cell(self):
-        cells = segment(UpperPacket(payload=b"\x11" * 512, route=[1]))
-        assert [c.l1.valid_bytes for c in cells] == [256, 256]
-        assert cells[-1].l1.eop
-
-    def test_round_trip_all_lengths(self):
-        rng = random.Random(99)
-        for n in range(1, 4097):
-            payload = rng.randbytes(n)
-            cells = segment(UpperPacket(payload=payload, route=[2, 4]))
-            assert len(cells) == -(-n // CELL_PAYLOAD_BYTES)
-            assert reassemble(cells) == payload
-
-    def test_route_length_bounds(self):
-        with pytest.raises(ProtocolError):
-            segment(UpperPacket(payload=b"x", route=[]))
-        with pytest.raises(ProtocolError):
-            segment(UpperPacket(payload=b"x", route=[1, 2, 3, 4, 5, 6]))
-
-    def test_empty_payload_rejected(self):
-        with pytest.raises(ProtocolError):
-            segment(UpperPacket(payload=b"", route=[1]))
-
-    def test_reassemble_missing_eop(self):
-        cells = segment(UpperPacket(payload=bytes(700), route=[1]))
-        with pytest.raises(IncompletePacket):
-            reassemble(cells[:-1])
-
-    def test_reassemble_gap(self):
-        cells = segment(UpperPacket(payload=bytes(700), route=[1]))
-        with pytest.raises(SequenceGap):
-            reassemble([cells[0], cells[2]])
-
-    def test_reassemble_eop_mid_stream(self):
-        a = segment(UpperPacket(payload=bytes(100), route=[1]))
-        b = segment(UpperPacket(payload=bytes(100), route=[1]))
-        b[0].l1.seq = 1
-        with pytest.raises(SequenceGap):
-            reassemble(a + b)
-
-
 class TestRouteLookup:
     def header(self, sel, remain=1, total=1):
         return L2Header(total, remain, [sel, 0, 0, 0, 0])
@@ -249,28 +196,24 @@ class TestRouteLookup:
                     assert d.egress == egress
 
 
-def fresh_cell(route, total=None):
+def fresh_header(route, total=None):
     hops = len(route)
-    return Cell(
-        l1=L1Meta(),
-        l2=L2Header(total if total is not None else hops, hops,
-                    list(route) + [0] * (ROUTE_SLOTS - hops)),
-        payload=bytes(CELL_PAYLOAD_BYTES),
-    )
+    return L2Header(total if total is not None else hops, hops,
+                    list(route) + [0] * (ROUTE_SLOTS - hops))
 
 
 class TestRotation:
     def test_rotate_example(self):
-        cell = fresh_cell([5, 1], total=2)
-        rotate_header(cell, ingress=2, egress=6, n_ports=8)
-        assert cell.l2.remain_hops == 1
-        assert cell.l2.dst_ports == [1, 0, 0, 0, 2]
+        header = fresh_header([5, 1], total=2)
+        rotate_header(header, ingress=2, egress=6, n_ports=8)
+        assert header.remain_hops == 1
+        assert header.dst_ports == [1, 0, 0, 0, 2]
 
     def test_rotate_spent_route_rejected(self):
-        cell = fresh_cell([3])
-        cell.l2.remain_hops = 0
+        header = fresh_header([3])
+        header.remain_hops = 0
         with pytest.raises(ProtocolError):
-            rotate_header(cell, 0, 3, 8)
+            rotate_header(header, 0, 3, 8)
 
     def test_reverse_selector_names_ingress(self):
         # The written selector, looked up at the egress port, must name
@@ -280,22 +223,22 @@ class TestRotation:
                 for egress in range(n):
                     if ingress == egress:
                         continue
-                    cell = fresh_cell([selector_for(ingress, egress, n)])
-                    rotate_header(cell, ingress, egress, n)
-                    back = cell.l2.dst_ports[-1]
+                    header = fresh_header([selector_for(ingress, egress, n)])
+                    rotate_header(header, ingress, egress, n)
+                    back = header.dst_ports[-1]
                     d = route_lookup(egress, L2Header(1, 1, [back, 0, 0, 0, 0]), n)
                     assert d.egress == ingress
 
     def test_single_hop_source_address(self):
-        cell = fresh_cell([2])
-        rotate_header(cell, ingress=4, egress=2, n_ports=8)
-        assert cell.l2.remain_hops == 0
-        assert source_address(cell) == [selector_for(2, 4, 8)]
+        header = fresh_header([2])
+        rotate_header(header, ingress=4, egress=2, n_ports=8)
+        assert header.remain_hops == 0
+        assert source_address(header) == [selector_for(2, 4, 8)]
 
     def test_source_address_requires_delivery(self):
-        cell = fresh_cell([1, 2])
+        header = fresh_header([1, 2])
         with pytest.raises(ProtocolError):
-            source_address(cell)
+            source_address(header)
 
 
 class TestChainedSwitches:
@@ -303,10 +246,10 @@ class TestChainedSwitches:
 
     N = 8
 
-    def hop(self, cell, ingress):
-        decision = route_lookup(ingress, cell.l2, self.N)
+    def hop(self, header, ingress):
+        decision = route_lookup(ingress, header, self.N)
         assert decision.kind is RouteKind.UNICAST
-        rotate_header(cell, ingress, decision.egress, self.N)
+        rotate_header(header, ingress, decision.egress, self.N)
         return decision.egress
 
     def test_round_trip_all_port_pairs(self):
@@ -323,16 +266,16 @@ class TestChainedSwitches:
                             selector_for(src, link_a, n),
                             selector_for(link_b, dst, n),
                         ]
-                        cell = fresh_cell(route)
-                        assert self.hop(cell, src) == link_a
-                        assert self.hop(cell, link_b) == dst
-                        assert cell.l2.remain_hops == 0
+                        header = fresh_header(route)
+                        assert self.hop(header, src) == link_a
+                        assert self.hop(header, link_b) == dst
+                        assert header.remain_hops == 0
 
                         # Walk the advertised return route from the
                         # destination endpoint back through both switches.
-                        back = source_address(cell)
+                        back = source_address(header)
                         assert len(back) == 2
-                        reply = fresh_cell(back)
+                        reply = fresh_header(back)
                         assert self.hop(reply, dst) == link_b
                         assert self.hop(reply, link_a) == src
 
@@ -340,7 +283,7 @@ class TestChainedSwitches:
         n = 4
         ingress = 0
         for egress in range(1, n):
-            cell = fresh_cell([BROADCAST_SELECTOR])
-            assert route_lookup(ingress, cell.l2, n).kind is RouteKind.BROADCAST
-            rotate_header(cell, ingress, egress, n)
-            assert source_address(cell) == [selector_for(egress, ingress, n)]
+            header = fresh_header([BROADCAST_SELECTOR])
+            assert route_lookup(ingress, header, n).kind is RouteKind.BROADCAST
+            rotate_header(header, ingress, egress, n)
+            assert source_address(header) == [selector_for(egress, ingress, n)]

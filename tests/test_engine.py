@@ -9,7 +9,7 @@ from collections import deque
 
 import pytest
 
-from cellswitch.codec import CELL_PAYLOAD_BYTES, FRAME_BYTES
+from cellswitch.codec import CELL_PAYLOAD_BYTES, FRAME_BYTES, MAX_SWITCH_PORTS
 from cellswitch.engine import (
     DEFAULT_OFF_THRESHOLD,
     DEFAULT_ON_THRESHOLD,
@@ -47,6 +47,14 @@ class TestConfigValidation:
             EngineConfig(n_ports=8, uplink_delay=0)
         with pytest.raises(ConfigError):
             EngineConfig(n_ports=8, egress_delay=-1)
+
+    def test_port_count_bounded_by_selector_width(self):
+        # Selector 255 is broadcast, so unicast selectors 0..254
+        # address at most 256 ports.  Only the config is built here.
+        assert MAX_SWITCH_PORTS == 256
+        EngineConfig(n_ports=256)
+        with pytest.raises(ConfigError):
+            EngineConfig(n_ports=257)
 
     def test_pause_headroom_guard(self):
         # With 7-slot links a pause fires at depth on+1 and 13 more

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from cellswitch.errors import ConfigError
+from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.link import (
     DuplexLink,
     FaultSchedule,
@@ -131,6 +131,20 @@ def result():
     return run_point_to_point(
         4, slots=120, faults=FaultSchedule(b_to_a=frozenset({50})),
         record_kinds=True)
+
+
+def test_verify_flags_doctored_results(result):
+    result.verify()
+    got = result.delivered_at_b
+    for doctored in (
+            dataclasses.replace(result, delivered_at_b=[got[1], got[0],
+                                                        *got[2:]]),
+            dataclasses.replace(result, delivered_at_b=got[:-1] + got[-2:-1]),
+            dataclasses.replace(result, sent_a=len(got) - 1),
+            dataclasses.replace(result, delivered_at_a=list(
+                range(result.sent_b + 1)))):
+        with pytest.raises(SimInvariantError):
+            doctored.verify()
 
 
 class TestSingleErrorRecovery:

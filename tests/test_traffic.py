@@ -63,7 +63,17 @@ class TestRouting:
 
 
 class TestPacketStructure:
-    def test_variable_packets_pack_like_segments(self):
+    def test_packets_cut_into_full_cells_then_remainder(self):
+        for size, valid in ((600, [256, 256, 88]), (512, [256, 256])):
+            source = SourceProcess(
+                TrafficSpec(size_mode="variable", load=1.0,
+                            min_packet_bytes=size, max_packet_bytes=size),
+                0, 4, seed=5)
+            cells = [source.poll() for _ in valid]
+            assert [c[VALID] for c in cells] == valid
+            assert [c[EOP] for c in cells] == \
+                [False] * (len(valid) - 1) + [True]
+            assert len({c[DST] for c in cells}) == 1
         source = SourceProcess(
             TrafficSpec(size_mode="variable", load=1.0), 0, 4, seed=5)
         current = []
