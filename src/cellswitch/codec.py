@@ -179,6 +179,12 @@ def verify_cell(cell: Cell) -> bool:
     return verify_frame(encode_cell(cell), cell.l1.checksum)
 
 
+def _check_port_count(n_ports: int) -> None:
+    if not 2 <= n_ports <= MAX_SWITCH_PORTS:
+        raise ProtocolError(
+            f"a switch has 2..{MAX_SWITCH_PORTS} ports, not {n_ports}")
+
+
 def route_lookup(ingress: int, header: L2Header, n_ports: int) -> RouteDecision:
     """Resolve the leading route selector at an ingress port.
 
@@ -186,7 +192,9 @@ def route_lookup(ingress: int, header: L2Header, n_ports: int) -> RouteDecision:
     below the ingress index map directly, values at or above it skip
     the ingress port.  255 means broadcast to every other port, and a
     spent route (remain_hops == 0) means the cell is for this device.
+    ``n_ports`` must be 2..MAX_SWITCH_PORTS.
     """
+    _check_port_count(n_ports)
     if not 0 <= ingress < n_ports:
         raise ProtocolError(f"ingress {ingress} out of range for {n_ports} ports")
     if header.remain_hops == 0:
@@ -204,7 +212,9 @@ def route_lookup(ingress: int, header: L2Header, n_ports: int) -> RouteDecision:
 
 def selector_for(ingress: int, egress: int, n_ports: int) -> int:
     """Inverse of route_lookup: the selector that sends an ingress-port
-    arrival out through ``egress``.  Loopback has no selector."""
+    arrival out through ``egress``.  Loopback has no selector, and
+    ``n_ports`` must be 2..MAX_SWITCH_PORTS."""
+    _check_port_count(n_ports)
     if ingress == egress:
         raise ProtocolError("loopback routes are not addressable")
     if not 0 <= egress < n_ports:

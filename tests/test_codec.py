@@ -9,6 +9,7 @@ from cellswitch.codec import (
     BROADCAST_SELECTOR,
     CELL_PAYLOAD_BYTES,
     FRAME_BYTES,
+    MAX_SWITCH_PORTS,
     ROUTE_SLOTS,
     Cell,
     L1Meta,
@@ -194,6 +195,23 @@ class TestRouteLookup:
                     sel = selector_for(ingress, egress, n)
                     d = route_lookup(ingress, self.header(sel), n)
                     assert d.egress == egress
+
+    def test_widest_switch_stops_short_of_broadcast(self):
+        n = MAX_SWITCH_PORTS
+        assert selector_for(0, n - 1, n) == BROADCAST_SELECTOR - 1
+        d = route_lookup(0, self.header(BROADCAST_SELECTOR - 1), n)
+        assert d.kind is RouteKind.UNICAST and d.egress == n - 1
+        assert route_lookup(0, self.header(BROADCAST_SELECTOR), n).kind \
+            is RouteKind.BROADCAST
+
+    @pytest.mark.parametrize("n", [1, MAX_SWITCH_PORTS + 1, 300])
+    def test_port_count_bounded_by_selector_width(self, n):
+        # At 300 ports egress 256 would need selector 255, the
+        # broadcast selector.
+        with pytest.raises(ProtocolError):
+            selector_for(0, 256, n)
+        with pytest.raises(ProtocolError):
+            route_lookup(0, self.header(0), n)
 
 
 def fresh_header(route, total=None):

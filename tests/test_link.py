@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+from collections import deque
 
 import pytest
 
@@ -11,6 +12,7 @@ from cellswitch.link import (
     DuplexLink,
     FaultSchedule,
     LinkEndpoint,
+    PointToPointResult,
     frame_error_probability,
     run_point_to_point,
 )
@@ -53,6 +55,14 @@ class TestFrameErrorProbability:
         assert frame_error_probability(0.0) == 0.0
         assert frame_error_probability(1e-7, frame_bits=1) == \
             pytest.approx(1e-7)
+
+    @pytest.mark.parametrize("ber", [1e-12, 1e-11])
+    def test_tiny_rates_keep_full_precision(self, ber):
+        n = 2112
+        # The next term, n^3 ber^3 / 6, is below 1e-17 of the first.
+        two_terms = n * ber - n * (n - 1) / 2 * ber ** 2
+        assert frame_error_probability(ber) == \
+            pytest.approx(two_terms, rel=1e-9, abs=0)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ConfigError):
@@ -374,3 +384,103 @@ def test_link_calls_the_class_hooks(monkeypatch):
     assert run() == expected
     assert all(calls.values()), calls
     assert len(endpoints) == 2
+
+
+def record_instances(monkeypatch, cls):
+    """Collect every instance of ``cls`` built from now on, through a
+    recording ``__init__`` like the one the benchmark tracer installs
+    on LinkEndpoint."""
+    made = []
+    init = cls.__dict__["__init__"]
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+    monkeypatch.setattr(cls, "__init__", recording_init)
+    return made
+
+
+def endpoint_state(e):
+    return {name: list(value) if isinstance(value, deque) else value
+            for name, value in vars(e).items()}
+
+
+def link_state(link):
+    return (link.slot, link.rng.getstate(), list(link._pipe_ab),
+            list(link._pipe_ba))
+
+
+class TestSaturatedFastPath:
+    """At load 1, run_point_to_point covers clean stretches without
+    calling DuplexLink.step per slot; it must end exactly where
+    stepping every slot ends."""
+
+    SLOTS = (1, 3, 17, 2000)
+    FAULTS = (None, FaultSchedule(a_to_b=frozenset({5, 300})),
+              FaultSchedule(a_to_b=frozenset({120}),
+                            b_to_a=frozenset({120})))
+
+    def stepped(self, delay, ber, seed, faults):
+        """Step a plain link with saturated counters; yield the
+        expected result and link state at each of SLOTS."""
+        link = DuplexLink(delay, ber=ber, seed=seed, faults=faults)
+        sent = [0, 0]
+
+        def counter(side):
+            def pull():
+                sent[side] += 1
+                return sent[side] - 1
+            return pull
+
+        pull_a, pull_b = counter(0), counter(1)
+        got_a, got_b, kinds_a, kinds_b = [], [], [], []
+        for slot in range(1, self.SLOTS[-1] + 1):
+            to_a, to_b = link.step(pull_a, pull_b)
+            got_a.extend(to_a)
+            got_b.extend(to_b)
+            kinds_a.append(link.a.last_kind)
+            kinds_b.append(link.b.last_kind)
+            if slot in self.SLOTS:
+                yield slot, PointToPointResult(
+                    slot, sent[0], sent[1], list(got_b), list(got_a),
+                    list(kinds_a), list(kinds_b),
+                    link.a.cycles_started, link.b.cycles_started,
+                ), link_state(link), [endpoint_state(link.a),
+                                      endpoint_state(link.b)]
+
+    def test_matches_stepping_every_slot(self, monkeypatch):
+        grid = list(itertools.product(
+            (1, 2, 5, 7, 13), (0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3),
+            (1, 2, 3), self.FAULTS))
+        # Reference links are built before the recorders go in.
+        expected = [list(self.stepped(*point)) for point in grid]
+        links = record_instances(monkeypatch, DuplexLink)
+        endpoints = record_instances(monkeypatch, LinkEndpoint)
+        for (delay, ber, seed, faults), runs in zip(grid, expected):
+            for slots, want, state, ends in runs:
+                for record_kinds in (True, False):
+                    got = run_point_to_point(
+                        delay, slots, ber=ber, seed=seed, faults=faults,
+                        record_kinds=record_kinds)
+                    if not record_kinds:
+                        want = dataclasses.replace(want, kinds_a=[],
+                                                   kinds_b=[])
+                    point = (delay, ber, seed, faults, slots, record_kinds)
+                    assert got == want, point
+                    assert link_state(links[-1]) == state, point
+                    assert [endpoint_state(e) for e in endpoints[-2:]] \
+                        == ends, point
+
+    def test_clean_stretches_skip_the_step(self, monkeypatch):
+        calls = [0]
+        step = DuplexLink.__dict__["step"]
+
+        def counting(*args):
+            calls[0] += 1
+            return step(*args)
+        monkeypatch.setattr(DuplexLink, "step", counting)
+        run_point_to_point(7, slots=10_000)
+        assert calls[0] < 100
+        calls[0] = 0
+        run_point_to_point(7, slots=10_000, ber=1e-5, seed=1)
+        assert calls[0] > 1000
