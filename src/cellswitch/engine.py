@@ -116,6 +116,8 @@ class EngineConfig:
             raise ConfigError("need 0 <= off threshold < on threshold")
         if self.channel_buffer is not None and self.channel_buffer < 1:
             raise ConfigError("channel staging depth must hold a cell")
+        if self.islip_iterations is not None and self.islip_iterations < 1:
+            raise ConfigError("need at least one grant/accept round")
         if min(self.uplink_delay, self.downlink_delay) < 1:
             raise ConfigError("link delays must be at least one slot")
         if self.egress_delay < 0:
@@ -309,11 +311,9 @@ class StarNetwork:
         # Bind the per-port callables once; the slot loop below is the
         # hot path and runs millions of times.
         sources = self.sources
-        polls = [source.poll for source in sources]
-        banks = self.banks
-        bank_enqueue = [bank.enqueue for bank in banks]
-        bank_dequeue = [bank.dequeue for bank in banks]
-        bank_queues = [bank.queues for bank in banks]
+        bank_enqueue = [bank.enqueue for bank in self.banks]
+        bank_dequeue = [bank.dequeue for bank in self.banks]
+        bank_queues = [bank.queues for bank in self.banks]
         match = self.scheduler.match
         route = self.fabric.route if self.fabric is not None else None
         ports = range(n)
@@ -323,6 +323,8 @@ class StarNetwork:
         src_hold = [None] * n                # generated, staging full
         src_rr = [0] * n
         src_pause = [0] * n
+        succ = [*range(1, n), 0]             # (k + 1) % n
+        hosts = list(zip(ports, [source.poll for source in sources], src_chan))
         staging = (math.inf if config.channel_buffer is None
                    else config.channel_buffer)
 
@@ -388,29 +390,33 @@ class StarNetwork:
             uplink[now].clear()
 
             sent = uplink[(slot + up_delay) % size]
-            for i in ports:
+            generated_before = generated
+            for i, poll, chans in hosts:
                 # host step, closed-loop: retry the held cell, then
                 # generate at most one new cell.  The host never runs
                 # ahead of real time and blocks -- suspending
                 # generation -- while staging is full, so staging holds
                 # only the most recent slice of the arrival process.
                 cell = src_hold[i]
-                if cell is not None and \
-                        len(src_chan[i][cell[1]]) < staging:
-                    dst = cell[1]
-                    src_chan[i][dst].append(cell)
-                    src_mask[i] |= 1 << dst
+                if cell is not None and len(chans[cell[1]]) < staging:
+                    chans[cell[1]].append(cell)
+                    src_mask[i] |= 1 << cell[1]
                     src_hold[i] = cell = None
                 if cell is None:
-                    cell = polls[i]()
+                    cell = poll()
                     if cell is not None:
                         generated += 1
-                        if first_generation < 0:
-                            first_generation = slot
-                        last_generation = slot
                         dst = cell[1]
-                        if len(src_chan[i][dst]) < staging:
-                            src_chan[i][dst].append(cell)
+                        paused = src_pause[i]
+                        if not (src_mask[i] & ~paused or paused >> dst & 1):
+                            # the only sendable cell, for an empty channel:
+                            # the round robin below would send it at once
+                            src_rr[i] = succ[dst]
+                            sent.append((i, (slot, cell)))
+                            injected += 1
+                            continue
+                        if len(chans[dst]) < staging:
+                            chans[dst].append(cell)
                             src_mask[i] |= 1 << dst
                         else:
                             src_hold[i] = cell
@@ -424,14 +430,18 @@ class StarNetwork:
                         dst = start + (hi & -hi).bit_length() - 1
                     else:
                         dst = (eligible & -eligible).bit_length() - 1
-                    src_rr[i] = dst + 1 if dst + 1 < n else 0
-                    queue = src_chan[i][dst]
+                    src_rr[i] = succ[dst]
+                    queue = chans[dst]
                     sent.append((i, (slot, queue.popleft())))
                     if not queue:
                         src_mask[i] &= ~(1 << dst)
                     injected += 1
-                    if first_injection < 0:
-                        first_injection = slot
+            if generated != generated_before:
+                last_generation = slot
+                if first_generation < 0:
+                    first_generation = slot
+            if first_injection < 0 and injected:
+                first_injection = slot
 
             # arbitration and fabric traversal, only while some queue
             # holds a cell: an empty match moves no arbiter pointer

@@ -7,25 +7,18 @@ this slot.
 
 ``IslipScheduler`` produces a conflict-free partial matching (each
 input and each output at most once) via iterative round-robin
-grant/accept with the classic pointer-update rule, so it can drive a
-self-routing fabric.  ``SafcScheduler`` models a switch whose outputs
-pull independently: one round-robin arbiter per output, no input
-contention, pointer always advancing.
+grant/accept with the classic pointer-update rule, each input
+accepting while the grants arrive in ascending output order, so it
+can drive a self-routing fabric.  ``SafcScheduler`` models a switch
+whose outputs pull independently: one round-robin arbiter per
+output, no input contention, pointer always advancing.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .errors import ConfigError
-
-
-def pick_round_robin(mask: int, start: int) -> int:
-    """Index of the lowest set bit of ``mask`` at or above ``start``,
-    wrapping to the lowest set bit overall.  The shared round-robin
-    arbitration primitive: O(1) in the number of ports."""
-    hi = mask >> start
-    if hi:
-        return start + (hi & -hi).bit_length() - 1
-    return (mask & -mask).bit_length() - 1
 
 
 def default_iterations(n_ports: int) -> int:
@@ -41,9 +34,15 @@ class IslipScheduler:
     Per iteration every unmatched output grants to the first
     requesting unmatched input at or after its pointer, and every
     granted input accepts the first granting output at or after its
-    pointer.  Pointers advance one past the partner only for accepts
-    made in the first iteration, which drives persistently loaded
-    pointers apart until they take turns without colliding.
+    pointer, else the lowest granting output.  Pointers advance one
+    past the partner only for accepts made in the first iteration
+    (McKeown, IEEE/ACM ToN 7(2), 1999), which drives persistently
+    loaded pointers apart until they take turns without colliding.
+
+    The accept step is folded into the grant pass: outputs grant in
+    ascending order, so an input holding output ``prev`` switches to a
+    later granting output ``j`` exactly when ``prev < pointer <= j``.
+    Pairs come out in ascending input order within each iteration.
     """
 
     def __init__(self, n_ports: int, iterations: int | None = None):
@@ -58,58 +57,46 @@ class IslipScheduler:
         self.grant_ptr = [0] * n_ports
         self.accept_ptr = [0] * n_ports
         self._full = (1 << n_ports) - 1
-        self._grant_buf = [0] * n_ports
+        self._succ = [*range(1, n_ports), 0]   # (k + 1) % n_ports
 
     def match(self, out_requests) -> list[tuple[int, int]]:
         # The round-robin picks are inlined: this runs once per slot
         # and dominates the simulation's per-slot cost at high load.
-        n = self.n_ports
         grant_ptr = self.grant_ptr
         accept_ptr = self.accept_ptr
-        grant_buf = self._grant_buf
+        succ = self._succ
+        last = self.iterations - 1
         unmatched_in = self._full
-        cand_mask = 0
-        for j in range(n):
-            if out_requests[j]:
-                cand_mask |= 1 << j
+        outs = list(compress(range(self.n_ports), out_requests))
         pairs: list[tuple[int, int]] = []
-        for iteration in range(self.iterations):
-            granted = 0  # inputs holding at least one grant
-            m = cand_mask
-            while m:
-                low = m & -m
-                m ^= low
-                j = low.bit_length() - 1
+        for iteration in range(last + 1):
+            accepts = {}  # granted input -> output it accepts so far
+            for j in outs:
                 req = out_requests[j] & unmatched_in
                 if req:
                     start = grant_ptr[j]
                     hi = req >> start
-                    if hi:
+                    if hi & 1:  # the input at the pointer requests
+                        i = start
+                    elif hi:
                         i = start + (hi & -hi).bit_length() - 1
                     else:
                         i = (req & -req).bit_length() - 1
-                    grant_buf[i] |= low
-                    granted |= 1 << i
-            if not granted:
+                    prev = accepts.get(i)
+                    if prev is None or prev < accept_ptr[i] <= j:
+                        accepts[i] = j
+            if not accepts:
                 break
-            while granted:
-                ibit = granted & -granted
-                granted ^= ibit
-                i = ibit.bit_length() - 1
-                omask = grant_buf[i]
-                grant_buf[i] = 0
-                start = accept_ptr[i]
-                hi = omask >> start
-                if hi:
-                    j = start + (hi & -hi).bit_length() - 1
-                else:
-                    j = (omask & -omask).bit_length() - 1
+            for i in sorted(accepts):
+                j = accepts[i]
                 pairs.append((i, j))
-                unmatched_in &= ~ibit
-                cand_mask &= ~(1 << j)
-                if iteration == 0:
-                    grant_ptr[j] = (i + 1) % n
-                    accept_ptr[i] = (j + 1) % n
+                unmatched_in ^= 1 << i
+                if not iteration:
+                    grant_ptr[j] = succ[i]
+                    accept_ptr[i] = succ[j]
+            if iteration < last:
+                taken = set(accepts.values())
+                outs = [j for j in outs if j not in taken]
         return pairs
 
 

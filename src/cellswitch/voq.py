@@ -44,12 +44,13 @@ class VOQBank:
         """Queue ``cell`` on ``channel``; True when this enqueue pauses
         the channel."""
         q = self.queues[channel]
-        if len(q) >= self.capacity:
+        depth = len(q)
+        if depth >= self.capacity:
             raise SimInvariantError(
-                f"VOQ overflow on channel {channel}: occupancy {len(q)} "
+                f"VOQ overflow on channel {channel}: occupancy {depth} "
                 f"at capacity {self.capacity}; upstream ignored a pause")
         q.append(cell)
-        if len(q) > self.on_threshold and not self.paused_upstream[channel]:
+        if depth >= self.on_threshold and not self.paused_upstream[channel]:
             self.paused_upstream[channel] = True
             return True
         return False
@@ -58,10 +59,11 @@ class VOQBank:
         """Take the head cell of ``channel``; return it with True when
         this dequeue unpauses the channel."""
         q = self.queues[channel]
-        if not q:
+        try:
+            cell = q.popleft()
+        except IndexError:
             raise SimInvariantError(f"dequeue from empty channel {channel}")
-        cell = q.popleft()
-        if len(q) == self.off_threshold and self.paused_upstream[channel]:
+        if self.paused_upstream[channel] and len(q) == self.off_threshold:
             self.paused_upstream[channel] = False
             return cell, True
         return cell, False

@@ -115,6 +115,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="arrival process"):
             cli.parse_experiment(TINY_SWEEP.replace(
                 "pattern = bernoulli", "pattern = bernoulli poisson"))
+        # a SAFC row listed first must not run before this is caught
+        with pytest.raises(ConfigError, match="grant/accept round"):
+            cli.parse_experiment(TINY_SWEEP.replace(
+                "scheduler = islip safc",
+                "scheduler = safc islip\nislip_iterations = 0"))
 
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",

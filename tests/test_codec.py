@@ -89,6 +89,44 @@ class TestCrc12:
             cell = random_cell(rng)
             assert verify_cell(cell)
 
+    def test_frame_blind_spots(self):
+        """The CRC has zero init and no final xor, so it is linear: an
+        error pattern goes undetected exactly when its own CRC is 0,
+        and that CRC is the xor of its bits' single-bit syndromes."""
+        bits = FRAME_BYTES * 8
+
+        def error(*positions):  # bit positions in wire order, MSB first
+            frame = bytearray(FRAME_BYTES)
+            for pos in positions:
+                frame[pos // 8] ^= 0x80 >> (pos % 8)
+            return bytes(frame)
+
+        rng = random.Random(0x12C)
+        frame = rng.randbytes(FRAME_BYTES)
+        flips = error(*rng.sample(range(bits), 5))
+        assert crc12(bytes(a ^ b for a, b in zip(frame, flips))) == \
+            crc12(frame) ^ crc12(flips)
+
+        syndromes = [crc12(error(pos)) for pos in range(bits)]
+        assert bits == 2112
+        assert all(syndromes)
+        # The generator (x+1)(x^11+x^2+1) has period 2047 < 2112 bits.
+        assert len(set(syndromes)) == 2047
+        first_seen = {}
+        blind_pairs = []
+        for pos, syndrome in enumerate(syndromes):
+            if syndrome in first_seen:
+                blind_pairs.append((first_seen[syndrome], pos))
+            else:
+                first_seen[syndrome] = pos
+        assert len(blind_pairs) == 65
+        assert all(b - a == 2047 for a, b in blind_pairs)
+        a, b = blind_pairs[0]
+        assert crc12(error(a, b)) == 0
+        # (x+1) divides the generator, so every syndrome has odd weight
+        # and an odd number of flipped bits can never cancel out.
+        assert all(bin(syndrome).count("1") % 2 for syndrome in syndromes)
+
 
 class TestGoldenVectors:
     def test_frames_match_frozen_bytes(self):

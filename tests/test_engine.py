@@ -47,6 +47,10 @@ class TestConfigValidation:
             EngineConfig(n_ports=8, uplink_delay=0)
         with pytest.raises(ConfigError):
             EngineConfig(n_ports=8, egress_delay=-1)
+        for iterations in (0, -1):
+            with pytest.raises(ConfigError, match="grant/accept round"):
+                EngineConfig(n_ports=8, scheduler=SAFC,
+                             islip_iterations=iterations)
 
     def test_port_count_bounded_by_selector_width(self):
         # Selector 255 is broadcast, so unicast selectors 0..254
@@ -374,6 +378,29 @@ class TestByteIdentity:
             digest.update(json.dumps([fields, report.to_dict()],
                                      sort_keys=True).encode())
         assert digest.hexdigest() == self.WIDE_DIGEST
+
+    # Recorded on the engine whose iSLIP accept step was a second pass.
+    PORT32_DIGEST = (
+        "670452b179c6ca013b8e685ebe7b3942b372bedf9f58da98ffe6e22a39f3c1db")
+
+    def test_32_port_digest_unchanged(self):
+        # At 32 ports the request masks pass bit 29, so the arbiters'
+        # picks span more than one 30-bit digit of a Python int; the
+        # grids above stop at 8 ports.
+        digest = hashlib.sha256()
+        for scheduler, mode, size_mode, load in itertools.product(
+                (ISLIP, SAFC), ("bernoulli", "bursty"), ("fixed", "variable"),
+                (0.3, 1.0)):
+            report = run_star(
+                EngineConfig(n_ports=32, scheduler=scheduler),
+                TrafficSpec(mode=mode, size_mode=size_mode, load=load,
+                            volume_bytes=1_500))
+            digest.update(json.dumps([
+                report.to_dict(), sorted(report.latency_hist.items()),
+                report.delivered_wire_bytes, report.first_generation,
+                report.last_generation, report.first_injection,
+                report.last_delivery]).encode())
+        assert digest.hexdigest() == self.PORT32_DIGEST
 
 
 def test_engine_calls_the_instance_hooks():

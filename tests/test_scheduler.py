@@ -1,4 +1,5 @@
-"""Arbiter behavior: round-robin picks, matching validity, desync."""
+"""Arbiter behavior: round-robin picks, matching validity, desync,
+and agreement with a two-pass reference iSLIP."""
 
 import itertools
 import random
@@ -9,7 +10,6 @@ from cellswitch.errors import ConfigError
 from cellswitch.scheduler import (
     IslipScheduler,
     SafcScheduler,
-    pick_round_robin,
     default_iterations,
 )
 
@@ -22,18 +22,85 @@ def brute_force_pick(mask: int, start: int, n: int) -> int:
     raise AssertionError("empty mask")
 
 
-class TestRoundRobinPick:
-    def test_matches_wrapping_scan_exhaustively(self):
-        n = 6
-        for mask in range(1, 1 << n):
-            for start in range(n):
-                assert pick_round_robin(mask, start) == \
-                    brute_force_pick(mask, start, n)
+def reference_islip_match(out_requests, n, iterations, grant_ptr,
+                          accept_ptr):
+    """The textbook two-pass iSLIP round: every unmatched output grants,
+    then every granted input accepts from its set of granting outputs.
+    Moves ``grant_ptr`` and ``accept_ptr`` in place, as the scheduler
+    does."""
+    grant_buf = [0] * n
+    unmatched_in = (1 << n) - 1
+    cand_mask = 0
+    for j in range(n):
+        if out_requests[j]:
+            cand_mask |= 1 << j
+    pairs = []
+    for iteration in range(iterations):
+        granted = 0  # inputs holding at least one grant
+        m = cand_mask
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            req = out_requests[j] & unmatched_in
+            if req:
+                start = grant_ptr[j]
+                hi = req >> start
+                if hi:
+                    i = start + (hi & -hi).bit_length() - 1
+                else:
+                    i = (req & -req).bit_length() - 1
+                grant_buf[i] |= low
+                granted |= 1 << i
+        if not granted:
+            break
+        while granted:
+            ibit = granted & -granted
+            granted ^= ibit
+            i = ibit.bit_length() - 1
+            omask = grant_buf[i]
+            grant_buf[i] = 0
+            start = accept_ptr[i]
+            hi = omask >> start
+            if hi:
+                j = start + (hi & -hi).bit_length() - 1
+            else:
+                j = (omask & -omask).bit_length() - 1
+            pairs.append((i, j))
+            unmatched_in &= ~ibit
+            cand_mask &= ~(1 << j)
+            if iteration == 0:
+                grant_ptr[j] = (i + 1) % n
+                accept_ptr[i] = (j + 1) % n
+    return pairs
 
-    def test_wraps_below_start(self):
-        assert pick_round_robin(0b0001, 3) == 0
-        assert pick_round_robin(0b1000, 3) == 3
-        assert pick_round_robin(0b0110, 2) == 2
+
+class TestIslipMatchesReference:
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 31, 32, 33, 64, 65, 256])
+    def test_same_pairs_and_pointers_over_random_sequences(self, n):
+        """Pair order included, after every call of a sequence that
+        carries the pointer state from call to call."""
+        rng = random.Random(0x151 + n)
+        calls = max(12, 2400 // n)
+        for iterations in (1, 2, 3, 4, None):
+            s = IslipScheduler(n, iterations)
+            grant_ptr = [rng.randrange(n) for _ in range(n)]
+            accept_ptr = [rng.randrange(n) for _ in range(n)]
+            s.grant_ptr[:] = grant_ptr
+            s.accept_ptr[:] = accept_ptr
+            rounds = default_iterations(n) if iterations is None \
+                else iterations
+            for call in range(calls):
+                density = rng.choice([0.05, 0.2, 0.5, 0.8, 1.0])
+                reqs = [
+                    sum(1 << i for i in range(n) if rng.random() < density)
+                    for _ in range(n)
+                ]
+                expected = reference_islip_match(reqs, n, rounds,
+                                                 grant_ptr, accept_ptr)
+                assert s.match(reqs) == expected, (iterations, call)
+                assert s.grant_ptr == grant_ptr, (iterations, call)
+                assert s.accept_ptr == accept_ptr, (iterations, call)
 
 
 class TestIslipExamples:
@@ -144,6 +211,18 @@ class TestIslipDesynchronization:
 
 
 class TestSafc:
+    def test_pick_matches_wrapping_scan_exhaustively(self):
+        # One output requesting: it serves the first requesting input
+        # at or after its pointer, wrapping to the lowest one.
+        n = 6
+        for mask in range(1, 1 << n):
+            for start in range(n):
+                s = SafcScheduler(n)
+                s.pointer[0] = start
+                i = brute_force_pick(mask, start, n)
+                assert s.match([mask] + [0] * (n - 1)) == [(i, 0)]
+                assert s.pointer[0] == (i + 1) % n
+
     def test_contended_output_round_robins(self):
         s = SafcScheduler(4)
         req = [0, 0b1101, 0, 0]  # inputs 0, 2, 3 want output 1
