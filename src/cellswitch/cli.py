@@ -80,7 +80,6 @@ import math
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
@@ -403,6 +402,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path, workers: int = 1,
         processes = min(workers, len(calls))
         start = time.monotonic()
         rows = []
+        if processes > 1:
+            # a 20-30 ms import that start-up and serial runs skip
+            from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(max_workers=processes) if processes > 1
               else nullcontext()) as pool:
             for row in (pool.map if pool else map)(_call, calls):

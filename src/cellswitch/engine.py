@@ -22,8 +22,8 @@ Every slot runs the same phases, each over all ports before the next:
 2. cells reach sinks
 3. uplink arrivals enter their input's virtual output queue,
    possibly firing a pause command
-4. each endpoint generates at most one cell into its per-channel
-   staging queues and sends one staged cell from an unpaused channel
+4. each endpoint with an arrival due stages at most one new cell,
+   and sends one staged cell from an unpaused channel
 5. while any queue holds a cell: arbitration and fabric traversal,
    possibly firing unpauses
 
@@ -122,6 +122,8 @@ class EngineConfig:
             raise ConfigError("link delays must be at least one slot")
         if self.egress_delay < 0:
             raise ConfigError("egress delay cannot be negative")
+        if self.max_slots is not None and self.max_slots < 1:
+            raise ConfigError("max_slots must allow at least one slot")
         # A pause fires on the enqueue that crosses the on threshold,
         # i.e. at depth on + 1, and exposure more cells may still land.
         if self.on_threshold + 1 + self.pause_exposure() > self.voq_capacity():
@@ -323,6 +325,7 @@ class StarNetwork:
         src_hold = [None] * n                # generated, staging full
         src_rr = [0] * n
         src_pause = [0] * n
+        due = [0] * n                        # slot of the next poll
         succ = [*range(1, n), 0]             # (k + 1) % n
         hosts = list(zip(ports, [source.poll for source in sources], src_chan))
         staging = (math.inf if config.channel_buffer is None
@@ -362,17 +365,20 @@ class StarNetwork:
                     src_pause[i] &= ~(1 << channel)
             control[now].clear()
 
-            for out_port, (injected_at, record) in downlink[now]:
+            arrivals = downlink[now]
+            for out_port, (injected_at, record) in arrivals:
                 src, dst, flow_seq, valid, _ = record
                 latency = slot - injected_at
                 latency_hist[latency] = latency_hist.get(latency, 0) + 1
                 if dst != out_port or flow_seq != expected_seq[src][out_port]:
                     order_violations += 1
                 expected_seq[src][out_port] = flow_seq + 1
-                delivered += 1
-                delivered_bytes += valid + header_bytes
+                delivered_bytes += valid
+            if arrivals:
+                delivered += len(arrivals)
+                delivered_bytes += header_bytes * len(arrivals)
                 last_delivery = slot
-            downlink[now].clear()
+                arrivals.clear()
 
             for i, item in uplink[now]:
                 out_port = item[1][1]  # the record's dst
@@ -397,33 +403,39 @@ class StarNetwork:
                 # ahead of real time and blocks -- suspending
                 # generation -- while staging is full, so staging holds
                 # only the most recent slice of the arrival process.
-                cell = src_hold[i]
-                if cell is not None and len(chans[cell[1]]) < staging:
-                    chans[cell[1]].append(cell)
-                    src_mask[i] |= 1 << cell[1]
-                    src_hold[i] = cell = None
-                if cell is None:
-                    cell = poll()
-                    if cell is not None:
-                        generated += 1
-                        dst = cell[1]
-                        paused = src_pause[i]
-                        if not (src_mask[i] & ~paused or paused >> dst & 1):
-                            # the only sendable cell, for an empty channel:
-                            # the round robin below would send it at once
-                            src_rr[i] = succ[dst]
-                            sent.append((i, (slot, cell)))
-                            injected += 1
-                            continue
-                        if len(chans[dst]) < staging:
-                            chans[dst].append(cell)
-                            src_mask[i] |= 1 << dst
+                # It polls only when an arrival may be due (as it is
+                # during a hold, which only a returned cell starts).
+                if due[i] <= slot:
+                    cell = src_hold[i]
+                    if cell is not None and len(chans[cell[1]]) < staging:
+                        chans[cell[1]].append(cell)
+                        src_mask[i] |= 1 << cell[1]
+                        src_hold[i] = cell = None
+                    if cell is None:
+                        cell = poll()
+                        if cell.__class__ is not tuple:
+                            due[i] = slot + cell  # idle slots ahead
                         else:
-                            src_hold[i] = cell
+                            generated += 1
+                            dst = cell[1]
+                            paused = src_pause[i]
+                            if not (src_mask[i] & ~paused
+                                    or paused >> dst & 1):
+                                # the only sendable cell, for an empty
+                                # channel: the round robin would send it
+                                src_rr[i] = succ[dst]
+                                sent.append((i, (slot, cell)))
+                                injected += 1
+                                continue
+                            if len(chans[dst]) < staging:
+                                chans[dst].append(cell)
+                                src_mask[i] |= 1 << dst
+                            else:
+                                src_hold[i] = cell
 
                 # adapter transmit: round robin over unpaused channels
-                eligible = src_mask[i] & ~src_pause[i]
-                if eligible:
+                mask = src_mask[i]
+                if mask and (eligible := mask & ~src_pause[i]):
                     start = src_rr[i]
                     hi = eligible >> start
                     if hi:

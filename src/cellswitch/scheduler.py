@@ -114,20 +114,20 @@ class SafcScheduler:
             raise ConfigError("need at least two ports")
         self.n_ports = n_ports
         self.pointer = [0] * n_ports
+        self._succ = [*range(1, n_ports), 0]   # (k + 1) % n_ports
 
     def match(self, out_requests) -> list[tuple[int, int]]:
-        n = self.n_ports
         pointer = self.pointer
+        succ = self._succ
         pairs: list[tuple[int, int]] = []
-        for j in range(n):
+        for j in compress(range(self.n_ports), out_requests):
             req = out_requests[j]
-            if req:
-                start = pointer[j]
-                hi = req >> start
-                if hi:
-                    i = start + (hi & -hi).bit_length() - 1
-                else:
-                    i = (req & -req).bit_length() - 1
-                pairs.append((i, j))
-                pointer[j] = (i + 1) % n
+            start = pointer[j]
+            hi = req >> start
+            if hi:
+                i = start + (hi & -hi).bit_length() - 1
+            else:
+                i = (req & -req).bit_length() - 1
+            pairs.append((i, j))
+            pointer[j] = succ[i]
         return pairs

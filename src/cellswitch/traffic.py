@@ -28,11 +28,13 @@ star engine carries from source to sink:
 flow's cells from 0, ``valid_bytes`` is the payload the cell carries
 and ``eop`` marks the last cell of a packet.  The star path never
 serializes a cell, so it has no frame; ``codec.Cell`` is the wire
-format.  A packet in progress is only its destination and the payload
-bytes it has left: each emitting poll cuts the next record from that.
-``SourceProcess._next_cell`` is the one packet-cutting rule: full
+format.  ``SourceProcess._packet`` is the one packet-cutting rule: full
 ``CELL_PAYLOAD_BYTES`` cells, then the remainder with ``eop`` set; an
 exact multiple gets no padding cell.
+
+Each arrival process is one generator, its state in locals, that
+``poll()`` resumes: it returns the record arriving at this slot, or
+the number of slots before the next arrival (``math.inf`` when none).
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class TrafficSpec:
             raise ConfigError("per-flow volume must be positive")
         if not 1 <= self.min_packet_bytes <= self.max_packet_bytes:
             raise ConfigError("bad packet size range")
-        if self.burst_mean_cells < 1.0:
-            raise ConfigError("mean burst length must be at least one cell")
+        if not 1.0 <= self.burst_mean_cells < math.inf:
+            raise ConfigError("mean burst length must be finite, >= 1 cell")
 
 
 def _geometric_from_one(rng: random.Random, mean: float) -> int:
@@ -98,11 +100,12 @@ def _geometric_from_zero(rng: random.Random, mean: float) -> int:
 class SourceProcess:
     """One port's traffic generator.
 
-    Call poll() at most once per slot: each call advances the arrival
-    process by one slot, so skipping a slot suspends the process in
-    time rather than dropping anything (a closed-loop host that cannot
+    poll() returns the record of the cell arriving at this slot, or an
+    int ``k >= 1``: this slot and the next ``k - 1`` have no arrival.
+    The process stands still between calls, so slots the caller skips
+    are suspended rather than dropped (a closed-loop host that cannot
     accept a cell simply does not poll).  An exhausted source returns
-    None and draws nothing.
+    ``math.inf`` and draws nothing.
     """
 
     def __init__(self, spec: TrafficSpec, port: int, n_ports: int, seed: int):
@@ -112,120 +115,103 @@ class SourceProcess:
             raise ConfigError("need at least two ports")
         self.spec = spec
         self.port = port
-        self.n_ports = n_ports
         self.rng = random.Random(seed * 1_000_003 + port)
         self.budget: dict[int, int | None] = {
             dst: spec.volume_bytes for dst in range(n_ports) if dst != port
         }
         self.flow_cells = {dst: 0 for dst in self.budget}
-        self._dst = -1      # packet in progress: destination,
-        self._left = 0      # and payload bytes not yet emitted
-        self._burst_dst = -1
-        self._burst_cells_left = 0
-        self._idle_left = 0
-        # Hot-path caches: the open-flow list changes only when a
-        # budget runs dry, and the size mode never changes.
+        self.exhausted = False  # every budget spent, last record out
+        # The open-flow list changes only when a budget runs dry.
         self._open: list[int] = list(self.budget)
-        self._rand = self.rng.random
         self._fixed = spec.size_mode == FIXED
+        self.poll = (self._bernoulli if spec.mode == BERNOULLI
+                     else self._bursty)().__next__
+
+    # -- packet construction -------------------------------------------------
+
+    def _packet(self, dst: int) -> tuple[tuple, ...]:
+        """Draw the next packet for ``dst`` and cut it into its records."""
+        if self._fixed:
+            size = CELL_PAYLOAD_BYTES
+        else:
+            spec = self.spec
+            size = spec.min_packet_bytes + int(self.rng.random() * (
+                spec.max_packet_bytes - spec.min_packet_bytes + 1))
+        remaining = self.budget[dst]
+        if remaining is not None:
+            if size >= remaining:
+                size = remaining
+                self._open.remove(dst)
+            self.budget[dst] = remaining - size
+        port = self.port
+        seq = self.flow_cells[dst]
+        full = (size - 1) // CELL_PAYLOAD_BYTES
+        self.flow_cells[dst] = seq + full + 1
+        last = (port, dst, seq + full, size - full * CELL_PAYLOAD_BYTES, True)
+        if not full:
+            return (last,)
+        return (*[(port, dst, k, CELL_PAYLOAD_BYTES, False)
+                  for k in range(seq, seq + full)], last)
+
+    def _last(self, cells: tuple[tuple, ...]):
+        """Yield the final packet, exhausted as its last record leaves."""
+        yield from cells[:-1]
+        self.exhausted = True
+        yield cells[-1]
+
+    # -- arrival processes ---------------------------------------------------
+
+    def _bernoulli(self):
         # A Bernoulli process is equivalently a geometric gap between
         # arrivals (P(gap = k) = load * (1 - load)^k), sampled by
         # inverse transform; this costs one random draw per arrival
         # instead of one per slot.  The initial gap is drawn the same
         # way so the first arrival matches the per-slot coin process.
-        self._gap_scale: float | None = None
-        self._gap = 0
-        if spec.mode == BERNOULLI and spec.load < 1.0:
-            self._gap_scale = 1.0 / math.log(1.0 - spec.load)
-            self._gap = int(math.log(1.0 - self._rand()) * self._gap_scale)
-        self.poll = (self._poll_bernoulli if spec.mode == BERNOULLI
-                     else self._poll_bursty)
-
-    # -- flow bookkeeping ----------------------------------------------------
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every flow budget is spent and no packet is left."""
-        return not self._left and not self._open
-
-    # -- packet construction -------------------------------------------------
-
-    def _draw_packet_bytes(self, dst: int) -> int:
-        if self._fixed:
-            size = CELL_PAYLOAD_BYTES
-        else:
-            spec = self.spec
-            size = spec.min_packet_bytes + int(self._rand() * (
-                spec.max_packet_bytes - spec.min_packet_bytes + 1))
-        remaining = self.budget[dst]
-        if remaining is not None:
-            size = min(size, remaining)
-            self.budget[dst] = remaining - size
-            if size == remaining:
-                self._open.remove(dst)
-        return size
-
-    def _next_cell(self) -> tuple:
-        """The next record of the packet in progress (see the module
-        doc)."""
-        dst, left = self._dst, self._left
-        seq = self.flow_cells[dst]
-        self.flow_cells[dst] = seq + 1
-        if left > CELL_PAYLOAD_BYTES:
-            self._left = left - CELL_PAYLOAD_BYTES
-            return (self.port, dst, seq, CELL_PAYLOAD_BYTES, False)
-        self._left = 0
-        return (self.port, dst, seq, left, True)
-
-    # -- arrival processes ---------------------------------------------------
-    # poll() is bound in __init__ to the method for the configured
-    # arrival process; call it exactly once per slot.
-
-    def _poll_bernoulli(self) -> tuple | None:
-        if self._gap:
-            self._gap -= 1
-            return None
-        if not self._left:
-            flows = self._open
+        rand = self.rng.random
+        flows = self._open
+        scale = gap = 0
+        if self.spec.load < 1.0:
+            scale = 1.0 / math.log(1.0 - self.spec.load)
+            gap = int(math.log(1.0 - rand()) * scale)
+            if gap:
+                yield gap
+        while flows:
+            cells = self._packet(flows[int(rand() * len(flows))])
             if not flows:
-                return None
-            self._dst = dst = flows[int(self._rand() * len(flows))]
-            self._left = self._draw_packet_bytes(dst)
-        scale = self._gap_scale
-        if scale is not None:
-            self._gap = int(math.log(1.0 - self._rand()) * scale)
-        return self._next_cell()
+                cells = self._last(cells)
+            if not scale:  # full load: no gaps between arrivals
+                yield from cells
+                continue
+            for cell in cells:
+                gap = int(math.log(1.0 - rand()) * scale)
+                yield cell
+                if gap:
+                    yield gap
+        while True:
+            yield math.inf
 
-    def _poll_bursty(self) -> tuple | None:
+    def _bursty(self):
+        # One destination and a geometric length per burst; a packet
+        # that outruns the burst's cell count finishes, and a flow
+        # that drains mid-burst ends the burst at once.
         spec = self.spec
-        if self._idle_left > 0:
-            self._idle_left -= 1
-            return None
-        if not self._left and self._burst_cells_left <= 0:
-            # burst boundary: draw the idle gap, then the next burst
-            flows = self._open
-            if not flows:
-                return None
-            if spec.load < 1.0:
-                idle_mean = spec.burst_mean_cells * (1.0 - spec.load) \
-                    / spec.load
-                self._idle_left = _geometric_from_zero(self.rng, idle_mean)
-            self._burst_dst = flows[int(self._rand() * len(flows))]
-            self._burst_cells_left = _geometric_from_one(
-                self.rng, spec.burst_mean_cells)
-            if self._idle_left > 0:
-                self._idle_left -= 1
-                return None
-        if not self._left:
-            dst = self._burst_dst
-            if self.budget[dst] == 0:
-                # flow drained mid-burst: end the burst early
-                self._burst_cells_left = 0
-                return self._poll_bursty()
-            self._dst = dst
-            self._left = self._draw_packet_bytes(dst)
-        self._burst_cells_left -= 1
-        return self._next_cell()
+        rng = self.rng
+        budget = self.budget
+        flows = self._open
+        mean = spec.burst_mean_cells
+        idle_mean = mean * (1.0 - spec.load) / spec.load
+        while flows:
+            idle = _geometric_from_zero(rng, idle_mean)  # 0 at full load
+            dst = flows[int(rng.random() * len(flows))]
+            burst = _geometric_from_one(rng, mean)
+            if idle:
+                yield idle
+            while burst > 0 and budget[dst] != 0:
+                cells = self._packet(dst)
+                burst -= len(cells)
+                yield from cells if flows else self._last(cells)
+        while True:
+            yield math.inf
 
 
 def make_sources(spec: TrafficSpec, n_ports: int, seed: int

@@ -120,6 +120,15 @@ class TestParsing:
             cli.parse_experiment(TINY_SWEEP.replace(
                 "scheduler = islip safc",
                 "scheduler = safc islip\nislip_iterations = 0"))
+        for mean in ("nan", "inf"):
+            with pytest.raises(ConfigError, match="mean burst length"):
+                cli.parse_experiment(TINY_SWEEP.replace(
+                    "pattern = bernoulli",
+                    f"pattern = bursty\nburst_mean_cells = {mean}"))
+        for max_slots in ("0", "-5"):
+            with pytest.raises(ConfigError, match="max_slots"):
+                cli.parse_experiment(TINY_SWEEP.replace(
+                    "ports = 4", f"ports = 4\nmax_slots = {max_slots}"))
 
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
@@ -257,7 +266,8 @@ class TestRunCommand:
             def map(self, fn, calls):
                 return map(fn, calls)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            FakePool)
         code = cli.main(["run", "--preset", "protocol-checks",
                          "--workers", "500", "--out", str(tmp_path)])
         assert code == cli.EXIT_OK

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import deque
 
@@ -51,6 +52,10 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="grant/accept round"):
                 EngineConfig(n_ports=8, scheduler=SAFC,
                              islip_iterations=iterations)
+        for max_slots in (0, -5):
+            with pytest.raises(ConfigError, match="max_slots"):
+                EngineConfig(n_ports=8, max_slots=max_slots)
+        EngineConfig(n_ports=8, max_slots=1)
 
     def test_port_count_bounded_by_selector_width(self):
         # Selector 255 is broadcast, so unicast selectors 0..254
@@ -92,7 +97,8 @@ def one_cell(src, dst):
 
 
 class ScriptSource:
-    """Deterministic source emitting a prescribed cell per poll."""
+    """Deterministic source emitting a prescribed cell per poll, then
+    reporting no arrival ever again."""
 
     def __init__(self, cells):
         self._cells = deque(cells)
@@ -102,7 +108,7 @@ class ScriptSource:
         return not self._cells
 
     def poll(self):
-        return self._cells.popleft() if self._cells else None
+        return self._cells.popleft() if self._cells else math.inf
 
 
 class TestLatencyFloor:
@@ -432,3 +438,28 @@ def test_engine_calls_the_instance_hooks():
     report = network.run()
     assert all(calls.values()), calls
     assert report.to_dict() == build().run().to_dict()
+
+
+def test_idle_hosts_do_not_poll():
+    """At 10 % load most port-slots lie inside an idle stretch that a
+    source reports in advance, so the host skips them; polling every
+    port every slot would make ``n_ports * slots_run`` calls."""
+    network = StarNetwork(
+        EngineConfig(n_ports=8, scheduler=SAFC),
+        TrafficSpec(mode="bursty", size_mode="variable", load=0.1,
+                    volume_bytes=20_000))
+    polls = 0
+
+    def counting(poll):
+        def wrapped():
+            nonlocal polls
+            polls += 1
+            return poll()
+        return wrapped
+
+    for source in network.sources:
+        source.poll = counting(source.poll)
+    report = network.run()
+    report.verify()
+    assert report.drained
+    assert report.generated_cells < polls < 0.3 * 8 * report.slots_run

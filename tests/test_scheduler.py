@@ -1,5 +1,6 @@
 """Arbiter behavior: round-robin picks, matching validity, desync,
-and agreement with a two-pass reference iSLIP."""
+and agreement with a two-pass reference iSLIP and a per-output scan
+reference SAFC."""
 
 import itertools
 import random
@@ -72,6 +73,19 @@ def reference_islip_match(out_requests, n, iterations, grant_ptr,
             if iteration == 0:
                 grant_ptr[j] = (i + 1) % n
                 accept_ptr[i] = (j + 1) % n
+    return pairs
+
+
+def reference_safc_match(out_requests, n, pointer):
+    """Every requesting output, in ascending order, serves the first
+    requesting input at or after its pointer, which then moves one past
+    that input.  Moves ``pointer`` in place, as the scheduler does."""
+    pairs = []
+    for j in range(n):
+        if out_requests[j]:
+            i = brute_force_pick(out_requests[j], pointer[j], n)
+            pairs.append((i, j))
+            pointer[j] = (i + 1) % n
     return pairs
 
 
@@ -211,6 +225,20 @@ class TestIslipDesynchronization:
 
 
 class TestSafc:
+    @pytest.mark.parametrize("n", [2, 5, 32, 33])
+    def test_same_pairs_and_pointers_over_random_sequences(self, n):
+        rng = random.Random(0x5AFC + n)
+        s = SafcScheduler(n)
+        pointer = [rng.randrange(n) for _ in range(n)]
+        s.pointer[:] = pointer
+        for call in range(max(50, 3000 // n)):
+            density = rng.choice([0.0, 0.05, 0.2, 0.5, 1.0])
+            reqs = [sum(1 << i for i in range(n) if rng.random() < density)
+                    for _ in range(n)]
+            assert s.match(reqs) == reference_safc_match(reqs, n, pointer), \
+                call
+            assert s.pointer == pointer, call
+
     def test_pick_matches_wrapping_scan_exhaustively(self):
         # One output requesting: it serves the first requesting input
         # at or after its pointer, wrapping to the lowest one.

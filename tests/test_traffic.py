@@ -2,23 +2,43 @@
 
 import hashlib
 import itertools
+import math
+import random
 import statistics
 from collections import Counter
 
 import pytest
 
+from cellswitch.codec import CELL_PAYLOAD_BYTES
 from cellswitch.errors import ConfigError
-from cellswitch.traffic import SourceProcess, TrafficSpec, make_sources
+from cellswitch.traffic import (
+    SourceProcess, TrafficSpec, _geometric_from_one, _geometric_from_zero,
+    make_sources)
 
 
 # Fields of a source's cell record (src, dst, flow_seq, valid_bytes, eop).
 SRC, DST, FLOW_SEQ, VALID, EOP = range(5)
 
 
+def per_slot(source):
+    """The source's arrivals slot by slot: each poll's record, or one
+    None for every slot of an idle count (forever once exhausted)."""
+    while True:
+        got = source.poll()
+        if got.__class__ is tuple:
+            yield got
+        else:
+            assert got >= 1, got
+            idle = got
+            while idle > 0:
+                idle -= 1
+                yield None
+
+
 def drain(source, max_slots):
-    cells, slots = [], 0
+    cells, slots, arrivals = [], 0, per_slot(source)
     while not source.exhausted and slots < max_slots:
-        cell = source.poll()
+        cell = next(arrivals)
         slots += 1
         if cell is not None:
             cells.append(cell)
@@ -39,8 +59,9 @@ class TestSpecValidation:
             TrafficSpec(volume_bytes=0)
         with pytest.raises(ConfigError):
             TrafficSpec(min_packet_bytes=100, max_packet_bytes=64)
-        with pytest.raises(ConfigError):
-            TrafficSpec(burst_mean_cells=0.5)
+        for mean in (0.5, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="mean burst length"):
+                TrafficSpec(burst_mean_cells=mean)
 
     def test_source_validation(self):
         with pytest.raises(ConfigError):
@@ -54,9 +75,10 @@ class TestRouting:
         n = 8
         for src in range(n):
             source = SourceProcess(TrafficSpec(load=1.0), src, n, seed=1)
+            arrivals = per_slot(source)
             seen = set()
             for _ in range(500):
-                cell = source.poll()
+                cell = next(arrivals)
                 assert cell[SRC] == src
                 seen.add(cell[DST])
             assert seen == set(range(n)) - {src}
@@ -69,16 +91,18 @@ class TestPacketStructure:
                 TrafficSpec(size_mode="variable", load=1.0,
                             min_packet_bytes=size, max_packet_bytes=size),
                 0, 4, seed=5)
-            cells = [source.poll() for _ in valid]
+            arrivals = per_slot(source)
+            cells = [next(arrivals) for _ in valid]
             assert [c[VALID] for c in cells] == valid
             assert [c[EOP] for c in cells] == \
                 [False] * (len(valid) - 1) + [True]
             assert len({c[DST] for c in cells}) == 1
         source = SourceProcess(
             TrafficSpec(size_mode="variable", load=1.0), 0, 4, seed=5)
+        arrivals = per_slot(source)
         current = []
         for _ in range(50_000):
-            cell = source.poll()
+            cell = next(arrivals)
             current.append(cell)
             if not cell[EOP]:
                 assert cell[VALID] == 256
@@ -95,9 +119,10 @@ class TestPacketStructure:
         source = SourceProcess(
             TrafficSpec(mode="bursty", size_mode="variable", load=0.7),
             2, 8, seed=3)
+        arrivals = per_slot(source)
         next_seq = Counter()
         for _ in range(60_000):
-            cell = source.poll()
+            cell = next(arrivals)
             if cell is None:
                 continue
             assert cell[SRC] == 2
@@ -108,21 +133,24 @@ class TestPacketStructure:
 class TestBernoulliProcess:
     def test_occupancy_tracks_load(self):
         source = SourceProcess(TrafficSpec(load=0.5), 3, 16, seed=9)
-        hits = sum(source.poll() is not None for _ in range(200_000))
+        arrivals = per_slot(source)
+        hits = sum(next(arrivals) is not None for _ in range(200_000))
         assert hits == pytest.approx(100_000, rel=0.015)
 
     def test_destinations_uniform(self):
         source = SourceProcess(TrafficSpec(load=1.0), 0, 8, seed=4)
-        counts = Counter(source.poll()[DST] for _ in range(70_000))
+        arrivals = per_slot(source)
+        counts = Counter(next(arrivals)[DST] for _ in range(70_000))
         for dst in range(1, 8):
             assert counts[dst] == pytest.approx(10_000, rel=0.1)
 
     def test_variable_size_statistics(self):
         source = SourceProcess(
             TrafficSpec(size_mode="variable", load=1.0), 0, 4, seed=5)
+        arrivals = per_slot(source)
         sizes, cells_per, cur_bytes, cur_cells = [], [], 0, 0
         for _ in range(200_000):
-            cell = source.poll()
+            cell = next(arrivals)
             cur_bytes += cell[VALID]
             cur_cells += 1
             if cell[EOP]:
@@ -156,7 +184,8 @@ class TestBurstyProcess:
     def test_run_length_statistics(self, load, busy_mean, idle_mean):
         source = SourceProcess(
             TrafficSpec(mode="bursty", load=load), 0, 4, seed=11)
-        flags = [source.poll() is not None for _ in range(400_000)]
+        arrivals = per_slot(source)
+        flags = [next(arrivals) is not None for _ in range(400_000)]
         busy, idle = self.run_lengths(flags)
         assert statistics.mean(busy) == pytest.approx(busy_mean, rel=0.06)
         assert statistics.mean(idle) == pytest.approx(idle_mean, rel=0.06)
@@ -165,7 +194,7 @@ class TestBurstyProcess:
     def test_saturated_burst_source_never_idles(self):
         source = SourceProcess(
             TrafficSpec(mode="bursty", load=1.0), 1, 4, seed=2)
-        assert all(source.poll() is not None for _ in range(10_000))
+        assert all(source.poll().__class__ is tuple for _ in range(10_000))
 
     def test_variable_round_up_inflates_occupancy(self):
         # bursts extend to whole packets, so measured load runs high;
@@ -173,7 +202,8 @@ class TestBurstyProcess:
         source = SourceProcess(
             TrafficSpec(mode="bursty", size_mode="variable", load=0.6),
             0, 4, seed=21)
-        occ = sum(source.poll() is not None
+        arrivals = per_slot(source)
+        occ = sum(next(arrivals) is not None
                   for _ in range(300_000)) / 300_000
         assert 0.62 < occ < 0.8
 
@@ -186,7 +216,7 @@ class TestVolumeBudget:
         counts = Counter(c[DST] for c in cells)
         assert counts == {0: 10, 2: 10, 3: 10}
         assert source.exhausted
-        assert source.poll() is None
+        assert source.poll() == source.poll() == math.inf
 
     def test_variable_mode_exact_byte_total(self):
         source = SourceProcess(
@@ -214,9 +244,10 @@ class TestDeterminism:
             s = SourceProcess(
                 TrafficSpec(mode="bursty", size_mode="variable", load=0.6),
                 port, 8, seed)
+            arrivals = per_slot(s)
             out = []
             for _ in range(5_000):
-                c = s.poll()
+                c = next(arrivals)
                 out.append(None if c is None else c[DST:])
             return out
 
@@ -237,10 +268,141 @@ class TestDeterminism:
             source = SourceProcess(
                 TrafficSpec(mode=mode, size_mode=size_mode, load=load,
                             volume_bytes=20_000), port, 8, seed=7)
-            stream = [source.poll() for _ in range(3_000)]
+            arrivals = per_slot(source)
+            stream = [next(arrivals) for _ in range(3_000)]
             digest.update(repr((stream, source.exhausted)).encode())
         assert digest.hexdigest() == self.STREAM_DIGEST
 
     def test_make_sources_covers_all_ports(self):
         sources = make_sources(TrafficSpec(), 8, seed=1)
         assert [s.port for s in sources] == list(range(8))
+
+
+class ReferenceSource:
+    """The per-slot state machine the generators replaced, kept as the
+    reference they must reproduce: one poll per slot, None for a slot
+    without an arrival, the same draws in the same order."""
+
+    def __init__(self, spec, port, n_ports, seed):
+        self.spec = spec
+        self.port = port
+        self.rng = random.Random(seed * 1_000_003 + port)
+        self.budget = {dst: spec.volume_bytes
+                       for dst in range(n_ports) if dst != port}
+        self.flow_cells = {dst: 0 for dst in self.budget}
+        self._dst = -1
+        self._left = 0
+        self._burst_dst = -1
+        self._burst_cells_left = 0
+        self._idle_left = 0
+        self._open = list(self.budget)
+        self._rand = self.rng.random
+        self._fixed = spec.size_mode == "fixed"
+        self._gap_scale = None
+        self._gap = 0
+        self.drained_mid_burst = 0
+        if spec.mode == "bernoulli" and spec.load < 1.0:
+            self._gap_scale = 1.0 / math.log(1.0 - spec.load)
+            self._gap = int(math.log(1.0 - self._rand()) * self._gap_scale)
+        self.poll = (self._poll_bernoulli if spec.mode == "bernoulli"
+                     else self._poll_bursty)
+
+    @property
+    def exhausted(self):
+        return not self._left and not self._open
+
+    def _draw_packet_bytes(self, dst):
+        if self._fixed:
+            size = CELL_PAYLOAD_BYTES
+        else:
+            spec = self.spec
+            size = spec.min_packet_bytes + int(self._rand() * (
+                spec.max_packet_bytes - spec.min_packet_bytes + 1))
+        remaining = self.budget[dst]
+        if remaining is not None:
+            size = min(size, remaining)
+            self.budget[dst] = remaining - size
+            if size == remaining:
+                self._open.remove(dst)
+        return size
+
+    def _next_cell(self):
+        dst, left = self._dst, self._left
+        seq = self.flow_cells[dst]
+        self.flow_cells[dst] = seq + 1
+        if left > CELL_PAYLOAD_BYTES:
+            self._left = left - CELL_PAYLOAD_BYTES
+            return (self.port, dst, seq, CELL_PAYLOAD_BYTES, False)
+        self._left = 0
+        return (self.port, dst, seq, left, True)
+
+    def _poll_bernoulli(self):
+        if self._gap:
+            self._gap -= 1
+            return None
+        if not self._left:
+            flows = self._open
+            if not flows:
+                return None
+            self._dst = dst = flows[int(self._rand() * len(flows))]
+            self._left = self._draw_packet_bytes(dst)
+        scale = self._gap_scale
+        if scale is not None:
+            self._gap = int(math.log(1.0 - self._rand()) * scale)
+        return self._next_cell()
+
+    def _poll_bursty(self):
+        spec = self.spec
+        if self._idle_left > 0:
+            self._idle_left -= 1
+            return None
+        if not self._left and self._burst_cells_left <= 0:
+            flows = self._open
+            if not flows:
+                return None
+            if spec.load < 1.0:
+                idle_mean = spec.burst_mean_cells * (1.0 - spec.load) \
+                    / spec.load
+                self._idle_left = _geometric_from_zero(self.rng, idle_mean)
+            self._burst_dst = flows[int(self._rand() * len(flows))]
+            self._burst_cells_left = _geometric_from_one(
+                self.rng, spec.burst_mean_cells)
+            if self._idle_left > 0:
+                self._idle_left -= 1
+                return None
+        if not self._left:
+            dst = self._burst_dst
+            if self.budget[dst] == 0:
+                self._burst_cells_left = 0
+                self.drained_mid_burst += 1
+                return self._poll_bursty()
+            self._dst = dst
+            self._left = self._draw_packet_bytes(dst)
+        self._burst_cells_left -= 1
+        return self._next_cell()
+
+
+class TestMatchesReference:
+    def test_same_stream_and_exhaustion_every_slot(self):
+        # 3,000 bytes per flow ends bursts early when a flow drains
+        # (asserted below); 1 byte per flow is a one-cell flow.
+        drained_mid_burst = 0
+        for mode, size_mode, load, volume, n_ports, seed in \
+                itertools.product(
+                    ("bernoulli", "bursty"), ("fixed", "variable"),
+                    (0.05, 0.3, 0.9, 1.0), (None, 3_000, 1), (2, 3, 8),
+                    (1, 2, 3)):
+            spec = TrafficSpec(mode=mode, size_mode=size_mode, load=load,
+                               volume_bytes=volume)
+            port = seed % n_ports
+            source = SourceProcess(spec, port, n_ports, seed)
+            reference = ReferenceSource(spec, port, n_ports, seed)
+            arrivals = per_slot(source)
+            for slot in range(1_500 if volume is None else 40_000):
+                assert next(arrivals) == reference.poll(), (spec, slot)
+                assert source.exhausted == reference.exhausted, (spec, slot)
+                if reference.exhausted:
+                    break
+            assert reference.exhausted == (volume is not None)
+            drained_mid_burst += reference.drained_mid_burst
+        assert drained_mid_burst > 100
