@@ -42,7 +42,7 @@ Experiment file schema (INI; lists are space-separated)::
     workloads = 10 20 30 40 50 60 70 80 90 100   ; percent
 
     [link]                    ; kind = ber-sweep | protocol-checks
-    one_way_delay = 7
+    one_way_delay = 7         ; 1..31 (7-bit sequence field)
     slots = 1000000
     bers = 0 1e-12 1e-11 1e-10 1e-9 1e-8 1e-7 1e-6 1e-5
     load = 1.0
@@ -99,7 +99,7 @@ from .engine import (
     run_star,
 )
 from .errors import ConfigError
-from .link import frame_error_probability, run_point_to_point
+from .link import check_link, frame_error_probability, run_point_to_point
 from .traffic import BERNOULLI, TrafficSpec
 
 EXIT_OK = 0
@@ -233,6 +233,8 @@ def parse_experiment(text: str) -> ExperimentSpec:
         for load in spec.workloads:
             if not 0 < load <= 100:
                 raise ConfigError(f"workload {load} outside (0, 100]")
+    if spec.kind != KIND_SWEEP:
+        check_link(spec.one_way_delay, spec.slots, spec.link_load)
     if spec.kind == KIND_BER:
         if not spec.bers:
             raise ConfigError("[link] bers is required for a ber sweep")

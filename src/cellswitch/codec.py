@@ -1,8 +1,20 @@
-"""Cell format, checksum, and relative-address routing.
+"""Frame layout, checksum, and relative-address routing.
 
-Every unit crossing a link is a fixed 264-byte frame: a 2-byte line
-header, a 1-byte hop counter pair, five 1-byte route selectors, and a
-256-byte payload.  The rule that cuts a packet into cells lives with
+Every unit crossing a link is a fixed 264-byte frame.  The paper's
+abstract gives only its size; the byte layout below is this package's
+assumption:
+
+* bytes 0-1: one big-endian word holding eop (bit 15),
+  valid_bytes - 1 (bits 7-14) and a 7-bit sequence number (bits 0-6);
+* byte 2: total_hops (high nibble) and remain_hops (low nibble);
+* bytes 3-7: the five route selectors;
+* bytes 8-263: the payload.
+
+The 12-bit CRC covers all 264 bytes and travels beside the frame.
+The simulator never serializes a frame: the link model carries its
+own ``link.Frame`` and the star engine the tuple record documented in
+``traffic``, so this module keeps only the layout's sizes, the CRC and
+the routing layer.  The rule that cuts a packet into cells lives with
 the sources that emit them (``traffic``).
 
 Routing is relative: a selector names an egress port by its position
@@ -10,10 +22,6 @@ among the ports of the ingress switch excluding the ingress port
 itself.  Each switch consumes the leading selector, shifts the route
 left, and writes the selector of the reverse hop into the vacated
 slot, so a delivered cell carries the route back to its source.
-
-``Cell`` is the wire format only.  The routing functions read and
-rewrite just its ``L2Header``, and the star engine never serializes a
-cell: it carries the plain record documented in ``traffic`` instead.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ ROUTE_SLOTS = 5
 BROADCAST_SELECTOR = 255
 # Unicast selectors 0..n-2 must stay below the broadcast selector.
 MAX_SWITCH_PORTS = BROADCAST_SELECTOR + 1
-# The line header stores the frame sequence modulo this; retransmission
-# windows are far shorter, so 7 bits disambiguate every in-flight frame.
+# The line header stores the frame sequence modulo this, which bounds
+# the link's one-way delay (``link.MAX_ONE_WAY_DELAY``).
 SEQ_MODULUS = 128
 
 CRC12_POLY = 0x80F  # x^12 + x^11 + x^3 + x^2 + x + 1
@@ -62,25 +70,6 @@ def crc12(data: bytes) -> int:
     return reg
 
 
-def verify_frame(data: bytes, checksum: int) -> bool:
-    """True iff ``checksum`` matches the CRC of the frame bytes."""
-    return crc12(data) == checksum
-
-
-@dataclass(slots=True)
-class L1Meta:
-    """Line-level metadata carried in the 2-byte frame header.
-
-    The checksum rides alongside the frame rather than being bit-packed
-    into the header word; ``encode_cell`` gives the serialized layout.
-    """
-
-    valid_bytes: int = CELL_PAYLOAD_BYTES
-    eop: bool = False
-    seq: int = 0
-    checksum: int = 0
-
-
 @dataclass(slots=True)
 class L2Header:
     """Hop counters plus the five-slot relative route."""
@@ -88,15 +77,6 @@ class L2Header:
     total_hops: int
     remain_hops: int
     dst_ports: list[int] = field(default_factory=lambda: [0] * ROUTE_SLOTS)
-
-
-@dataclass(slots=True)
-class Cell:
-    """One 264-byte frame: line metadata, route header and payload."""
-
-    l1: L1Meta
-    l2: L2Header
-    payload: bytes
 
 
 class RouteKind(Enum):
@@ -109,74 +89,6 @@ class RouteKind(Enum):
 class RouteDecision:
     kind: RouteKind
     egress: int | None = None
-
-
-def _check_header_ranges(cell: Cell) -> None:
-    l1, l2 = cell.l1, cell.l2
-    if not 1 <= l1.valid_bytes <= CELL_PAYLOAD_BYTES:
-        raise ProtocolError(f"valid_bytes out of range: {l1.valid_bytes}")
-    if not 0 <= l2.total_hops <= 15 or not 0 <= l2.remain_hops <= 15:
-        raise ProtocolError(
-            f"hop counters exceed 4 bits: {l2.total_hops}/{l2.remain_hops}")
-    if l2.remain_hops > l2.total_hops:
-        raise ProtocolError("remain_hops exceeds total_hops")
-    if len(l2.dst_ports) != ROUTE_SLOTS:
-        raise ProtocolError(f"route must have {ROUTE_SLOTS} slots")
-    for sel in l2.dst_ports:
-        if not 0 <= sel <= 255:
-            raise ProtocolError(f"route selector out of range: {sel}")
-    if len(cell.payload) != CELL_PAYLOAD_BYTES:
-        raise ProtocolError(
-            f"payload must be exactly {CELL_PAYLOAD_BYTES} bytes")
-
-
-def encode_cell(cell: Cell) -> bytes:
-    """Serialize to the fixed 264-byte frame layout.
-
-    Bytes 0-1 hold eop, valid_bytes - 1, and seq mod 128 as a
-    big-endian word; byte 2 packs total_hops (high nibble) and
-    remain_hops (low nibble); bytes 3-7 are the route selectors;
-    bytes 8-263 are the payload.
-    """
-    _check_header_ranges(cell)
-    l1, l2 = cell.l1, cell.l2
-    word = (int(l1.eop) << 15) | ((l1.valid_bytes - 1) << 7) | (l1.seq % SEQ_MODULUS)
-    head = bytes((
-        word >> 8, word & 0xFF,
-        (l2.total_hops << 4) | l2.remain_hops,
-        *l2.dst_ports,
-    ))
-    return head + cell.payload
-
-
-def decode_cell(data: bytes) -> Cell:
-    """Parse a 264-byte frame.  The checksum field is recomputed from
-    the frame bytes, matching how :func:`stamp_checksum` seals cells."""
-    if len(data) != FRAME_BYTES:
-        raise ProtocolError(f"frame must be {FRAME_BYTES} bytes, got {len(data)}")
-    word = (data[0] << 8) | data[1]
-    l1 = L1Meta(
-        valid_bytes=((word >> 7) & 0xFF) + 1,
-        eop=bool(word >> 15),
-        seq=word & (SEQ_MODULUS - 1),
-        checksum=crc12(data),
-    )
-    l2 = L2Header(
-        total_hops=data[2] >> 4,
-        remain_hops=data[2] & 0xF,
-        dst_ports=list(data[3:8]),
-    )
-    return Cell(l1=l1, l2=l2, payload=data[8:])
-
-
-def stamp_checksum(cell: Cell) -> Cell:
-    """Set l1.checksum to the CRC of the serialized frame."""
-    cell.l1.checksum = crc12(encode_cell(cell))
-    return cell
-
-
-def verify_cell(cell: Cell) -> bool:
-    return verify_frame(encode_cell(cell), cell.l1.checksum)
 
 
 def _check_port_count(n_ports: int) -> None:

@@ -10,7 +10,7 @@ class ConfigError(CellSwitchError):
 
 
 class ProtocolError(CellSwitchError):
-    """Malformed header, route selector, or codec misuse."""
+    """Malformed route header, selector, or port count."""
 
 
 class SimInvariantError(CellSwitchError):

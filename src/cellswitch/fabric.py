@@ -58,19 +58,19 @@ def omega_shuffle(width: int) -> list[int]:
     return [((p << 1) | (p >> (k - 1))) & (width - 1) for p in range(width)]
 
 
+CHECK_INTERVAL = 256
+
+
 class SortRouteFabric:
     """Routes one cell batch per slot across the sort-then-steer net:
     crossbar semantics every slot plus a full structural replay every
-    ``check_interval`` routed slots.
+    ``CHECK_INTERVAL`` routed slots.
     """
 
-    def __init__(self, n_ports: int, check_interval: int = 256):
+    def __init__(self, n_ports: int):
         if n_ports < 2:
             raise ConfigError("need at least two ports")
-        if check_interval < 1:
-            raise ConfigError("check interval must be positive")
         self.n_ports = n_ports
-        self.check_interval = check_interval
         self.width, self.k = _log2_width(n_ports)
         self.stages = sorter_stages(self.width)
         self.shuffle = omega_shuffle(self.width)
@@ -146,17 +146,9 @@ class SortRouteFabric:
     def route(self, dests) -> list[int | None]:
         self.slots_routed += 1
         out = self.route_crossbar(dests)
-        if self.slots_routed % self.check_interval == 0:
+        if self.slots_routed % CHECK_INTERVAL == 0:
             self.structural_checks += 1
             if self.route_structural(dests) != out:
                 raise SimInvariantError(
                     "structural fabric disagrees with crossbar oracle")
         return out
-
-    def describe(self) -> str:
-        n_comp = sum(len(s) for s in self.stages)
-        return (
-            f"{self.n_ports} ports on a width-{self.width} network: "
-            f"{len(self.stages)} sort stages x {self.width // 2} comparators "
-            f"({n_comp} total), then {self.k} steering stages"
-        )

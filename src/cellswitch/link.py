@@ -26,6 +26,12 @@ flag holds the freeze for the whole recovery, however long corrupted
 retransmissions stretch it, so a window of 2D+2 frames provably still
 contains the victim when the replay cycle finally goes out.
 
+Sequence field width: a clean data arrival carries a seq from one
+window below the receiver's ``expected`` (the oldest replay) to one
+window minus one above it (fresh frames sent while its request is in
+flight).  Stored modulo ``codec.SEQ_MODULUS``, these 2 * window seqs
+stay distinct only while 2 * window <= SEQ_MODULUS: D <= 31.
+
 Saturated runs skip their clean stretches: ``run_point_to_point`` at
 load 1 advances the link over a run of error-free slots in one step
 whenever the link is in its steady state (no replay cycle queued,
@@ -53,10 +59,12 @@ from dataclasses import dataclass, field, replace
 from itertools import count
 from operator import ne
 
-from .codec import FRAME_BYTES
+from .codec import FRAME_BYTES, SEQ_MODULUS
 from .errors import ConfigError, SimInvariantError
 
 FRAME_BITS = FRAME_BYTES * 8
+# The largest D with 2 * (2D + 2) <= SEQ_MODULUS (module docstring).
+MAX_ONE_WAY_DELAY = SEQ_MODULUS // 4 - 1
 
 IDLE_KIND = "idle"
 DATA_KIND = "data"
@@ -85,13 +93,23 @@ def frame_error_probability(ber: float, frame_bits: int = FRAME_BITS) -> float:
     return -math.expm1(frame_bits * math.log1p(-ber))
 
 
+def check_link(one_way_delay: int, slots: int = 1,
+               load: float = 1.0) -> None:
+    """Raise ConfigError unless ``run_point_to_point`` accepts these."""
+    if not 1 <= one_way_delay <= MAX_ONE_WAY_DELAY:
+        raise ConfigError(f"one-way delay must be 1..{MAX_ONE_WAY_DELAY} "
+                          f"slots ({SEQ_MODULUS}-value sequence field)")
+    if not 0.0 <= load <= 1.0:
+        raise ConfigError("load must be in [0, 1]")
+    if slots < 1:
+        raise ConfigError("need at least one slot")
+
+
 class LinkEndpoint:
     """One side of the link: framing, replay, request/retransmit."""
 
     def __init__(self, one_way_delay: int):
-        if not 1 <= one_way_delay <= 63:
-            raise ConfigError(
-                "one-way delay must be 1..63 slots (sequence field width)")
+        check_link(one_way_delay)
         self.delay = one_way_delay
         self.window = 2 * one_way_delay + 2
         self.cycle_lead_in = 3 * one_way_delay - 2
@@ -366,10 +384,7 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
     same order, and a corrupt draw acts only ``one_way_delay`` slots
     later, when ``step`` has taken over again.
     """
-    if not 0.0 <= load <= 1.0:
-        raise ConfigError("load must be in [0, 1]")
-    if slots < 1:
-        raise ConfigError("need at least one slot")
+    check_link(one_way_delay, slots, load)
     link = DuplexLink(one_way_delay, ber=ber, seed=seed, faults=faults)
     src_rng = random.Random(seed ^ 0x5CE11)
     counters = [0, 0]   # payloads sent by a and by b

@@ -27,8 +27,8 @@ star engine carries from source to sink:
 ``src`` and ``dst`` are the flow's ports, ``flow_seq`` counts the
 flow's cells from 0, ``valid_bytes`` is the payload the cell carries
 and ``eop`` marks the last cell of a packet.  The star path never
-serializes a cell, so it has no frame; ``codec.Cell`` is the wire
-format.  ``SourceProcess._packet`` is the one packet-cutting rule: full
+serializes a cell, so it has no frame (``codec`` gives the frame's
+layout).  ``SourceProcess._packet`` is the one packet-cutting rule: full
 ``CELL_PAYLOAD_BYTES`` cells, then the remainder with ``eop`` set; an
 exact multiple gets no padding cell.
 

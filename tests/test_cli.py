@@ -44,6 +44,9 @@ bers = 0 1e-5
 seeds = 1
 """
 
+TINY_CHECKS = TINY_BER.replace("ber-sweep", "protocol-checks").replace(
+    "slots = 20000\nbers = 0 1e-5\n", "")
+
 
 class TestParsing:
     def test_sweep_spec_round_trip(self):
@@ -64,6 +67,38 @@ class TestParsing:
         assert spec.schedulers == ("islip",)
         assert spec.patterns == ("bernoulli",)
         assert spec.on_threshold == DEFAULT_ON_THRESHOLD
+
+    # [link] values fail at parse time, before any row runs.
+    @pytest.mark.parametrize("text", [TINY_BER, TINY_CHECKS],
+                             ids=["ber-sweep", "protocol-checks"])
+    @pytest.mark.parametrize("delay", [0, 32, 64])
+    def test_rejects_bad_link_delay(self, text, delay):
+        with pytest.raises(ConfigError, match="one-way delay"):
+            cli.parse_experiment(text.replace(
+                "one_way_delay = 4", f"one_way_delay = {delay}"))
+
+    @pytest.mark.parametrize("text", [TINY_BER, TINY_CHECKS],
+                             ids=["ber-sweep", "protocol-checks"])
+    @pytest.mark.parametrize("delay", [1, 31])
+    def test_accepts_link_delay_at_bounds(self, text, delay):
+        spec = cli.parse_experiment(text.replace(
+            "one_way_delay = 4", f"one_way_delay = {delay}"))
+        assert spec.one_way_delay == delay
+
+    @pytest.mark.parametrize("lines, match", [
+        ("slots = 0", "at least one slot"),
+        ("slots = 20000\nload = 1.5", "load must be"),
+        ("slots = 20000\nload = -0.1", "load must be"),
+    ], ids=["slots-0", "load-1.5", "load-minus-0.1"])
+    def test_rejects_bad_link_run(self, lines, match):
+        with pytest.raises(ConfigError, match=match):
+            cli.parse_experiment(TINY_BER.replace("slots = 20000", lines))
+
+    @pytest.mark.parametrize("load", [0.0, 1.0])
+    def test_accepts_link_load_at_bounds(self, load):
+        spec = cli.parse_experiment(TINY_BER.replace(
+            "slots = 20000", f"slots = 20000\nload = {load}"))
+        assert spec.link_load == load
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,12 @@ import random
 import pytest
 
 from cellswitch.errors import ConfigError, SimInvariantError
-from cellswitch.fabric import SortRouteFabric, omega_shuffle, sorter_stages
+from cellswitch.fabric import (
+    CHECK_INTERVAL,
+    SortRouteFabric,
+    omega_shuffle,
+    sorter_stages,
+)
 
 
 def apply_sort(stages, values):
@@ -121,20 +126,28 @@ class TestStructuralRouting:
 
 class TestCheckedMode:
     def test_structural_replay_every_interval(self):
-        f = SortRouteFabric(8, check_interval=4)
-        for _ in range(12):
+        f = SortRouteFabric(8)
+        for _ in range(3 * CHECK_INTERVAL - 1):
             f.route([3, 1, None, 7, None, None, 0, 5])
-        assert f.slots_routed == 12
+        assert f.structural_checks == 2
+        f.route([3, 1, None, 7, None, None, 0, 5])
+        assert f.slots_routed == 3 * CHECK_INTERVAL
         assert f.structural_checks == 3
 
     def test_divergence_raises(self, monkeypatch):
-        f = SortRouteFabric(4, check_interval=1)
+        f = SortRouteFabric(4)
         monkeypatch.setattr(f, "route_structural",
                             lambda dests: [None] * 4)
+        for _ in range(CHECK_INTERVAL - 1):
+            f.route([1, 0, None, None])
         with pytest.raises(SimInvariantError):
             f.route([1, 0, None, None])
 
     def test_mode_validation(self):
-        with pytest.raises(ConfigError):
-            SortRouteFabric(4, check_interval=0)
-        assert "steering stages" in SortRouteFabric(32).describe()
+        for n_ports in (0, 1):
+            with pytest.raises(ConfigError):
+                SortRouteFabric(n_ports)
+        f = SortRouteFabric(32)
+        assert (f.slots_routed, f.structural_checks) == (0, 0)
+        # The report's fabric_checks counts replays at this fixed cadence.
+        assert CHECK_INTERVAL == 256

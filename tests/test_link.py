@@ -7,6 +7,7 @@ from collections import deque
 
 import pytest
 
+from cellswitch.codec import SEQ_MODULUS
 from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.link import (
     DuplexLink,
@@ -75,6 +76,9 @@ class TestEndpointBasics:
     def test_delay_bounds(self):
         with pytest.raises(ConfigError):
             LinkEndpoint(0)
+        assert 2 * LinkEndpoint(31).window == SEQ_MODULUS
+        with pytest.raises(ConfigError):
+            LinkEndpoint(32)
         with pytest.raises(ConfigError):
             LinkEndpoint(64)
         e = LinkEndpoint(8)
@@ -268,6 +272,30 @@ class TestAdversarialCorruption:
             assert exact_prefix(r.delivered_at_b), offset
             assert len(r.delivered_at_a) > 30 * delay, offset
             assert len(r.delivered_at_b) > 30 * delay, offset
+
+    def test_seq_offsets_fit_the_sequence_field(self, monkeypatch):
+        """Clean data arrivals carry seqs from one window below the
+        receiver's expected seq to one window minus one above it.  Under
+        paired faults at every phase offset at the largest delay, those
+        2 * window values exactly fill the 7-bit sequence field."""
+        delay = 31
+        receive = LinkEndpoint.receive
+        offsets = set()
+
+        def recording(self, frame, corrupted, peer_flag=False):
+            if not corrupted and frame.kind == "data":
+                offsets.add(frame.seq - self.expected)
+            return receive(self, frame, corrupted, peer_flag)
+
+        monkeypatch.setattr(LinkEndpoint, "receive", recording)
+        fault = 4 * delay
+        for offset in range(7 * delay + 2):
+            run_point_to_point(delay, slots=30 * delay, faults=FaultSchedule(
+                a_to_b=frozenset({fault + offset}),
+                b_to_a=frozenset({fault})))
+        window = 2 * delay + 2
+        assert (min(offsets), max(offsets)) == (-window, window - 1)
+        assert max(offsets) - min(offsets) + 1 == 2 * window <= SEQ_MODULUS
 
     def test_heavy_corruption_soak_conserves_every_payload(self):
         link = DuplexLink(6, ber=1e-5, seed=7)
