@@ -81,26 +81,16 @@ import sys
 import time
 import traceback
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
 from .checks import CHECKS
-from .engine import (
-    DEFAULT_CHANNEL_BUFFER,
-    DEFAULT_OFF_THRESHOLD,
-    DEFAULT_ON_THRESHOLD,
-    DOWNLINK_DELAY,
-    EGRESS_DELAY,
-    ISLIP,
-    UPLINK_DELAY,
-    EngineConfig,
-    run_star,
-)
+from .engine import EngineConfig, run_star
 from .errors import ConfigError
 from .link import check_link, frame_error_probability, run_point_to_point
-from .traffic import BERNOULLI, TrafficSpec
+from .traffic import TrafficSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -129,7 +119,8 @@ class ExperimentSpec:
     """One experiment file, fully parsed and validated.
 
     The sweep fields default to the engine's and the traffic source's
-    own defaults; only the per-flow volume has one of its own.
+    own defaults; only the per-flow volume has one of its own.  Each
+    sweep row passes them on by name, beside its sweep axes.
     """
 
     name: str
@@ -137,16 +128,16 @@ class ExperimentSpec:
     seeds: tuple[int, ...] = (1,)
     # kind = sweep
     ports: int = 32
-    schedulers: tuple[str, ...] = (ISLIP,)
-    islip_iterations: int | None = None
-    uplink_delay: int = UPLINK_DELAY
-    downlink_delay: int = DOWNLINK_DELAY
-    egress_delay: int = EGRESS_DELAY
-    on_threshold: int = DEFAULT_ON_THRESHOLD
-    off_threshold: int = DEFAULT_OFF_THRESHOLD
-    channel_buffer: int | None = DEFAULT_CHANNEL_BUFFER
-    max_slots: int | None = None
-    patterns: tuple[str, ...] = (BERNOULLI,)
+    schedulers: tuple[str, ...] = (EngineConfig.scheduler,)
+    islip_iterations: int | None = EngineConfig.islip_iterations
+    uplink_delay: int = EngineConfig.uplink_delay
+    downlink_delay: int = EngineConfig.downlink_delay
+    egress_delay: int = EngineConfig.egress_delay
+    on_threshold: int = EngineConfig.on_threshold
+    off_threshold: int = EngineConfig.off_threshold
+    channel_buffer: int | None = EngineConfig.channel_buffer
+    max_slots: int | None = EngineConfig.max_slots
+    patterns: tuple[str, ...] = (TrafficSpec.mode,)
     size_mode: str = TrafficSpec.size_mode
     volume_bytes: int = 500_000
     min_packet_bytes: int = TrafficSpec.min_packet_bytes
@@ -158,6 +149,11 @@ class ExperimentSpec:
     slots: int = 1_000_000
     bers: tuple[float, ...] = ()
     link_load: float = 1.0
+
+    def __post_init__(self):
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds {self.seeds}: each names one "
+                              "report, so list each seed once")
 
 
 def _words(convert):
@@ -266,24 +262,16 @@ def preset_names() -> list[str]:
 def _points_for(spec: ExperimentSpec, seed: int) -> list[partial]:
     """One picklable call per CSV row, in row order."""
     if spec.kind == KIND_SWEEP:
+        # the spec's fields named as engine or traffic fields pass on
+        given = {f.name: getattr(spec, f.name) for f in fields(spec)}
+        engine, traffic = ({f.name: given[f.name] for f in fields(cls)
+                            if f.name in given}
+                           for cls in (EngineConfig, TrafficSpec))
         return [
-            partial(_sweep_row, EngineConfig(
-                n_ports=spec.ports, scheduler=scheduler, seed=seed,
-                on_threshold=spec.on_threshold,
-                off_threshold=spec.off_threshold,
-                channel_buffer=spec.channel_buffer,
-                islip_iterations=spec.islip_iterations,
-                uplink_delay=spec.uplink_delay,
-                downlink_delay=spec.downlink_delay,
-                egress_delay=spec.egress_delay,
-                max_slots=spec.max_slots,
-            ), TrafficSpec(
-                mode=pattern, size_mode=spec.size_mode, load=load / 100.0,
-                volume_bytes=spec.volume_bytes,
-                min_packet_bytes=spec.min_packet_bytes,
-                max_packet_bytes=spec.max_packet_bytes,
-                burst_mean_cells=spec.burst_mean_cells,
-            ))
+            partial(_sweep_row,
+                    EngineConfig(n_ports=spec.ports, scheduler=scheduler,
+                                 seed=seed, **engine),
+                    TrafficSpec(mode=pattern, load=load / 100.0, **traffic))
             for pattern in spec.patterns
             for load in spec.workloads
             for scheduler in spec.schedulers

@@ -25,7 +25,9 @@ Every slot runs the same phases, each over all ports before the next:
 4. each endpoint with an arrival due stages at most one new cell,
    and sends one staged cell from an unpaused channel
 5. while any queue holds a cell: arbitration and fabric traversal,
-   possibly firing unpauses
+   possibly firing unpauses; the iSLIP fabric takes the arbiter's
+   pairs and replays them structurally every ``CHECK_INTERVAL``
+   matched slots
 
 No phase of one port reads another port's state within a slot, so
 this order gives the results of running each port's phases in turn.
@@ -43,9 +45,10 @@ A cell's recorded latency runs from its uplink transmission to its
 sink delivery and therefore excludes time spent queued inside the
 source; an uncontended cell needs exactly ``latency_floor()`` slots.
 
-Losslessness is enforced, not assumed: queue overflows and fabric
-misroutes raise immediately, and every sink checks per-flow sequence
-numbers so any drop, duplicate, or reorder is detected.
+Losslessness is enforced, not assumed: queue overflows raise
+immediately, a fabric misroute at its structural replay, and every
+sink checks per-flow sequence numbers so any drop, duplicate, or
+reorder is detected.
 """
 
 from __future__ import annotations
@@ -460,10 +463,7 @@ class StarNetwork:
             if any(out_requests):
                 pairs = match(out_requests)
                 if route is not None:
-                    dests = [None] * n
-                    for i, out_port in pairs:
-                        dests[i] = out_port
-                    route(dests)
+                    route(pairs)
                 sink = downlink[(slot + out_delay) % size]
                 fc = control[(slot + 1 + down_delay) % size]
                 for i, out_port in pairs:

@@ -9,11 +9,15 @@ whose 2x2 elements steer by one destination bit per stage, most
 significant first.  Sorted-and-concentrated input is exactly the
 condition under which that network is collision-free.
 
-``route_structural`` models the network element by element.
-``route_crossbar`` is the behavioral oracle (output j receives the
-cell addressed to j).  The per-slot ``route`` uses the crossbar
-mapping for speed and replays a structural pass at a fixed slot
-cadence, failing loudly if the two ever disagree.
+A matching is the arbiter's list of ``(input, output)`` pairs, and
+every routing method takes it as is.  ``route_structural`` models the
+network element by element; ``route_crossbar`` is the behavioral
+oracle (output j receives the cell of the input paired with j).  The
+per-slot ``route`` only counts slots: every ``CHECK_INTERVAL``-th
+routed slot it replays the pairs through the structural model and
+fails loudly if the result differs from the oracle's.  On the other
+slots the iSLIP arbiter's construction is what keeps each input and
+each output in at most one pair (see ``scheduler``).
 """
 
 from __future__ import annotations
@@ -62,9 +66,9 @@ CHECK_INTERVAL = 256
 
 
 class SortRouteFabric:
-    """Routes one cell batch per slot across the sort-then-steer net:
-    crossbar semantics every slot plus a full structural replay every
-    ``CHECK_INTERVAL`` routed slots.
+    """Routes one matching per slot across the sort-then-steer net:
+    a full structural replay, checked against the crossbar oracle,
+    every ``CHECK_INTERVAL`` routed slots.
     """
 
     def __init__(self, n_ports: int):
@@ -77,33 +81,34 @@ class SortRouteFabric:
         self.slots_routed = 0
         self.structural_checks = 0
 
+    def _check_range(self, i: int, d: int) -> None:
+        if not (0 <= i < self.n_ports and 0 <= d < self.n_ports):
+            raise ConfigError(f"pair ({i}, {d}) out of range")
+
     # -- behavioral oracle -------------------------------------------------
 
-    def route_crossbar(self, dests) -> list[int | None]:
-        """out[j] = index of the input whose cell is addressed to j."""
+    def route_crossbar(self, pairs) -> list[int | None]:
+        """out[j] = the input paired with output j."""
         out: list[int | None] = [None] * self.n_ports
-        for i, d in enumerate(dests):
-            if d is None:
-                continue
-            if not 0 <= d < self.n_ports:
-                raise ConfigError(f"destination {d} out of range")
+        for i, d in pairs:
+            self._check_range(i, d)
             if out[d] is not None:
                 raise SimInvariantError(
                     f"inputs {out[d]} and {i} both addressed to output {d}")
             out[d] = i
+        if len({i for i, _ in pairs}) != len(pairs):
+            raise SimInvariantError("an input is paired with two outputs")
         return out
 
     # -- structural model --------------------------------------------------
 
-    def route_structural(self, dests) -> list[int | None]:
+    def route_structural(self, pairs) -> list[int | None]:
         width = self.width
         sentinel = width  # sorts after every real destination
         lanes: list[tuple[int, int]] = [(sentinel, i) for i in range(width)]
-        for i, d in enumerate(dests):
-            if d is not None:
-                if not 0 <= d < self.n_ports:
-                    raise ConfigError(f"destination {d} out of range")
-                lanes[i] = (d, i)
+        for i, d in pairs:
+            self._check_range(i, d)
+            lanes[i] = (d, i)
         for stage in self.stages:
             for lo, hi, ascending in stage:
                 a, b = lanes[lo], lanes[hi]
@@ -143,12 +148,10 @@ class SortRouteFabric:
 
     # -- per-slot entry point ----------------------------------------------
 
-    def route(self, dests) -> list[int | None]:
+    def route(self, pairs) -> None:
         self.slots_routed += 1
-        out = self.route_crossbar(dests)
         if self.slots_routed % CHECK_INTERVAL == 0:
             self.structural_checks += 1
-            if self.route_structural(dests) != out:
+            if self.route_structural(pairs) != self.route_crossbar(pairs):
                 raise SimInvariantError(
                     "structural fabric disagrees with crossbar oracle")
-        return out

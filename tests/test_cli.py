@@ -2,14 +2,16 @@
 
 import csv
 import hashlib
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 
 from cellswitch import cli
 from cellswitch.checks import CHECKS
-from cellswitch.engine import DEFAULT_ON_THRESHOLD
+from cellswitch.engine import DEFAULT_ON_THRESHOLD, EngineConfig
 from cellswitch.errors import ConfigError, SimInvariantError
+from cellswitch.traffic import TrafficSpec
 
 TINY_SWEEP = """
 [experiment]
@@ -164,6 +166,9 @@ class TestParsing:
             with pytest.raises(ConfigError, match="max_slots"):
                 cli.parse_experiment(TINY_SWEEP.replace(
                     "ports = 4", f"ports = 4\nmax_slots = {max_slots}"))
+        with pytest.raises(ConfigError, match="seed once"):
+            cli.parse_experiment(TINY_SWEEP.replace("seeds = 1",
+                                                    "seeds = 3 3"))
 
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
@@ -214,6 +219,46 @@ class TestPresets:
     def test_unknown_preset_is_config_error(self):
         with pytest.raises(ConfigError):
             cli.load_preset("does-not-exist")
+
+
+class TestSchemaDrift:
+    # The sweep axes: ExperimentSpec lists their values under other
+    # names (ports, schedulers, seeds, patterns, workloads).
+    AXES = {"n_ports", "scheduler", "seed", "mode", "load"}
+
+    def test_spec_mirrors_engine_and_traffic_fields(self):
+        spec = {f.name: f.default for f in fields(cli.ExperimentSpec)}
+        for cls in (EngineConfig, TrafficSpec):
+            for f in fields(cls):
+                if f.name in self.AXES:
+                    continue
+                assert f.name in spec, f"{cls.__name__}.{f.name}"
+                if f.name == "volume_bytes":
+                    # a source alone is unbounded; an experiment is not
+                    assert (f.default, spec[f.name]) == (None, 500_000)
+                else:
+                    assert spec[f.name] == f.default, f.name
+
+    def test_docstring_schema_matches_parser(self):
+        doc = cli.__doc__
+        block = doc[doc.index("Experiment file schema"):
+                    doc.index("Any other section")]
+        documented, section = {}, None
+        for line in block.splitlines()[1:]:
+            line = line.split(";")[0].strip()
+            if line.startswith("["):
+                section = line.strip("[]")
+                documented[section] = set()
+            elif "=" in line:
+                documented[section].add(line.split("=")[0].strip())
+        parsed = {}
+        for schema in cli._SCHEMAS.values():
+            for name, options in schema.items():
+                parsed.setdefault(name, set()).update(options)
+        assert documented == parsed
+        columns = re.search(r"CSV columns \(stable, documented\):(.*?)\.",
+                            doc, re.DOTALL).group(1)
+        assert [c.strip() for c in columns.split(",")] == cli.CSV_COLUMNS
 
 
 def run_main(tmp_path, ini_text, *args):
@@ -267,6 +312,15 @@ class TestRunCommand:
         assert {r["seed"] for r in rows_1} == {"1"}
         assert {r["seed"] for r in rows_2} == {"2"}
         assert rows_1 != rows_2
+
+    def test_duplicate_seed_flag_is_config_error(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_main(tmp_path, TINY_SWEEP,
+                             "--seed", "2", "--seed", "2")
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert not (tmp_path / "cellswitch-error.txt").exists()
 
     def test_ber_sweep_rows(self, tmp_path):
         code, out = run_main(tmp_path, TINY_BER)

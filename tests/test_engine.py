@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import statistics
 from collections import deque
 
 import pytest
@@ -22,6 +23,7 @@ from cellswitch.engine import (
     run_star,
 )
 from cellswitch.errors import ConfigError, SimInvariantError
+from cellswitch.fabric import CHECK_INTERVAL
 from cellswitch.traffic import TrafficSpec
 
 
@@ -332,6 +334,31 @@ class TestBandwidthAccounting:
             report.latency_summary()
 
 
+class TestAnalyticalOracle:
+    @pytest.mark.parametrize("load", [0.3, 0.6])
+    def test_safc_mean_latency_is_output_queued(self, load):
+        """With one-cell Bernoulli packets and no pause, SAFC is an
+        output-queued switch: each output takes Binomial(M, p/M)
+        arrivals a slot from the M = n - 1 other ports and serves one,
+        so a cell waits (M - 1)/M * p / (2(1 - p)) slots on average
+        (Karol, Hluchyj and Morgan, IEEE Trans. Commun. 35(12), 1987).
+        An unbounded volume cut at max_slots keeps the end-of-run
+        drain, which piles load onto the last open flows, out of it."""
+        means = []
+        for seed in range(1, 9):
+            config = EngineConfig(n_ports=32, scheduler=SAFC, seed=seed,
+                                  max_slots=3000)
+            report = run_star(config, TrafficSpec(load=load,
+                                                  volume_bytes=None))
+            assert report.pauses == 0  # flow control would break the model
+            means.append(report.mean_latency())
+        m = config.n_ports - 1
+        closed_form = (config.latency_floor()
+                       + (m - 1) / m * load / (2 * (1 - load)))
+        stderr = statistics.stdev(means) / math.sqrt(len(means))
+        assert abs(statistics.fmean(means) - closed_form) <= 4 * stderr
+
+
 class TestByteIdentity:
     """Pins every reported figure of a grid of small runs, so a change
     meant to keep results identical is checked to do so."""
@@ -437,6 +464,39 @@ def test_engine_calls_the_instance_hooks():
     network.fabric.route = counting("route", network.fabric.route)
     report = network.run()
     assert all(calls.values()), calls
+    assert report.to_dict() == build().run().to_dict()
+
+
+@pytest.mark.parametrize("scheduler,n_ports,volume", [
+    (ISLIP, 8, 20_000), (ISLIP, 32, 5_000), (SAFC, 8, 20_000)])
+def test_every_matching_is_conflict_free(scheduler, n_ports, volume):
+    """The fabric replays the arbiter's pairs only every
+    CHECK_INTERVAL slots, so check every slot's pairs here: distinct
+    outputs from both arbiters, and distinct inputs from iSLIP, whose
+    matching must cross the fabric."""
+    def build():
+        return StarNetwork(EngineConfig(n_ports=n_ports, scheduler=scheduler),
+                           TrafficSpec(load=1.0, volume_bytes=volume))
+
+    network = build()
+    match = network.scheduler.match
+    slots = 0
+
+    def checked(out_requests):
+        nonlocal slots
+        pairs = match(out_requests)
+        outputs = [j for _, j in pairs]
+        assert len(set(outputs)) == len(outputs), pairs
+        if scheduler == ISLIP:
+            inputs = [i for i, _ in pairs]
+            assert len(set(inputs)) == len(inputs), pairs
+        slots += 1
+        return pairs
+
+    network.scheduler.match = checked
+    report = network.run()
+    report.verify()
+    assert report.drained and slots > 2 * CHECK_INTERVAL
     assert report.to_dict() == build().run().to_dict()
 
 

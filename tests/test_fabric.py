@@ -24,14 +24,12 @@ def apply_sort(stages, values):
 
 
 def partial_maps(n):
-    """Every assignment of distinct outputs to a subset of inputs."""
+    """Every matching of a subset of inputs to distinct outputs, as the
+    (input, output) pairs an arbiter returns."""
     for m in range(n + 1):
         for ins in itertools.combinations(range(n), m):
             for outs in itertools.permutations(range(n), m):
-                d = [None] * n
-                for i, o in zip(ins, outs):
-                    d[i] = o
-                yield d
+                yield list(zip(ins, outs))
 
 
 class TestSorterNetwork:
@@ -73,22 +71,21 @@ class TestStructuralRouting:
     def test_identity_and_reversal(self):
         f = SortRouteFabric(8)
         ident = list(range(8))
-        assert f.route_structural(ident) == ident
+        assert f.route_structural(list(zip(ident, ident))) == ident
         rev = list(reversed(range(8)))
-        assert f.route_structural(rev) == rev  # out[j]=i with i=7-j
+        # out[j]=i with i=7-j
+        assert f.route_structural(list(zip(ident, rev))) == rev
 
     def test_single_cell(self):
         f = SortRouteFabric(8)
-        dests = [None] * 8
-        dests[3] = 6
-        out = f.route_structural(dests)
+        out = f.route_structural([(3, 6)])
         assert out == [None, None, None, None, None, None, 3, None]
 
     def test_exhaustive_equivalence_width_four(self):
         f = SortRouteFabric(4)
         count = 0
-        for dests in partial_maps(4):
-            assert f.route_structural(dests) == f.route_crossbar(dests)
+        for pairs in partial_maps(4):
+            assert f.route_structural(pairs) == f.route_crossbar(pairs)
             count += 1
         assert count == 209
 
@@ -100,48 +97,78 @@ class TestStructuralRouting:
             outs = list(range(n))
             rng.shuffle(outs)
             m = rng.randrange(n + 1)
-            dests = [None] * n
-            for i in sorted(rng.sample(range(n), m)):
-                dests[i] = outs.pop()
-            assert f.route_structural(dests) == f.route_crossbar(dests)
+            pairs = [(i, outs.pop()) for i in sorted(rng.sample(range(n), m))]
+            assert f.route_structural(pairs) == f.route_crossbar(pairs)
+
+    def test_pair_order_does_not_matter(self):
+        f = SortRouteFabric(8)
+        pairs = [(0, 3), (2, 7), (5, 0), (6, 1)]
+        out = f.route_crossbar(pairs)
+        assert f.route_structural(pairs[::-1]) == out
+        assert f.route_crossbar(pairs[::-1]) == out
 
     def test_non_power_of_two_port_count(self):
         f = SortRouteFabric(6)
         assert f.width == 8
-        dests = [5, None, 0, 1, None, 3]
-        assert f.route_structural(dests) == [2, 3, None, 5, None, 0]
+        pairs = [(0, 5), (2, 0), (3, 1), (5, 3)]
+        assert f.route_structural(pairs) == [2, 3, None, 5, None, 0]
 
     def test_duplicate_destination_detected_both_paths(self):
         f = SortRouteFabric(4)
         with pytest.raises(SimInvariantError):
-            f.route_structural([2, None, 2, None])
+            f.route_structural([(0, 2), (2, 2)])
         with pytest.raises(SimInvariantError):
-            f.route_crossbar([2, None, 2, None])
+            f.route_crossbar([(0, 2), (2, 2)])
 
-    def test_out_of_range_destination(self):
+    def test_duplicate_input_detected(self):
+        # An arbiter whose outputs pull independently (SAFC) may pair
+        # one input with two outputs; one input line cannot carry both
+        # cells.  The oracle refuses such a matching, so a replay does.
         f = SortRouteFabric(4)
-        with pytest.raises(ConfigError):
-            f.route_structural([0, 4, None, None])
+        with pytest.raises(SimInvariantError):
+            f.route_crossbar([(1, 0), (1, 3)])
+        f.slots_routed = CHECK_INTERVAL - 1
+        with pytest.raises(SimInvariantError):
+            f.route([(1, 0), (1, 3)])
+
+    def test_out_of_range_pair(self):
+        f = SortRouteFabric(4)
+        for pair in ((1, 4), (4, 1), (-1, 0), (0, -1)):
+            with pytest.raises(ConfigError):
+                f.route_structural([(0, 0), pair])
+            with pytest.raises(ConfigError):
+                f.route_crossbar([(0, 0), pair])
 
 
 class TestCheckedMode:
+    PAIRS = [(0, 3), (1, 1), (3, 7), (6, 0), (7, 5)]
+
     def test_structural_replay_every_interval(self):
         f = SortRouteFabric(8)
         for _ in range(3 * CHECK_INTERVAL - 1):
-            f.route([3, 1, None, 7, None, None, 0, 5])
+            assert f.route(self.PAIRS) is None
         assert f.structural_checks == 2
-        f.route([3, 1, None, 7, None, None, 0, 5])
+        f.route(self.PAIRS)
         assert f.slots_routed == 3 * CHECK_INTERVAL
         assert f.structural_checks == 3
 
     def test_divergence_raises(self, monkeypatch):
         f = SortRouteFabric(4)
         monkeypatch.setattr(f, "route_structural",
-                            lambda dests: [None] * 4)
+                            lambda pairs: [None] * 4)
         for _ in range(CHECK_INTERVAL - 1):
-            f.route([1, 0, None, None])
+            f.route([(0, 1), (1, 0)])
         with pytest.raises(SimInvariantError):
-            f.route([1, 0, None, None])
+            f.route([(0, 1), (1, 0)])
+
+    def test_only_replay_slots_route(self):
+        # Off the cadence a slot is only counted, even a bad matching;
+        # the arbiters' own tests guarantee the matchings.
+        f = SortRouteFabric(4)
+        for _ in range(CHECK_INTERVAL - 1):
+            f.route([(0, 2), (2, 2)])
+        with pytest.raises(SimInvariantError):
+            f.route([(0, 2), (2, 2)])
 
     def test_mode_validation(self):
         for n_ports in (0, 1):
