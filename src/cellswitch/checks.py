@@ -1,9 +1,10 @@
 """Protocol checks: the paper's two layers exercised on their own.
 
-Two checks cover the relative-address routing layer: the selector
-algebra of one switch, checked exhaustively up to ``MAX_PORTS`` ports,
-and a there-and-back trip across two chained ``ROUND_TRIP_PORTS``-port
-switches whose reply is routed from the delivered header's trail.
+Two checks cover the relative-address routing layer, each hop one
+``codec.forward`` call: the selector algebra of one switch, checked
+exhaustively up to ``MAX_PORTS`` ports, and a there-and-back trip
+across two chained ``ROUND_TRIP_PORTS``-port switches whose reply is
+routed from the delivered header's trail.
 Two cover the retransmitting link: the pause and correction times of
 one corrupted frame, and lossless in-order recovery from simultaneous
 errors in both directions at every phase offset.
@@ -16,15 +17,7 @@ name to its function, in report order.
 
 from __future__ import annotations
 
-from .codec import (
-    ROUTE_SLOTS,
-    L2Header,
-    RouteKind,
-    route_lookup,
-    rotate_header,
-    selector_for,
-    source_address,
-)
+from .codec import ROUTE_SLOTS, L2Header, forward, selector_for, source_address
 from .errors import SimInvariantError
 from .link import FaultSchedule, run_point_to_point
 
@@ -47,9 +40,8 @@ def _check_selector_algebra(delay: int) -> str:
                 if egress == ingress:
                     continue
                 sel = selector_for(ingress, egress, n)
-                decision = route_lookup(ingress, _header([sel]), n)
-                if decision.kind is not RouteKind.UNICAST \
-                        or decision.egress != egress:
+                copies = forward(_header([sel]), ingress, n)
+                if [port for port, _ in copies] != [egress]:
                     raise SimInvariantError(
                         f"selector does not invert at n={n} "
                         f"{ingress}->{egress}")
@@ -58,14 +50,6 @@ def _check_selector_algebra(delay: int) -> str:
                 raise SimInvariantError(
                     f"selectors not a bijection at n={n} ingress {ingress}")
     return f"ports 2..{MAX_PORTS} exhaustive"
-
-
-def _route_one_hop(header: L2Header, ingress: int, n_ports: int) -> int:
-    decision = route_lookup(ingress, header, n_ports)
-    if decision.kind is not RouteKind.UNICAST:
-        raise SimInvariantError(f"expected a unicast hop, got {decision}")
-    rotate_header(header, ingress, decision.egress, n_ports)
-    return decision.egress
 
 
 def _check_round_trip(delay: int) -> str:
@@ -80,19 +64,20 @@ def _check_round_trip(delay: int) -> str:
     pairs = 0
     for src in range(n - 1):
         for dst in range(1, n):
-            header = _header([selector_for(src, trunk_a, n),
-                              selector_for(trunk_b, dst, n)])
-            if _route_one_hop(header, src, n) != trunk_a:
-                raise SimInvariantError("first hop left the trunk port")
-            if _route_one_hop(header, trunk_b, n) != dst:
-                raise SimInvariantError(f"missed endpoint {dst}")
-            if route_lookup(dst, header, n).kind is not RouteKind.DELIVER:
-                raise SimInvariantError("route not spent on delivery")
-            reply = _header(source_address(header))
-            if _route_one_hop(reply, dst, n) != trunk_b:
-                raise SimInvariantError("reply missed the trunk port")
-            if _route_one_hop(reply, trunk_a, n) != src:
-                raise SimInvariantError("reply missed the original sender")
+            there = ((src, trunk_a), (trunk_b, dst))
+            back = ((dst, trunk_b), (trunk_a, src))
+            header = _header([selector_for(*hop, n) for hop in there])
+            for hops in (there, back):
+                for ingress, egress in hops:
+                    copies = forward(header, ingress, n)
+                    if [port for port, _ in copies] != [egress]:
+                        raise SimInvariantError(
+                            f"{src}->{dst}: switch port {ingress} did not "
+                            f"send one copy to {egress}")
+                    header = copies[0][1]
+                if forward(header, egress, n):
+                    raise SimInvariantError("route not spent on delivery")
+                header = _header(source_address(header))
             pairs += 1
     return f"{pairs} ordered pairs across two {n}-port switches"
 

@@ -11,10 +11,11 @@ Subcommands
 ``compare``
     Check a produced CSV against a reference CSV cell by cell, under
     per-metric tolerances, and emit a machine-readable verdict table.
+    A measured row key or a tolerance metric given twice is an error.
 ``presets``
     List the shipped presets.
 
-Experiment file schema (INI; lists are space-separated)::
+Experiment file schema (UTF-8 INI; lists are space-separated)::
 
     [experiment]
     name = bandwidth-bernoulli-fixed-islip
@@ -48,7 +49,7 @@ Experiment file schema (INI; lists are space-separated)::
     load = 1.0
 
     [run]
-    seeds = 1
+    seeds = 1                 ; each 0 or more, each once
 
 Any other section or option is rejected as a configuration error, so
 a misspelled name never falls back silently to a default, and so is
@@ -76,6 +77,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import math
 import sys
 import time
@@ -154,6 +156,10 @@ class ExperimentSpec:
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds {self.seeds}: each names one "
                               "report, so list each seed once")
+        if any(seed < 0 for seed in self.seeds):
+            # random.Random(-s) draws the same stream as Random(s)
+            raise ConfigError(f"seeds {self.seeds}: a negative seed would "
+                              "repeat the run of its absolute value")
 
 
 def _words(convert):
@@ -247,7 +253,7 @@ def load_preset(name: str) -> str:
     if not path.is_file():
         raise ConfigError(
             f"unknown preset {name!r} (try the `presets` subcommand)")
-    return path.read_text()
+    return path.read_text(encoding="utf-8")
 
 
 def preset_names() -> list[str]:
@@ -352,10 +358,19 @@ def write_csv(path: Path | None, columns: list[str],
         writer.writerows(rows)
 
 
+def _read_text(path: Path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+
+
 def read_csv(path: Path) -> list[dict]:
     """Read a report, skipping ``#`` comment lines."""
-    with Path(path).open() as handle:
-        lines = [line for line in handle if not line.startswith("#")]
+    lines = [line for line in io.StringIO(_read_text(path))
+             if not line.startswith("#")]
     return list(csv.DictReader(lines))
 
 
@@ -450,11 +465,15 @@ def compare_reports(measured: list[dict], reference: list[dict],
     Rows are matched on (pattern, size_mode, scheduler, nominal load);
     every tolerance-listed metric present on both sides of a matched
     row yields one verdict.  A reference row with no measured partner
-    yields a single ``missing`` verdict, since silence must not pass.
+    yields a single ``missing`` verdict, since silence must not pass,
+    and two measured rows with one key are a configuration error.
     """
     index = {}
     for row in measured:
-        index.setdefault(_row_key(row), row)
+        key = _row_key(row)
+        if key in index:
+            raise ConfigError(f"row {'/'.join(key)} is measured twice")
+        index[key] = row
     verdicts = []
     for ref in reference:
         key = _row_key(ref)
@@ -546,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     text = (load_preset(args.preset) if args.preset
-            else Path(args.spec).read_text())
+            else _read_text(args.spec))
     spec = parse_experiment(text)
     if args.seed:
         spec = replace(spec, seeds=tuple(args.seed))
@@ -562,9 +581,12 @@ def _cmd_compare(args) -> int:
     tolerances = {}
     for item in args.tolerance:
         metric, _, spec = item.partition("=")
+        metric = metric.strip()
         if not metric or not spec:
             raise ConfigError(f"bad --tolerance {item!r}")
-        tolerances[metric.strip()] = parse_tolerance(spec.strip())
+        if metric in tolerances:
+            raise ConfigError(f"--tolerance {metric} given twice")
+        tolerances[metric] = parse_tolerance(spec.strip())
     if not tolerances:
         raise ConfigError("compare needs at least one --tolerance")
     measured = read_csv(args.measured)

@@ -19,15 +19,16 @@ the sources that emit them (``traffic``).
 
 Routing is relative: a selector names an egress port by its position
 among the ports of the ingress switch excluding the ingress port
-itself.  Each switch consumes the leading selector, shifts the route
-left, and writes the selector of the reverse hop into the vacated
-slot, so a delivered cell carries the route back to its source.
+itself.  One switch hop is one call, ``forward``: it reads the leading
+selector and returns each copy the switch sends, with the route
+shifted left and the selector of the reverse hop written into the
+vacated slot, so a delivered cell carries the route back to its
+source.  A spent route yields no copies: the cell is for this device.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, auto
 
 from .errors import ProtocolError
 
@@ -79,53 +80,16 @@ class L2Header:
     dst_ports: list[int] = field(default_factory=lambda: [0] * ROUTE_SLOTS)
 
 
-class RouteKind(Enum):
-    UNICAST = auto()
-    BROADCAST = auto()
-    DELIVER = auto()
-
-
-@dataclass(slots=True)
-class RouteDecision:
-    kind: RouteKind
-    egress: int | None = None
-
-
 def _check_port_count(n_ports: int) -> None:
     if not 2 <= n_ports <= MAX_SWITCH_PORTS:
         raise ProtocolError(
             f"a switch has 2..{MAX_SWITCH_PORTS} ports, not {n_ports}")
 
 
-def route_lookup(ingress: int, header: L2Header, n_ports: int) -> RouteDecision:
-    """Resolve the leading route selector at an ingress port.
-
-    The selector addresses egress ports relative to the ingress: values
-    below the ingress index map directly, values at or above it skip
-    the ingress port.  255 means broadcast to every other port, and a
-    spent route (remain_hops == 0) means the cell is for this device.
-    ``n_ports`` must be 2..MAX_SWITCH_PORTS.
-    """
-    _check_port_count(n_ports)
-    if not 0 <= ingress < n_ports:
-        raise ProtocolError(f"ingress {ingress} out of range for {n_ports} ports")
-    if header.remain_hops == 0:
-        return RouteDecision(RouteKind.DELIVER)
-    sel = header.dst_ports[0]
-    if sel == BROADCAST_SELECTOR:
-        return RouteDecision(RouteKind.BROADCAST)
-    if sel < ingress:
-        return RouteDecision(RouteKind.UNICAST, egress=sel)
-    if sel < n_ports - 1:
-        return RouteDecision(RouteKind.UNICAST, egress=sel + 1)
-    raise ProtocolError(
-        f"selector {sel} invalid at ingress {ingress} with {n_ports} ports")
-
-
 def selector_for(ingress: int, egress: int, n_ports: int) -> int:
-    """Inverse of route_lookup: the selector that sends an ingress-port
-    arrival out through ``egress``.  Loopback has no selector, and
-    ``n_ports`` must be 2..MAX_SWITCH_PORTS."""
+    """Inverse of forward's unicast lookup: the selector that sends an
+    ingress-port arrival out through ``egress``.  Loopback has no
+    selector, and ``n_ports`` must be 2..MAX_SWITCH_PORTS."""
     _check_port_count(n_ports)
     if ingress == egress:
         raise ProtocolError("loopback routes are not addressable")
@@ -134,21 +98,36 @@ def selector_for(ingress: int, egress: int, n_ports: int) -> int:
     return egress if egress < ingress else egress - 1
 
 
-def rotate_header(header: L2Header, ingress: int, egress: int,
-                  n_ports: int) -> L2Header:
-    """Consume one hop as the cell enters the fabric.
+def forward(header: L2Header, ingress: int,
+            n_ports: int) -> list[tuple[int, L2Header]]:
+    """One switch hop: the egress port and new header of each copy sent.
 
-    Decrements remain_hops and shifts the route left one slot.  The
-    vacated last slot receives the reverse selector: looked up at the
-    egress switch port, it names this ingress port, so after the final
-    hop the tail of the route spells the way back to the source.
+    The leading selector addresses egress ports relative to the
+    ingress: values below the ingress index map directly, values at or
+    above it skip the ingress port.  255 sends a copy to every other
+    port, in port order.  Each new header has one hop fewer, its route
+    shifted left, and in the vacated last slot the reverse selector,
+    which names this ingress when looked up at the copy's egress port.
+    A spent route (remain_hops == 0) yields no copies.  ``header`` is
+    not changed, and ``n_ports`` must be 2..MAX_SWITCH_PORTS.
     """
+    _check_port_count(n_ports)
+    if not 0 <= ingress < n_ports:
+        raise ProtocolError(f"ingress {ingress} out of range for {n_ports} ports")
     if header.remain_hops == 0:
-        raise ProtocolError("cannot rotate a spent route")
-    header.remain_hops -= 1
-    header.dst_ports = header.dst_ports[1:] + [
-        selector_for(egress, ingress, n_ports)]
-    return header
+        return []
+    sel = header.dst_ports[0]
+    if sel == BROADCAST_SELECTOR:
+        egresses = [port for port in range(n_ports) if port != ingress]
+    elif sel < n_ports - 1:
+        egresses = [sel if sel < ingress else sel + 1]
+    else:
+        raise ProtocolError(
+            f"selector {sel} invalid at ingress {ingress} with {n_ports} ports")
+    tail = header.dst_ports[1:]
+    return [(egress, L2Header(header.total_hops, header.remain_hops - 1,
+                              tail + [selector_for(egress, ingress, n_ports)]))
+            for egress in egresses]
 
 
 def source_address(header: L2Header) -> list[int]:

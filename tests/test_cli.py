@@ -143,6 +143,9 @@ class TestParsing:
             with pytest.raises(ConfigError, match="one path component"):
                 cli.parse_experiment(TINY_BER.replace("name = tinyber",
                                                       f"name = {name}"))
+        with pytest.raises(ConfigError, match="negative seed"):
+            cli.parse_experiment(TINY_BER.replace("seeds = 1",
+                                                  "seeds = 1 -1"))
         with pytest.raises(ConfigError, match="bit error rate"):
             cli.parse_experiment(TINY_BER.replace("bers = 0 1e-5",
                                                   "bers = 0 1e-5 1.5"))
@@ -322,6 +325,26 @@ class TestRunCommand:
         assert not out.exists()
         assert not (tmp_path / "cellswitch-error.txt").exists()
 
+    def test_negative_seed_flag_is_config_error(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out = run_main(tmp_path, TINY_SWEEP, "--seed", "-1")
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
+        assert not (tmp_path / "cellswitch-error.txt").exists()
+
+    def test_non_utf8_spec_is_config_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        spec_path = tmp_path / "exp.ini"
+        spec_path.write_bytes(
+            TINY_BER.replace("tinyber", "caf\u00e9").encode("latin-1"))
+        code = cli.main(["run", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "exp.ini: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "cellswitch-error.txt").exists()
+
     def test_ber_sweep_rows(self, tmp_path):
         code, out = run_main(tmp_path, TINY_BER)
         assert code == cli.EXIT_OK
@@ -494,6 +517,39 @@ class TestCompare:
                          "--builtin", "latency",
                          "--tolerance", "p50=rel:20"]) == cli.EXIT_CONFIG
         assert "p50" in capsys.readouterr().err
+
+    def test_duplicate_measured_row_is_config_error(self):
+        again = dict(self.ROW, p50="999")
+        with pytest.raises(ConfigError,
+                           match="bernoulli/fixed/islip/100 is measured twice"):
+            cli.compare_reports([dict(self.ROW), again], [dict(self.ROW)],
+                                {"p50": ("rel", 20)})
+
+    def test_repeated_tolerance_is_config_error(self, tmp_path, capsys):
+        # Keeping either band alone would turn the verdict on argument
+        # order: p50 400 against 213 fails rel:20 and passes abs:1000.
+        measured = tmp_path / "measured.csv"
+        reference = tmp_path / "reference.csv"
+        for path, row in ((measured, dict(self.ROW, p50="400")),
+                          (reference, self.ROW)):
+            cli.write_csv(path, list(self.ROW), [row])
+        code = cli.main(["compare", "--measured", str(measured),
+                         "--reference", str(reference), "--strict",
+                         "--tolerance", "p50=rel:20",
+                         "--tolerance", "p50=abs:1000"])
+        assert code == cli.EXIT_CONFIG
+        assert "--tolerance p50 given twice" in capsys.readouterr().err
+
+    def test_non_utf8_measured_is_config_error(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        measured = tmp_path / "measured.csv"
+        measured.write_bytes(bytes(range(256)))
+        code = cli.main(["compare", "--measured", str(measured),
+                         "--builtin", "latency", "--tolerance", "p50=rel:20"])
+        assert code == cli.EXIT_CONFIG
+        assert "measured.csv: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "cellswitch-error.txt").exists()
 
     def test_verdict_file_output(self, tmp_path):
         measured = tmp_path / "measured.csv"

@@ -14,10 +14,8 @@ from cellswitch.codec import (
     ROUTE_SLOTS,
     SEQ_MODULUS,
     L2Header,
-    RouteKind,
     crc12,
-    rotate_header,
-    route_lookup,
+    forward,
     selector_for,
     source_address,
 )
@@ -135,25 +133,26 @@ class TestLayout:
             assert len(frame[3:HEADER_BYTES]) == ROUTE_SLOTS, label
 
 
+def egresses(copies):
+    return [egress for egress, _ in copies]
+
+
 class TestRouteLookup:
     def header(self, sel, remain=1, total=1):
         return L2Header(total, remain, [sel, 0, 0, 0, 0])
 
     def test_selector_below_ingress_maps_directly(self):
-        d = route_lookup(3, self.header(2), 32)
-        assert d.kind is RouteKind.UNICAST and d.egress == 2
+        assert egresses(forward(self.header(2), 3, 32)) == [2]
 
     def test_selector_at_or_above_ingress_skips_it(self):
-        d = route_lookup(2, self.header(5), 8)
-        assert d.kind is RouteKind.UNICAST and d.egress == 6
+        assert egresses(forward(self.header(5), 2, 8)) == [6]
 
     def test_broadcast_selector(self):
-        d = route_lookup(0, self.header(BROADCAST_SELECTOR), 4)
-        assert d.kind is RouteKind.BROADCAST
+        copies = forward(self.header(BROADCAST_SELECTOR), 0, 4)
+        assert egresses(copies) == [1, 2, 3]
 
     def test_spent_route_is_local_delivery(self):
-        d = route_lookup(5, self.header(9, remain=0), 16)
-        assert d.kind is RouteKind.DELIVER
+        assert forward(self.header(9, remain=0), 5, 16) == []
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
     def test_unicast_bijection(self, n):
@@ -161,17 +160,16 @@ class TestRouteLookup:
         for ingress in range(n):
             seen = set()
             for sel in range(n - 1):
-                d = route_lookup(ingress, self.header(sel), n)
-                assert d.kind is RouteKind.UNICAST
-                assert d.egress != ingress
-                seen.add(d.egress)
+                [(egress, _)] = forward(self.header(sel), ingress, n)
+                assert egress != ingress
+                seen.add(egress)
             assert seen == set(range(n)) - {ingress}
 
     @pytest.mark.parametrize("n", [4, 8, 32])
     def test_out_of_range_selectors_rejected(self, n):
         for sel in (n - 1, n, 150, 254):
             with pytest.raises(ProtocolError):
-                route_lookup(0, self.header(sel), n)
+                forward(self.header(sel), 0, n)
 
     def test_selector_for_inverts_lookup(self):
         for n in (2, 4, 8, 16, 32):
@@ -182,16 +180,16 @@ class TestRouteLookup:
                             selector_for(ingress, egress, n)
                         continue
                     sel = selector_for(ingress, egress, n)
-                    d = route_lookup(ingress, self.header(sel), n)
-                    assert d.egress == egress
+                    assert egresses(forward(self.header(sel), ingress, n)) \
+                        == [egress]
 
     def test_widest_switch_stops_short_of_broadcast(self):
         n = MAX_SWITCH_PORTS
         assert selector_for(0, n - 1, n) == BROADCAST_SELECTOR - 1
-        d = route_lookup(0, self.header(BROADCAST_SELECTOR - 1), n)
-        assert d.kind is RouteKind.UNICAST and d.egress == n - 1
-        assert route_lookup(0, self.header(BROADCAST_SELECTOR), n).kind \
-            is RouteKind.BROADCAST
+        copies = forward(self.header(BROADCAST_SELECTOR - 1), 0, n)
+        assert egresses(copies) == [n - 1]
+        copies = forward(self.header(BROADCAST_SELECTOR), 0, n)
+        assert egresses(copies) == list(range(1, n))
 
     @pytest.mark.parametrize("n", [1, MAX_SWITCH_PORTS + 1, 300])
     def test_port_count_bounded_by_selector_width(self, n):
@@ -200,7 +198,7 @@ class TestRouteLookup:
         with pytest.raises(ProtocolError):
             selector_for(0, 256, n)
         with pytest.raises(ProtocolError):
-            route_lookup(0, self.header(0), n)
+            forward(self.header(0), 0, n)
 
 
 def fresh_header(route, total=None):
@@ -212,15 +210,11 @@ def fresh_header(route, total=None):
 class TestRotation:
     def test_rotate_example(self):
         header = fresh_header([5, 1], total=2)
-        rotate_header(header, ingress=2, egress=6, n_ports=8)
-        assert header.remain_hops == 1
-        assert header.dst_ports == [1, 0, 0, 0, 2]
-
-    def test_rotate_spent_route_rejected(self):
-        header = fresh_header([3])
-        header.remain_hops = 0
-        with pytest.raises(ProtocolError):
-            rotate_header(header, 0, 3, 8)
+        [(egress, rotated)] = forward(header, ingress=2, n_ports=8)
+        assert egress == 6
+        assert rotated.remain_hops == 1
+        assert rotated.dst_ports == [1, 0, 0, 0, 2]
+        assert header == fresh_header([5, 1], total=2)
 
     def test_reverse_selector_names_ingress(self):
         # The written selector, looked up at the egress port, must name
@@ -231,14 +225,13 @@ class TestRotation:
                     if ingress == egress:
                         continue
                     header = fresh_header([selector_for(ingress, egress, n)])
-                    rotate_header(header, ingress, egress, n)
-                    back = header.dst_ports[-1]
-                    d = route_lookup(egress, L2Header(1, 1, [back, 0, 0, 0, 0]), n)
-                    assert d.egress == ingress
+                    [(_, rotated)] = forward(header, ingress, n)
+                    back = rotated.dst_ports[-1]
+                    reply = L2Header(1, 1, [back, 0, 0, 0, 0])
+                    assert egresses(forward(reply, egress, n)) == [ingress]
 
     def test_single_hop_source_address(self):
-        header = fresh_header([2])
-        rotate_header(header, ingress=4, egress=2, n_ports=8)
+        [(_, header)] = forward(fresh_header([2]), ingress=4, n_ports=8)
         assert header.remain_hops == 0
         assert source_address(header) == [selector_for(2, 4, 8)]
 
@@ -254,10 +247,9 @@ class TestChainedSwitches:
     N = 8
 
     def hop(self, header, ingress):
-        decision = route_lookup(ingress, header, self.N)
-        assert decision.kind is RouteKind.UNICAST
-        rotate_header(header, ingress, decision.egress, self.N)
-        return decision.egress
+        """The one copy a unicast hop sends: (egress, new header)."""
+        [copy] = forward(header, ingress, self.N)
+        return copy
 
     def test_round_trip_all_port_pairs(self):
         n = self.N
@@ -273,24 +265,34 @@ class TestChainedSwitches:
                             selector_for(src, link_a, n),
                             selector_for(link_b, dst, n),
                         ]
-                        header = fresh_header(route)
-                        assert self.hop(header, src) == link_a
-                        assert self.hop(header, link_b) == dst
+                        port, header = self.hop(fresh_header(route), src)
+                        assert port == link_a
+                        port, header = self.hop(header, link_b)
+                        assert port == dst
                         assert header.remain_hops == 0
+                        assert forward(header, dst, n) == []
 
                         # Walk the advertised return route from the
                         # destination endpoint back through both switches.
                         back = source_address(header)
                         assert len(back) == 2
-                        reply = fresh_header(back)
-                        assert self.hop(reply, dst) == link_b
-                        assert self.hop(reply, link_a) == src
+                        port, reply = self.hop(fresh_header(back), dst)
+                        assert port == link_b
+                        port, reply = self.hop(reply, link_a)
+                        assert port == src
 
     def test_broadcast_replicas_return_addresses(self):
         n = 4
         ingress = 0
-        for egress in range(1, n):
-            header = fresh_header([BROADCAST_SELECTOR])
-            assert route_lookup(ingress, header, n).kind is RouteKind.BROADCAST
-            rotate_header(header, ingress, egress, n)
-            assert source_address(header) == [selector_for(egress, ingress, n)]
+        header = fresh_header([BROADCAST_SELECTOR])
+        copies = forward(header, ingress, n)
+        assert header == fresh_header([BROADCAST_SELECTOR])
+        assert egresses(copies) == [1, 2, 3]
+        for egress, copy in copies:
+            assert copy.remain_hops == header.remain_hops - 1
+            back = source_address(copy)
+            assert back == [selector_for(egress, ingress, n)]
+            # The reverse selector, looked up at the copy's egress
+            # port, names the ingress the broadcast came in on.
+            assert egresses(forward(fresh_header(back), egress, n)) \
+                == [ingress]
