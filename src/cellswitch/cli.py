@@ -15,7 +15,8 @@ Subcommands
 ``presets``
     List the shipped presets.
 
-Experiment file schema (UTF-8 INI; lists are space-separated)::
+Experiment file schema (UTF-8 INI; lists are space-separated, and name
+each value once, since a repeat would write the same rows again)::
 
     [experiment]
     name = bandwidth-bernoulli-fixed-islip
@@ -153,9 +154,15 @@ class ExperimentSpec:
     link_load: float = 1.0
 
     def __post_init__(self):
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds {self.seeds}: each names one "
-                              "report, so list each seed once")
+        for name in ("seeds", "schedulers", "patterns", "workloads", "bers"):
+            values = getattr(self, name)
+            # a float is compared as its row prints it
+            labels = [_fmt(v) if isinstance(v, float) else v
+                      for v in values]
+            if len(set(labels)) != len(labels):
+                raise ConfigError(f"{name} {values}: list each "
+                                  f"{name[:-1]} once (a repeat would run "
+                                  "again and write the same rows)")
         if any(seed < 0 for seed in self.seeds):
             # random.Random(-s) draws the same stream as Random(s)
             raise ConfigError(f"seeds {self.seeds}: a negative seed would "
@@ -371,7 +378,10 @@ def read_csv(path: Path) -> list[dict]:
     """Read a report, skipping ``#`` comment lines."""
     lines = [line for line in io.StringIO(_read_text(path))
              if not line.startswith("#")]
-    return list(csv.DictReader(lines))
+    try:
+        return list(csv.DictReader(lines))
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: malformed CSV ({exc})") from None
 
 
 def _summary_lines(spec: ExperimentSpec, rows: list[dict],

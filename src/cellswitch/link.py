@@ -13,7 +13,10 @@ frame every slot.  The peer answers with a retransmission cycle: a
 fixed lead-in of control frames followed by its whole replay buffer
 in order, the last frame flagged as the end of the cycle.  Duplicates
 are discarded by sequence number, so delivery to the device is
-exactly-once in order.
+exactly-once in order.  ``run_point_to_point`` checks this as each
+payload arrives (the k-th payload delivered on a side must be the
+peer's k-th, numbered from 0) and so reports each side's deliveries
+as ``range(k)``.
 
 Replay buffer sizing: every frame carries the sender's "requesting"
 bit, and a receiver stops admitting new sequenced frames while its
@@ -56,8 +59,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import count
-from operator import ne
 
 from .codec import FRAME_BYTES, SEQ_MODULUS
 from .errors import ConfigError, SimInvariantError
@@ -267,11 +268,15 @@ class DuplexLink:
 
 @dataclass(slots=True)
 class PointToPointResult:
+    """What ``run_point_to_point`` saw.  Each delivered field is the
+    ``range(k)`` of payloads its side delivered, since the run checks
+    on arrival that they came exactly once and in order."""
+
     slots: int
     sent_a: int
     sent_b: int
-    delivered_at_b: list
-    delivered_at_a: list
+    delivered_at_b: range
+    delivered_at_a: range
     kinds_a: list[str]
     kinds_b: list[str]
     cycles_a: int
@@ -282,15 +287,11 @@ class PointToPointResult:
         return len(self.delivered_at_b) / self.slots
 
     def verify(self) -> None:
-        """Raise SimInvariantError unless each side delivered exactly
-        the payloads 0..k-1 in order, with k no more than its peer sent."""
-        for delivered, sent in ((self.delivered_at_b, self.sent_a),
-                                (self.delivered_at_a, self.sent_b)):
-            if any(map(ne, delivered, count())):
-                raise SimInvariantError(
-                    "link delivery was not exactly-once in order")
-            if len(delivered) > sent:
-                raise SimInvariantError("delivered more than was sent")
+        """Raise SimInvariantError if a side delivered more payloads
+        than its peer sent."""
+        if (len(self.delivered_at_b) > self.sent_a
+                or len(self.delivered_at_a) > self.sent_b):
+            raise SimInvariantError("delivered more than was sent")
 
 
 def _steady(link: DuplexLink) -> bool:
@@ -313,13 +314,13 @@ def _steady(link: DuplexLink) -> bool:
     return True
 
 
-def _skip_clean(link: DuplexLink, end: int, got_a: list, got_b: list) -> int:
+def _skip_clean(link: DuplexLink, end: int) -> int:
     """If the link is steady, advance it over its clean stretch: up to
     and including the first slot that draws a corrupt frame, stopping
     before any fault slot and at slot ``end``.  Payloads are taken to
     equal their seqs, as the saturated counters of
     ``run_point_to_point`` make them.  Return the number of slots
-    covered (0 if none)."""
+    covered (0 if none); each side has delivered that many more."""
     if not _steady(link):
         return 0
     start = link.slot
@@ -341,9 +342,9 @@ def _skip_clean(link: DuplexLink, end: int, got_a: list, got_b: list) -> int:
                 break
     link.slot = start + n
     delay = link.a.delay
-    for pipe, sender, receiver, got, corrupt in (
-            (link._pipe_ab, link.a, link.b, got_b, corrupt_ab),
-            (link._pipe_ba, link.b, link.a, got_a, corrupt_ba)):
+    for pipe, sender, receiver, corrupt in (
+            (link._pipe_ab, link.a, link.b, corrupt_ab),
+            (link._pipe_ba, link.b, link.a, corrupt_ba)):
         top = sender.next_seq + n
         frames = [Frame(DATA_KIND, seq=seq, payload=seq) for seq in
                   range(max(sender.next_seq, top - sender.window), top)]
@@ -353,10 +354,9 @@ def _skip_clean(link: DuplexLink, end: int, got_a: list, got_b: list) -> int:
         while len(pipe) > delay:
             pipe.popleft()
         pipe[-1] = (pipe[-1][0], corrupt, False)
-        expected = receiver.expected + n
-        got.extend(range(receiver.expected, expected))
-        receiver.expected = expected
-        receiver.highest_seen = max(receiver.highest_seen, expected - 1)
+        receiver.expected += n
+        receiver.highest_seen = max(receiver.highest_seen,
+                                    receiver.expected - 1)
         receiver.delivered += n
     return n
 
@@ -370,24 +370,17 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
     load < 1 models each endpoint's device as a Bernoulli arrival
     process into a queue, so payloads deferred by a recovery episode
     are sent later rather than lost; at 1.0 the sources are
-    saturated.  Returned kind timelines (one entry per slot, replays
-    marked "replay") support exact timing analysis of recoveries.  The
-    result is verified lossless before it is returned.
-
-    At load 1 the payload of each frame is its seq, so whenever the
-    link is steady (no replay cycle queued, neither side requesting
-    or flagged by its peer, and each pipe holding ``one_way_delay``
-    fresh data frames from the receiver's ``expected`` to the
-    sender's last seq) the run covers the clean stretch ahead in one
-    step instead of one ``DuplexLink.step`` per slot.  The results
-    are identical: the stretch draws the same corruption coins in the
-    same order, and a corrupt draw acts only ``one_way_delay`` slots
-    later, when ``step`` has taken over again.
+    saturated, and clean steady stretches are skipped (module
+    docstring).  Returned kind timelines (one entry per slot, replays
+    marked "replay") support exact timing analysis of recoveries.
+    Raise SimInvariantError at the first payload that arrives out of
+    order or twice, or if the result is not lossless.
     """
     check_link(one_way_delay, slots, load)
     link = DuplexLink(one_way_delay, ber=ber, seed=seed, faults=faults)
     src_rng = random.Random(seed ^ 0x5CE11)
     counters = [0, 0]   # payloads sent by a and by b
+    delivered = [0, 0]  # payloads delivered at a and at b
     backlog = [0, 0]
 
     def provider(side):
@@ -401,8 +394,6 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
         return pull
 
     pull_a, pull_b = provider(0), provider(1)
-    got_a: list = []
-    got_b: list = []
     kinds_a: list[str] = []
     kinds_b: list[str] = []
 
@@ -413,23 +404,29 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
         if load < 1.0:
             backlog[0] += src_rng.random() < load
             backlog[1] += src_rng.random() < load
-        elif delivering and (n := _skip_clean(link, slots, got_a, got_b)):
+        elif delivering and (n := _skip_clean(link, slots)):
             counters[0] += n
             counters[1] += n
+            delivered[0] += n
+            delivered[1] += n
             if record_kinds:
                 kinds_a.extend([DATA_KIND] * n)
                 kinds_b.extend([DATA_KIND] * n)
             continue
         to_a, to_b = link.step(pull_a, pull_b)
-        got_a.extend(to_a)
-        got_b.extend(to_b)
+        for side, payloads in enumerate((to_a, to_b)):
+            for payload in payloads:
+                if payload != delivered[side]:
+                    raise SimInvariantError(
+                        "link delivery was not exactly-once in order")
+                delivered[side] += 1
         delivering = to_a and to_b
         if record_kinds:
             kinds_a.append(link.a.last_kind)
             kinds_b.append(link.b.last_kind)
     result = PointToPointResult(
         slots=slots, sent_a=counters[0], sent_b=counters[1],
-        delivered_at_b=got_b, delivered_at_a=got_a,
+        delivered_at_b=range(delivered[1]), delivered_at_a=range(delivered[0]),
         kinds_a=kinds_a, kinds_b=kinds_b,
         cycles_a=link.a.cycles_started, cycles_b=link.b.cycles_started,
     )

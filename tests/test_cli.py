@@ -172,6 +172,21 @@ class TestParsing:
         with pytest.raises(ConfigError, match="seed once"):
             cli.parse_experiment(TINY_SWEEP.replace("seeds = 1",
                                                     "seeds = 3 3"))
+        # A repeated sweep value would run twice and write two rows
+        # with one key, which compare refuses.
+        for old, repeated, word in (
+                ("workloads = 50 100", "workloads = 10 10.0", "workload"),
+                ("workloads = 50 100", "workloads = 10 10.0000001",
+                 "workload"),
+                ("scheduler = islip safc", "scheduler = safc islip safc",
+                 "scheduler"),
+                ("pattern = bernoulli", "pattern = bernoulli bernoulli",
+                 "pattern")):
+            with pytest.raises(ConfigError, match=f"each {word} once"):
+                cli.parse_experiment(TINY_SWEEP.replace(old, repeated))
+        with pytest.raises(ConfigError, match="each ber once"):
+            cli.parse_experiment(TINY_BER.replace("bers = 0 1e-5",
+                                                  "bers = 0 1e-5 0.00001"))
 
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
@@ -549,6 +564,18 @@ class TestCompare:
                          "--builtin", "latency", "--tolerance", "p50=rel:20"])
         assert code == cli.EXIT_CONFIG
         assert "measured.csv: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "cellswitch-error.txt").exists()
+
+    def test_oversized_csv_field_is_config_error(self, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        measured = tmp_path / "measured.csv"
+        # one field over the csv module's 131072-character limit
+        measured.write_text("pattern\n" + "x" * 200_000 + "\n")
+        code = cli.main(["compare", "--measured", str(measured),
+                         "--builtin", "latency", "--tolerance", "p50=rel:20"])
+        assert code == cli.EXIT_CONFIG
+        assert "measured.csv: malformed CSV" in capsys.readouterr().err
         assert not (tmp_path / "cellswitch-error.txt").exists()
 
     def test_verdict_file_output(self, tmp_path):

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from cellswitch.codec import SEQ_MODULUS
 from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.link import (
+    MAX_ONE_WAY_DELAY,
     DuplexLink,
     FaultSchedule,
     LinkEndpoint,
@@ -149,16 +151,59 @@ def result():
 
 def test_verify_flags_doctored_results(result):
     result.verify()
-    got = result.delivered_at_b
     for doctored in (
-            dataclasses.replace(result, delivered_at_b=[got[1], got[0],
-                                                        *got[2:]]),
-            dataclasses.replace(result, delivered_at_b=got[:-1] + got[-2:-1]),
-            dataclasses.replace(result, sent_a=len(got) - 1),
-            dataclasses.replace(result, delivered_at_a=list(
-                range(result.sent_b + 1)))):
+            dataclasses.replace(result,
+                                sent_a=len(result.delivered_at_b) - 1),
+            dataclasses.replace(result,
+                                delivered_at_a=range(result.sent_b + 1))):
         with pytest.raises(SimInvariantError):
             doctored.verify()
+
+
+def hold_back_5(payloads, held):
+    """Hand payload 5 over after payload 6."""
+    if payloads == [5]:
+        held.append(5)
+        return []
+    return payloads + held if payloads == [6] else payloads
+
+
+def repeat_5(payloads, held):
+    """Hand payload 5 over twice."""
+    return payloads * 2 if payloads == [5] else payloads
+
+
+@pytest.mark.parametrize("doctor", [hold_back_5, repeat_5])
+def test_bad_delivery_raises_on_arrival(monkeypatch, doctor):
+    """A payload handed over out of order or twice stops the run in
+    the slot it arrives, not after the run."""
+    receive = LinkEndpoint.receive
+    held = {}
+    doctored = []  # per receive call: whether its payloads were changed
+
+    def doctoring(self, frame, corrupted, peer_flag=False):
+        got = receive(self, frame, corrupted, peer_flag)
+        out = doctor(got, held.setdefault(self, []))
+        doctored.append(out != got)
+        return out
+
+    monkeypatch.setattr(LinkEndpoint, "receive", doctoring)
+    with pytest.raises(SimInvariantError, match="exactly-once in order"):
+        run_point_to_point(4, slots=2000, load=0.9, seed=1)
+    # At most the other endpoint's receive of that slot follows it.
+    last = len(doctored) - 1 - doctored[::-1].index(True)
+    assert len(doctored) - 1 - last <= 1
+
+
+def test_clean_run_keeps_no_per_payload_record():
+    tracemalloc.start()
+    try:
+        result = run_point_to_point(7, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert result.delivered_at_a == range(200_000 - 7)
 
 
 class TestSingleErrorRecovery:
@@ -185,10 +230,7 @@ class TestSingleErrorRecovery:
         assert result.kinds_b[80] == "data"
 
     def test_exactly_once_in_order_both_directions(self, result):
-        assert exact_prefix(result.delivered_at_a)
-        assert exact_prefix(result.delivered_at_b)
-        assert len(result.delivered_at_a) == 96
-        assert len(result.delivered_at_b) == 96
+        assert result.delivered_at_a == result.delivered_at_b == range(96)
 
     def test_single_cycle(self, result):
         assert (result.cycles_a, result.cycles_b) == (0, 1)
@@ -324,6 +366,32 @@ class TestAdversarialCorruption:
         assert got_b == list(range(sent["a"]))
 
 
+class TestGoodputOracle:
+    """On a saturated link, each forced fault spaced at least 12D from
+    the next costs one replay cycle and exactly 5D payloads in each
+    direction: the 2.5 round trips of the requester's pause, and the
+    3D-2 control plus 2D+2 replay frames of the retransmitter's cycle.
+    So with k such faults, each side delivers slots - D - 5Dk payloads
+    (the first D slots fill the pipe)."""
+
+    FAULTS = 3
+
+    @pytest.mark.parametrize("delay", range(1, MAX_ONE_WAY_DELAY + 1))
+    def test_each_fault_costs_five_delays(self, delay):
+        for gap in (12 * delay, 13 * delay + 5, 20 * delay):
+            times = [12 * delay + i * gap for i in range(self.FAULTS)]
+            for faults in (FaultSchedule(a_to_b=frozenset(times)),
+                           FaultSchedule(b_to_a=frozenset(times)),
+                           FaultSchedule(a_to_b=frozenset(times[::2]),
+                                         b_to_a=frozenset(times[1::2]))):
+                slots = times[-1] + 20 * delay
+                r = run_point_to_point(delay, slots, faults=faults)
+                want = slots - delay - 5 * delay * self.FAULTS
+                assert r.cycles_a + r.cycles_b == self.FAULTS
+                assert len(r.delivered_at_a) == want
+                assert len(r.delivered_at_b) == want
+
+
 class TestOfferedLoadGoodput:
     def test_queued_source_absorbs_recovery_pauses(self):
         base = run_point_to_point(8, slots=150_000, ber=0.0,
@@ -360,7 +428,11 @@ class TestByteIdentity:
             result = run_point_to_point(delay, self.SLOTS, ber=ber,
                                         load=load, seed=seed, faults=faults,
                                         record_kinds=True)
-            digest.update(repr(dataclasses.astuple(result)).encode())
+            # Digested as lists, the form the delivered fields had
+            # when DIGEST was recorded.
+            digest.update(repr(dataclasses.astuple(dataclasses.replace(
+                result, delivered_at_b=list(result.delivered_at_b),
+                delivered_at_a=list(result.delivered_at_a)))).encode())
             quiet = run_point_to_point(delay, self.SLOTS, ber=ber,
                                        load=load, seed=seed, faults=faults)
             assert quiet.kinds_a == quiet.kinds_b == []
@@ -469,8 +541,10 @@ class TestSaturatedFastPath:
             kinds_a.append(link.a.last_kind)
             kinds_b.append(link.b.last_kind)
             if slot in self.SLOTS:
+                assert exact_prefix(got_a) and exact_prefix(got_b)
                 yield slot, PointToPointResult(
-                    slot, sent[0], sent[1], list(got_b), list(got_a),
+                    slot, sent[0], sent[1], range(len(got_b)),
+                    range(len(got_a)),
                     list(kinds_a), list(kinds_b),
                     link.a.cycles_started, link.b.cycles_started,
                 ), link_state(link), [endpoint_state(link.a),
