@@ -173,6 +173,11 @@ def _words(convert):
     return lambda raw: tuple(convert(part) for part in raw.split())
 
 
+def _float(raw: str) -> float:
+    # -0.0 + 0.0 is 0.0: "-0" is the value 0 and must print as 0.
+    return float(raw) + 0.0
+
+
 # The file schema of each experiment kind: section -> option ->
 # parser.  Each option sets the ExperimentSpec field of its name, or
 # the one _FIELDS gives; an option left blank keeps its field's default.
@@ -189,10 +194,10 @@ _SCHEMAS = {
         "traffic": dict(
             pattern=_words(str), size_mode=str, volume_bytes=int,
             min_packet_bytes=int, max_packet_bytes=int,
-            burst_mean_cells=float, workloads=_words(float)),
+            burst_mean_cells=_float, workloads=_words(_float)),
     },
     KIND_BER: {**_COMMON, "link": dict(
-        one_way_delay=int, slots=int, bers=_words(float), load=float)},
+        one_way_delay=int, slots=int, bers=_words(_float), load=_float)},
     KIND_CHECKS: {**_COMMON, "link": dict(one_way_delay=int)},
 }
 _FIELDS = {"scheduler": "schedulers", "pattern": "patterns",

@@ -13,10 +13,11 @@ frame every slot.  The peer answers with a retransmission cycle: a
 fixed lead-in of control frames followed by its whole replay buffer
 in order, the last frame flagged as the end of the cycle.  Duplicates
 are discarded by sequence number, so delivery to the device is
-exactly-once in order.  ``run_point_to_point`` checks this as each
-payload arrives (the k-th payload delivered on a side must be the
-peer's k-th, numbered from 0) and so reports each side's deliveries
-as ``range(k)``.
+exactly-once in order: ``receive`` hands over at most one payload, as
+a 0- or 1-tuple.  ``run_point_to_point`` checks each as it arrives
+(the k-th payload delivered on a side must be the peer's k-th,
+numbered from 0) and so reports each side's deliveries as
+``range(k)``.
 
 Replay buffer sizing: every frame carries the sender's "requesting"
 bit, and a receiver stops admitting new sequenced frames while its
@@ -58,7 +59,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .codec import FRAME_BYTES, SEQ_MODULUS
 from .errors import ConfigError, SimInvariantError
@@ -76,6 +77,9 @@ REPLAY_KIND = "replay"  # a data frame sent again in a cycle
 
 @dataclass(slots=True)
 class Frame:
+    """One frame on the wire.  No code mutates a frame once built, so
+    the frames that carry nothing but their kind are shared."""
+
     kind: str
     seq: int | None = None
     payload: object = None
@@ -83,6 +87,8 @@ class Frame:
 
 
 _IDLE = Frame(IDLE_KIND)
+_REREQ = Frame(REREQ_KIND)
+_CTRL = Frame(CTRL_KIND)
 
 
 def frame_error_probability(ber: float, frame_bits: int = FRAME_BITS) -> float:
@@ -152,7 +158,7 @@ class LinkEndpoint:
             return frame
         if self.requesting:
             self.last_kind = REREQ_KIND
-            return Frame(REREQ_KIND)
+            return _REREQ
         # While the peer is mid-recovery, hold all new sequence numbers
         # so nothing it may still need falls out of the window.
         payload = None
@@ -161,34 +167,35 @@ class LinkEndpoint:
         if payload is None:
             self.last_kind = IDLE_KIND
             return _IDLE
-        frame = Frame(DATA_KIND, seq=self.next_seq, payload=payload)
+        frame = Frame(DATA_KIND, self.next_seq, payload)
         self.next_seq += 1
         self.replay.append(frame)
         self.last_kind = DATA_KIND
         return frame
 
     def _start_cycle(self) -> None:
-        queue: deque[Frame] = deque(
-            Frame(CTRL_KIND) for _ in range(self.cycle_lead_in))
+        queue = deque([_CTRL] * self.cycle_lead_in)
         queue.extend(self.replay)
         tail = queue.pop()
-        queue.append(replace(tail, cycle_end=True))
+        # A flagged copy: the replay buffer keeps the unflagged frame.
+        queue.append(Frame(tail.kind, tail.seq, tail.payload, True))
         self.cycle_queue = queue
         self.cycles_started += 1
 
     # -- receive -------------------------------------------------------------
 
     def receive(self, frame: Frame, corrupted: bool,
-                peer_flag: bool = False) -> list:
-        """Process one arriving frame; return payloads delivered in order."""
+                peer_flag: bool = False) -> tuple:
+        """Process one arriving frame; return ``(payload,)`` if it
+        delivers one in order now, else ``()``."""
         if corrupted:
             self.corrupted_seen += 1
             self.requesting = True
             self.peer_requesting = True
-            return []
+            return ()
         self.peer_requesting = peer_flag
         kind = frame.kind
-        delivered = []
+        delivered = ()
         if kind == REREQ_KIND:
             if not self.cycle_queue:
                 self._start_cycle()
@@ -201,7 +208,7 @@ class LinkEndpoint:
                 # same replay train, so the request volley can stop.
                 self.requesting = False
                 self.delivered += 1
-                delivered.append(frame.payload)
+                delivered = (frame.payload,)
             elif seq > self.expected:
                 # Deliverable gap: keep (or start) requesting.
                 self.highest_seen = max(self.highest_seen, seq)
@@ -246,23 +253,25 @@ class DuplexLink:
         self._pipe_ab = deque([idle] * one_way_delay)
         self._pipe_ba = deque([idle] * one_way_delay)
 
-    def _corrupt(self, forced) -> bool:
-        if self.slot in forced:
-            return True
-        return self.p_frame > 0.0 and self.rng.random() < self.p_frame
-
-    def step(self, provide_a=None, provide_b=None) -> tuple[list, list]:
-        frame_ab = self.a.emit(provide_a)
-        frame_ba = self.b.emit(provide_b)
-        self._pipe_ab.append((frame_ab, self._corrupt(self.faults.a_to_b),
-                              self.a.requesting))
-        self._pipe_ba.append((frame_ba, self._corrupt(self.faults.b_to_a),
-                              self.b.requesting))
-        arrive_b = self._pipe_ab.popleft()
-        arrive_a = self._pipe_ba.popleft()
-        self.slot += 1
-        to_b = self.b.receive(*arrive_b)
-        to_a = self.a.receive(*arrive_a)
+    def step(self, provide_a=None, provide_b=None) -> tuple[tuple, tuple]:
+        """Run one slot; return the payloads delivered at a and at b,
+        each as ``receive`` returns them."""
+        a, b = self.a, self.b
+        pipe_ab, pipe_ba = self._pipe_ab, self._pipe_ba
+        slot, p, faults = self.slot, self.p_frame, self.faults
+        frame_ab = a.emit(provide_a)
+        frame_ba = b.emit(provide_b)
+        # A forced slot is corrupt without a draw; else a coin is drawn
+        # for a to b, then for b to a.
+        pipe_ab.append((frame_ab, slot in faults.a_to_b
+                        or (p > 0.0 and self.rng.random() < p), a.requesting))
+        pipe_ba.append((frame_ba, slot in faults.b_to_a
+                        or (p > 0.0 and self.rng.random() < p), b.requesting))
+        arrive_b = pipe_ab.popleft()
+        arrive_a = pipe_ba.popleft()
+        self.slot = slot + 1
+        to_b = b.receive(*arrive_b)
+        to_a = a.receive(*arrive_a)
         return to_a, to_b
 
 
@@ -346,7 +355,7 @@ def _skip_clean(link: DuplexLink, end: int) -> int:
             (link._pipe_ab, link.a, link.b, corrupt_ab),
             (link._pipe_ba, link.b, link.a, corrupt_ba)):
         top = sender.next_seq + n
-        frames = [Frame(DATA_KIND, seq=seq, payload=seq) for seq in
+        frames = [Frame(DATA_KIND, seq, seq) for seq in
                   range(max(sender.next_seq, top - sender.window), top)]
         sender.replay.extend(frames)
         sender.next_seq = top
@@ -380,7 +389,7 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
     link = DuplexLink(one_way_delay, ber=ber, seed=seed, faults=faults)
     src_rng = random.Random(seed ^ 0x5CE11)
     counters = [0, 0]   # payloads sent by a and by b
-    delivered = [0, 0]  # payloads delivered at a and at b
+    delivered_a = delivered_b = 0
     backlog = [0, 0]
 
     def provider(side):
@@ -407,26 +416,27 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
         elif delivering and (n := _skip_clean(link, slots)):
             counters[0] += n
             counters[1] += n
-            delivered[0] += n
-            delivered[1] += n
+            delivered_a += n
+            delivered_b += n
             if record_kinds:
                 kinds_a.extend([DATA_KIND] * n)
                 kinds_b.extend([DATA_KIND] * n)
             continue
         to_a, to_b = link.step(pull_a, pull_b)
-        for side, payloads in enumerate((to_a, to_b)):
-            for payload in payloads:
-                if payload != delivered[side]:
-                    raise SimInvariantError(
-                        "link delivery was not exactly-once in order")
-                delivered[side] += 1
+        # Each side's next payload must be the count it has delivered.
+        if ((to_a and to_a != (delivered_a,))
+                or (to_b and to_b != (delivered_b,))):
+            raise SimInvariantError(
+                "link delivery was not exactly-once in order")
+        delivered_a += len(to_a)
+        delivered_b += len(to_b)
         delivering = to_a and to_b
         if record_kinds:
             kinds_a.append(link.a.last_kind)
             kinds_b.append(link.b.last_kind)
     result = PointToPointResult(
         slots=slots, sent_a=counters[0], sent_b=counters[1],
-        delivered_at_b=range(delivered[1]), delivered_at_a=range(delivered[0]),
+        delivered_at_b=range(delivered_b), delivered_at_a=range(delivered_a),
         kinds_a=kinds_a, kinds_b=kinds_b,
         cycles_a=link.a.cycles_started, cycles_b=link.b.cycles_started,
     )

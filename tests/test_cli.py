@@ -184,9 +184,9 @@ class TestParsing:
                  "pattern")):
             with pytest.raises(ConfigError, match=f"each {word} once"):
                 cli.parse_experiment(TINY_SWEEP.replace(old, repeated))
-        with pytest.raises(ConfigError, match="each ber once"):
-            cli.parse_experiment(TINY_BER.replace("bers = 0 1e-5",
-                                                  "bers = 0 1e-5 0.00001"))
+        for bers in ("bers = 0 1e-5 0.00001", "bers = 0 -0"):
+            with pytest.raises(ConfigError, match="each ber once"):
+                cli.parse_experiment(TINY_BER.replace("bers = 0 1e-5", bers))
 
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
@@ -369,6 +369,15 @@ class TestRunCommand:
         assert float(noisy["utilization_pct"]) < \
             float(clean["utilization_pct"])
         assert int(noisy["retx"]) > 0
+
+    def test_negative_zero_reads_as_zero(self, tmp_path):
+        """``-0`` is the value 0, so its row prints as 0."""
+        code, out = run_main(tmp_path, TINY_BER.replace(
+            "bers = 0 1e-5", "bers = -0\nload = -0"))
+        assert code == cli.EXIT_OK
+        (row,) = cli.read_csv(out / "tinyber.csv")
+        assert row["pattern"] == "p2p-ber-0"
+        assert row["nominal_load_pct"] == "0"
 
     def test_protocol_checks_pass(self, tmp_path):
         code, out = run_main(tmp_path, cli.load_preset("protocol-checks"))

@@ -11,9 +11,16 @@ import pytest
 from cellswitch.codec import SEQ_MODULUS
 from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.link import (
+    _CTRL,
+    _IDLE,
+    _REREQ,
+    CTRL_KIND,
+    IDLE_KIND,
     MAX_ONE_WAY_DELAY,
+    REREQ_KIND,
     DuplexLink,
     FaultSchedule,
+    Frame,
     LinkEndpoint,
     PointToPointResult,
     frame_error_probability,
@@ -94,8 +101,6 @@ class TestEndpointBasics:
         assert e.next_seq == 0
 
     def test_requesting_preempts_everything_but_cycles(self):
-        from cellswitch.link import Frame
-
         e = LinkEndpoint(2)
         e.requesting = True
         assert e.emit(lambda: "cell").kind == "rereq"
@@ -132,13 +137,13 @@ class TestEndpointBasics:
         e = LinkEndpoint(2)
         peer = LinkEndpoint(2)
         frames = [peer.emit(lambda i=i: f"p{i}") for i in range(4)]
-        assert e.receive(frames[0], False) == ["p0"]
-        assert e.receive(frames[0], False) == []  # duplicate dropped
-        assert e.receive(frames[2], False) == []  # gap: held out
+        assert e.receive(frames[0], False) == ("p0",)
+        assert e.receive(frames[0], False) == ()  # duplicate dropped
+        assert e.receive(frames[2], False) == ()  # gap: held out
         assert e.requesting
-        assert e.receive(frames[1], False) == ["p1"]
+        assert e.receive(frames[1], False) == ("p1",)
         assert not e.requesting
-        assert e.receive(frames[2], False) == ["p2"]
+        assert e.receive(frames[2], False) == ("p2",)
         assert e.dups_dropped == 1
 
 
@@ -162,15 +167,15 @@ def test_verify_flags_doctored_results(result):
 
 def hold_back_5(payloads, held):
     """Hand payload 5 over after payload 6."""
-    if payloads == [5]:
+    if payloads == (5,):
         held.append(5)
-        return []
-    return payloads + held if payloads == [6] else payloads
+        return ()
+    return payloads + tuple(held) if payloads == (6,) else payloads
 
 
 def repeat_5(payloads, held):
     """Hand payload 5 over twice."""
-    return payloads * 2 if payloads == [5] else payloads
+    return payloads * 2 if payloads == (5,) else payloads
 
 
 @pytest.mark.parametrize("doctor", [hold_back_5, repeat_5])
@@ -364,6 +369,9 @@ class TestAdversarialCorruption:
             got_b.extend(to_b)
         assert got_a == list(range(sent["b"]))
         assert got_b == list(range(sent["a"]))
+        # The frames every endpoint shares came through unchanged.
+        assert (_IDLE, _REREQ, _CTRL) == (
+            Frame(IDLE_KIND), Frame(REREQ_KIND), Frame(CTRL_KIND))
 
 
 class TestGoodputOracle:
@@ -449,6 +457,28 @@ class TestByteIdentity:
                  e.replays_emitted, e.cycles_started, e.corrupted_seen)
                 for e in (link.a, link.b)]).encode())
         assert digest.hexdigest() == self.DIGEST
+
+    RECOVERY_DIGEST = (
+        "28cfab80581fd242c0cf4ab39b552dac38d9f201be8c739e1390d575928bbc5f")
+
+    def test_recovery_grid_digest_unchanged(self, monkeypatch):
+        """Long runs where recovery does most of the work: long delays,
+        high error rates, a forced fault, both load regimes."""
+        endpoints = record_instances(monkeypatch, LinkEndpoint)
+        digest = hashlib.sha256()
+        grid = itertools.product(
+            (7, 31), (1e-5, 1e-4, 1e-3), (1.0, 0.9),
+            (None, FaultSchedule(b_to_a=frozenset({500}))), (1, 2))
+        for delay, ber, load, faults, seed in grid:
+            result = run_point_to_point(delay, 20_000, ber=ber, load=load,
+                                        seed=seed, faults=faults,
+                                        record_kinds=True)
+            digest.update(repr(dataclasses.astuple(result)).encode())
+            digest.update(repr([
+                (e.next_seq, e.expected, e.delivered, e.dups_dropped,
+                 e.replays_emitted, e.cycles_started, e.corrupted_seen)
+                for e in endpoints[-2:]]).encode())
+        assert digest.hexdigest() == self.RECOVERY_DIGEST
 
 
 def test_link_calls_the_class_hooks(monkeypatch):
