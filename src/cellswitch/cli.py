@@ -454,7 +454,7 @@ def parse_tolerance(text: str) -> tuple[str, float]:
     """Parse ``abs:1.5`` or ``rel:20`` (percent)."""
     try:
         mode, _, raw = text.partition(":")
-        value = float(raw)
+        value = _float(raw)
     except ValueError:
         raise ConfigError(f"bad tolerance {text!r}") from None
     if mode not in ("abs", "rel") or not math.isfinite(value) or value < 0:
@@ -467,7 +467,7 @@ def _row_key(row: dict) -> tuple:
     for field in KEY_FIELDS:
         value = (row.get(field) or "").strip()
         try:
-            key.append(_fmt(float(value)))
+            key.append(_fmt(_float(value)))
         except ValueError:
             key.append(value)
     return tuple(key)

@@ -13,15 +13,20 @@ but never data bandwidth.
 
 Each fixed delay is a ring of per-slot lists shared by all ports: an
 entry put ``delay`` slots ahead is taken when its slot comes round, so
-only cells and control words that are due cost any work.  Both
+only cells and control words that are due cost any work.  The uplink
+ring holds bare cell records, since a record names its sending port
+(``src``) and left exactly ``uplink_delay`` slots before it lands; a
+record enters its queue paired with that transmit slot.  Both
 arbiters give an output at most one cell per slot, so the egress
 stages and the downlink form one fixed delay from match to sink.
 Every slot runs the same phases, each over all ports before the next:
 
 1. control words land and update the endpoints' paused-channel sets
 2. cells reach sinks
-3. uplink arrivals enter their input's virtual output queue,
-   possibly firing a pause command
+3. uplink arrivals enter their input's virtual output queue as
+   ``(injected_at, record)``, possibly firing a pause command; the
+   bank keeps its input's bit in the shared per-output request masks
+   that arbitration reads, and its own peak depth
 4. each endpoint with an arrival due stages at most one new cell,
    and sends one staged cell from an unpaused channel
 5. while any queue holds a cell: arbitration and fabric traversal,
@@ -44,6 +49,8 @@ backpressure instead of queueing behind it.
 A cell's recorded latency runs from its uplink transmission to its
 sink delivery and therefore excludes time spent queued inside the
 source; an uncontended cell needs exactly ``latency_floor()`` slots.
+The run counts deliveries in a list indexed by latency and reports
+the latencies seen as a dict.
 
 Losslessness is enforced, not assumed: queue overflows raise
 immediately, a fabric misroute at its structural replay, and every
@@ -292,8 +299,12 @@ class StarNetwork:
         self.traffic = traffic
         n = config.n_ports
         self.sources = make_sources(traffic, n, config.seed)
+        # Per output, the bitmask of inputs holding a cell for it: the
+        # banks keep their own bits and the arbiter reads the masks.
+        self.out_requests = [0] * n
         self.banks = [VOQBank(n, config.voq_capacity(), config.on_threshold,
-                              config.off_threshold) for _ in range(n)]
+                              config.off_threshold, self.out_requests, i)
+                      for i in range(n)]
         if config.scheduler == ISLIP:
             self.scheduler = IslipScheduler(n, config.islip_iterations)
             # Only a conflict-free matching can cross the physical
@@ -318,7 +329,6 @@ class StarNetwork:
         sources = self.sources
         bank_enqueue = [bank.enqueue for bank in self.banks]
         bank_dequeue = [bank.dequeue for bank in self.banks]
-        bank_queues = [bank.queues for bank in self.banks]
         match = self.scheduler.match
         route = self.fabric.route if self.fabric is not None else None
         ports = range(n)
@@ -334,28 +344,30 @@ class StarNetwork:
         staging = (math.inf if config.channel_buffer is None
                    else config.channel_buffer)
 
-        # Staging queues hold traffic cell records (src, dst, flow_seq,
-        # valid_bytes, eop); from the uplink on, each record travels
-        # paired with its transmit slot as (injected_at, record).  The
-        # rings hold, per slot, (port, (injected_at, record)) uplink
-        # arrivals, (out_port, (injected_at, record)) sink deliveries
-        # and (port, channel, pause) control words, pause False for an
-        # unpause; an entry put at ring[(slot + delay) % size] is taken
-        # at slot + delay.
+        # Staging queues and the uplink hold traffic cell records (src,
+        # dst, flow_seq, valid_bytes, eop): a record's src is the port
+        # that sent it, and it left uplink_delay slots before it lands.
+        # From the VOQ on, each record travels paired with its transmit
+        # slot as (injected_at, record).  The rings hold, per slot, the
+        # records landing on the uplinks, (out_port, (injected_at,
+        # record)) sink deliveries and (port, channel, pause) control
+        # words, pause False for an unpause; an entry put at
+        # ring[(slot + delay) % size] is taken at slot + delay.
         size = max(up_delay, out_delay) + 1
         uplink = [[] for _ in range(size)]
         downlink = [[] for _ in range(size)]
         control = [[] for _ in range(size)]
-        out_requests = [0] * n
+        out_requests = self.out_requests
         expected_seq = [[0] * n for _ in ports]
 
-        latency_hist: dict[int, int] = {}
+        # Delivered cells per latency, indexed by latency and grown on
+        # demand; the report gets it as a dict of the latencies seen.
+        latency_counts = [0] * (config.latency_floor() + 1)
         generated = injected = delivered = 0
         delivered_bytes = 0
         first_generation = first_injection = -1
         last_generation = last_delivery = -1
         pauses = unpauses = 0
-        peak_occupancy = 0
         order_violations = 0
 
         slot = 0
@@ -369,10 +381,14 @@ class StarNetwork:
             control[now].clear()
 
             arrivals = downlink[now]
-            for out_port, (injected_at, record) in arrivals:
-                src, dst, flow_seq, valid, _ = record
-                latency = slot - injected_at
-                latency_hist[latency] = latency_hist.get(latency, 0) + 1
+            for out_port, (injected_at, (src, dst, flow_seq, valid, _)) \
+                    in arrivals:
+                try:
+                    latency_counts[slot - injected_at] += 1
+                except IndexError:  # longer than any latency so far
+                    latency_counts += [0] * (
+                        slot - injected_at + 1 - len(latency_counts))
+                    latency_counts[slot - injected_at] += 1
                 if dst != out_port or flow_seq != expected_seq[src][out_port]:
                     order_violations += 1
                 expected_seq[src][out_port] = flow_seq + 1
@@ -383,15 +399,11 @@ class StarNetwork:
                 last_delivery = slot
                 arrivals.clear()
 
-            for i, item in uplink[now]:
-                out_port = item[1][1]  # the record's dst
-                paused = bank_enqueue[i](out_port, item)
-                depth = len(bank_queues[i][out_port])
-                if depth == 1:
-                    out_requests[out_port] |= 1 << i
-                if depth > peak_occupancy:
-                    peak_occupancy = depth
-                if paused:
+            injected_at = slot - up_delay
+            for record in uplink[now]:
+                i = record[0]
+                out_port = record[1]
+                if bank_enqueue[i](out_port, (injected_at, record)):
                     # departs with this slot's downlink frame
                     control[(slot + down_delay) % size].append(
                         (i, out_port, True))
@@ -427,8 +439,7 @@ class StarNetwork:
                                 # the only sendable cell, for an empty
                                 # channel: the round robin would send it
                                 src_rr[i] = succ[dst]
-                                sent.append((i, (slot, cell)))
-                                injected += 1
+                                sent.append(cell)
                                 continue
                             if len(chans[dst]) < staging:
                                 chans[dst].append(cell)
@@ -447,10 +458,10 @@ class StarNetwork:
                         dst = (eligible & -eligible).bit_length() - 1
                     src_rr[i] = succ[dst]
                     queue = chans[dst]
-                    sent.append((i, (slot, queue.popleft())))
+                    sent.append(queue.popleft())
                     if not queue:
                         src_mask[i] &= ~(1 << dst)
-                    injected += 1
+            injected += len(sent)
             if generated != generated_before:
                 last_generation = slot
                 if first_generation < 0:
@@ -468,8 +479,6 @@ class StarNetwork:
                 fc = control[(slot + 1 + down_delay) % size]
                 for i, out_port in pairs:
                     item, unpaused = bank_dequeue[i](out_port)
-                    if not bank_queues[i][out_port]:
-                        out_requests[out_port] &= ~(1 << i)
                     sink.append((out_port, item))
                     if unpaused:
                         # departs with the next downlink frame
@@ -490,8 +499,8 @@ class StarNetwork:
         staged = sum(map(len, (chan for chans in src_chan for chan in chans)))
         staged += sum(cell is not None for cell in src_hold)
         in_flight = sum(map(len, uplink)) + sum(map(len, downlink))
-        in_flight += sum(len(queue) for queues in bank_queues
-                         for queue in queues)
+        in_flight += sum(len(queue) for bank in self.banks
+                         for queue in bank.queues)
         return MetricsReport(
             config=config,
             traffic=self.traffic,
@@ -509,11 +518,12 @@ class StarNetwork:
             last_generation=last_generation,
             pauses=pauses,
             unpauses=unpauses,
-            peak_voq_occupancy=peak_occupancy,
+            peak_voq_occupancy=max(bank.peak for bank in self.banks),
             order_violations=order_violations,
             fabric_checks=(0 if self.fabric is None
                            else self.fabric.structural_checks),
-            latency_hist=latency_hist,
+            latency_hist={latency: count for latency, count
+                          in enumerate(latency_counts) if count},
         )
 
 

@@ -30,7 +30,10 @@ and ``eop`` marks the last cell of a packet.  The star path never
 serializes a cell, so it has no frame (``codec`` gives the frame's
 layout).  ``SourceProcess._packet`` is the one packet-cutting rule: full
 ``CELL_PAYLOAD_BYTES`` cells, then the remainder with ``eop`` set; an
-exact multiple gets no padding cell.
+exact multiple gets no padding cell.  A fixed-size Bernoulli source
+never cuts: each packet is one cell, so it builds that one record
+inline (the rule's one-cell case, with the same draws in the same
+order), and a flow's last cell carries what is left of its budget.
 
 Each arrival process is one generator, its state in locals, that
 ``poll()`` resumes: it returns the record arriving at this slot, or
@@ -168,13 +171,35 @@ class SourceProcess:
         # instead of one per slot.  The initial gap is drawn the same
         # way so the first arrival matches the per-slot coin process.
         rand = self.rng.random
+        log = math.log
         flows = self._open
         scale = gap = 0
         if self.spec.load < 1.0:
-            scale = 1.0 / math.log(1.0 - self.spec.load)
-            gap = int(math.log(1.0 - rand()) * scale)
+            scale = 1.0 / log(1.0 - self.spec.load)
+            gap = int(log(1.0 - rand()) * scale)
             if gap:
                 yield gap
+        if self._fixed:
+            # Each packet is one cell: _packet's rule inlined, with the
+            # same draws in the same order (destination, then gap).
+            budget = self.budget
+            flow_cells = self.flow_cells
+            port = self.port
+            while flows:
+                dst = flows[int(rand() * len(flows))]
+                size = CELL_PAYLOAD_BYTES
+                remaining = budget[dst]
+                if remaining is not None:
+                    if remaining <= size:
+                        size = remaining
+                        flows.remove(dst)
+                        self.exhausted = not flows
+                    budget[dst] = remaining - size
+                seq = flow_cells[dst]
+                flow_cells[dst] = seq + 1
+                yield (port, dst, seq, size, True)
+                if scale and (gap := int(log(1.0 - rand()) * scale)):
+                    yield gap
         while flows:
             cells = self._packet(flows[int(rand() * len(flows))])
             if not flows:
@@ -183,7 +208,7 @@ class SourceProcess:
                 yield from cells
                 continue
             for cell in cells:
-                gap = int(math.log(1.0 - rand()) * scale)
+                gap = int(log(1.0 - rand()) * scale)
                 yield cell
                 if gap:
                     yield gap

@@ -8,6 +8,12 @@ Queues must never overflow: ``EngineConfig`` sizes them and checks
 that the thresholds leave enough headroom for every cell already in
 flight when the pause lands, so an overflow is a simulation bug and
 aborts the run.  Queued items are opaque to the bank.
+
+A bank also keeps the occupancy facts the rest of the switch reads:
+its input's bit in the per-output request masks that the banks of one
+switch share (set while that input's queue for the output holds a
+cell, which is what an arbiter's ``match`` takes), and the deepest
+any of its queues has been.
 """
 
 from __future__ import annotations
@@ -24,10 +30,16 @@ class VOQBank:
     fires only on the upward crossing of the on-threshold while the
     channel is unpaused, an unpause only when a paused channel drains
     to exactly the off-threshold.
+
+    ``requests[channel]`` has bit ``port`` set exactly while channel
+    ``channel`` is non-empty; without a shared ``requests`` list the
+    bank keeps one of its own.  ``peak`` is the deepest any channel
+    has been.
     """
 
     def __init__(self, n_ports: int, capacity: int,
-                 on_threshold: int, off_threshold: int):
+                 on_threshold: int, off_threshold: int,
+                 requests: list[int] | None = None, port: int = 0):
         if capacity < 1:
             raise ConfigError("capacity must be at least one cell")
         if not 0 <= off_threshold <= on_threshold < capacity:
@@ -39,17 +51,24 @@ class VOQBank:
         self.off_threshold = off_threshold
         self.queues: list[deque] = [deque() for _ in range(n_ports)]
         self.paused_upstream = [False] * n_ports
+        self.requests = [0] * n_ports if requests is None else requests
+        self.bit = 1 << port
+        self.peak = 0
 
     def enqueue(self, channel: int, cell) -> bool:
         """Queue ``cell`` on ``channel``; True when this enqueue pauses
         the channel."""
         q = self.queues[channel]
         depth = len(q)
-        if depth >= self.capacity:
-            raise SimInvariantError(
-                f"VOQ overflow on channel {channel}: occupancy {depth} "
-                f"at capacity {self.capacity}; upstream ignored a pause")
+        if depth >= self.peak:  # the peak never passes the capacity
+            if depth >= self.capacity:
+                raise SimInvariantError(
+                    f"VOQ overflow on channel {channel}: occupancy {depth} "
+                    f"at capacity {self.capacity}; upstream ignored a pause")
+            self.peak = depth + 1
         q.append(cell)
+        if not depth:
+            self.requests[channel] |= self.bit
         if depth >= self.on_threshold and not self.paused_upstream[channel]:
             self.paused_upstream[channel] = True
             return True
@@ -63,6 +82,8 @@ class VOQBank:
             cell = q.popleft()
         except IndexError:
             raise SimInvariantError(f"dequeue from empty channel {channel}")
+        if not q:
+            self.requests[channel] &= ~self.bit
         if self.paused_upstream[channel] and len(q) == self.off_threshold:
             self.paused_upstream[channel] = False
             return cell, True

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import math
 import re
 from dataclasses import fields, replace
 
@@ -199,6 +200,18 @@ class TestParsing:
         for bad in ("pct:5", "abs:", "abs:-1", "1.5", "abs:inf", "rel:nan"):
             with pytest.raises(ConfigError):
                 cli.parse_tolerance(bad)
+
+    def test_negative_zero_tolerance_reads_as_zero(self):
+        # -0.0 == 0.0, so compare the sign and the printed form too.
+        for text in ("abs:-0", "abs:-0.0", "rel:-0"):
+            mode, value = cli.parse_tolerance(text)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, text
+        row = {"pattern": "bernoulli", "size_mode": "fixed",
+               "scheduler": "islip", "nominal_load_pct": "10",
+               "utilization_pct": "9.5"}
+        verdicts = cli.compare_reports(
+            [row], [row], {"utilization_pct": cli.parse_tolerance("abs:-0")})
+        assert [v["tolerance"] for v in verdicts] == ["abs:0"]
 
 
 class TestPresets:
@@ -512,6 +525,15 @@ class TestCompare:
         measured = dict(self.ROW, nominal_load_pct="100.0")
         verdicts = cli.compare_reports(
             [measured], [dict(self.ROW)], {"p50": ("rel", 20)})
+        assert [v["status"] for v in verdicts] == ["pass"]
+
+    @pytest.mark.parametrize("negative_zero", ["-0", "-0.0", "-0e3"])
+    def test_negative_zero_key_matches_zero(self, negative_zero):
+        measured = dict(self.ROW, nominal_load_pct=negative_zero)
+        reference = dict(self.ROW, nominal_load_pct="0")
+        assert cli._row_key(measured) == cli._row_key(reference)
+        verdicts = cli.compare_reports(
+            [measured], [reference], {"p50": ("rel", 20)})
         assert [v["status"] for v in verdicts] == ["pass"]
 
     def test_compare_command_strict_exit(self, tmp_path, capsys):

@@ -500,6 +500,54 @@ def test_every_matching_is_conflict_free(scheduler, n_ports, volume):
     assert report.to_dict() == build().run().to_dict()
 
 
+@pytest.mark.parametrize("scheduler,n_ports,mode,size_mode,volume", [
+    (ISLIP, 32, "bernoulli", "fixed", 12_000),
+    (SAFC, 8, "bursty", "variable", 20_000)])
+def test_request_masks_and_peak_match_the_banks(scheduler, n_ports, mode,
+                                                size_mode, volume):
+    """The banks keep the arbiter's request masks and their own peaks,
+    so recount both from the queues: every slot's ``out_requests``
+    must have bit i of output j set exactly while input i queues a
+    cell for j, and ``peak_voq_occupancy`` must be the deepest queue
+    any enqueue left.  A lost bit can leave a queue unserved for ever,
+    so max_slots turns that into an undrained run."""
+    def build():
+        return StarNetwork(EngineConfig(n_ports=n_ports, scheduler=scheduler,
+                                        max_slots=20_000),
+                           TrafficSpec(mode=mode, size_mode=size_mode,
+                                       load=1.0, volume_bytes=volume))
+
+    network = build()
+    banks = network.banks
+    match = network.scheduler.match
+    slots = deepest = 0
+
+    def checked(out_requests):
+        nonlocal slots
+        assert list(out_requests) == [
+            sum(1 << i for i, bank in enumerate(banks) if bank.queues[j])
+            for j in range(n_ports)]
+        slots += 1
+        return match(out_requests)
+
+    def recording(bank, enqueue):
+        def wrapped(channel, item):
+            nonlocal deepest
+            paused = enqueue(channel, item)
+            deepest = max(deepest, len(bank.queues[channel]))
+            return paused
+        return wrapped
+
+    network.scheduler.match = checked
+    for bank in banks:
+        bank.enqueue = recording(bank, bank.enqueue)
+    report = network.run()
+    report.verify()
+    assert report.drained and report.pauses and slots > CHECK_INTERVAL
+    assert report.peak_voq_occupancy == deepest
+    assert report.to_dict() == build().run().to_dict()
+
+
 def test_idle_hosts_do_not_poll():
     """At 10 % load most port-slots lie inside an idle stretch that a
     source reports in advance, so the host skips them; polling every

@@ -385,13 +385,15 @@ class ReferenceSource:
 class TestMatchesReference:
     def test_same_stream_and_exhaustion_every_slot(self):
         # 3,000 bytes per flow ends bursts early when a flow drains
-        # (asserted below); 1 byte per flow is a one-cell flow.
+        # (asserted below); 1 byte per flow is a one-cell flow; 2,560
+        # bytes is ten full cells, so a fixed-size flow's last cell
+        # leaves at exactly CELL_PAYLOAD_BYTES of budget.
         drained_mid_burst = 0
         for mode, size_mode, load, volume, n_ports, seed in \
                 itertools.product(
                     ("bernoulli", "bursty"), ("fixed", "variable"),
-                    (0.05, 0.3, 0.9, 1.0), (None, 3_000, 1), (2, 3, 8),
-                    (1, 2, 3)):
+                    (0.05, 0.3, 0.9, 1.0), (None, 3_000, 1, 2_560),
+                    (2, 3, 8), (1, 2, 3)):
             spec = TrafficSpec(mode=mode, size_mode=size_mode, load=load,
                                volume_bytes=volume)
             port = seed % n_ports

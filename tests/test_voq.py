@@ -138,3 +138,42 @@ class TestAlternationProperty:
                 assert evs[0] is True  # first event is always a pause
                 for a, b in zip(evs, evs[1:]):
                     assert a != b  # strict alternation
+
+
+class TestOccupancyFacts:
+    def test_request_bits_and_peak_match_a_recount(self):
+        """A seeded mix of enqueues, dequeues and refused overflows on
+        one bank: after every call its bit in each shared request mask
+        says whether that channel holds a cell, other inputs' bits are
+        untouched, and its peak is the deepest recount seen."""
+        rng = random.Random(0x50C)
+        n, port, capacity = 6, 3, 5
+        others = [rng.getrandbits(n) & ~(1 << port) for _ in range(n)]
+        requests = list(others)
+        bank = VOQBank(n, capacity=capacity, on_threshold=3,
+                       off_threshold=1, requests=requests, port=port)
+        deepest = tag = 0
+        for _ in range(5_000):
+            ch = rng.randrange(n)
+            depth = len(bank.queues[ch])
+            if depth and rng.random() < 0.5:
+                bank.dequeue(ch)
+            elif depth == capacity:
+                with pytest.raises(SimInvariantError, match="overflow"):
+                    bank.enqueue(ch, make_cell(tag))
+            else:
+                bank.enqueue(ch, make_cell(tag))
+                tag += 1
+            deepest = max(deepest, *map(len, bank.queues))
+            assert requests == [
+                other | (bool(queue) << port)
+                for other, queue in zip(others, bank.queues)]
+            assert bank.peak == deepest
+        assert deepest == capacity
+
+    def test_own_masks_without_a_shared_list(self):
+        bank = VOQBank(3, capacity=4, on_threshold=2, off_threshold=1)
+        bank.enqueue(2, make_cell(0))
+        assert bank.requests == [0, 0, 1]
+        bank.dequeue(2)
+        assert bank.requests == [0, 0, 0] and bank.peak == 1
