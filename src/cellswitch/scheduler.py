@@ -58,7 +58,6 @@ class IslipScheduler:
         self.accept_ptr = [0] * n_ports
         self._full = (1 << n_ports) - 1
         self._succ = [*range(1, n_ports), 0]   # (k + 1) % n_ports
-        self._bits = [1 << k for k in range(n_ports)]
 
     def match(self, out_requests) -> list[tuple[int, int]]:
         # The round-robin picks are inlined: this runs once per slot
@@ -66,7 +65,6 @@ class IslipScheduler:
         grant_ptr = self.grant_ptr
         accept_ptr = self.accept_ptr
         succ = self._succ
-        bits = self._bits
         last = self.iterations - 1
         unmatched_in = self._full
         outs = list(compress(range(self.n_ports), out_requests))
@@ -89,17 +87,16 @@ class IslipScheduler:
                         accepts[i] = j
             if not accepts:
                 break
-            # The bookkeeping runs in C builtins: the accepted inputs
-            # are distinct, so the sum of their bits is their union.
-            matched = sorted(accepts.items())
-            pairs += matched
-            unmatched_in ^= sum(map(bits.__getitem__, accepts))
-            if not iteration:
-                for i, j in matched:
+            for i in sorted(accepts):
+                j = accepts[i]
+                pairs.append((i, j))
+                unmatched_in ^= 1 << i
+                if not iteration:
                     grant_ptr[j] = succ[i]
                     accept_ptr[i] = succ[j]
             if iteration < last:
-                outs = sorted(set(outs).difference(accepts.values()))
+                taken = set(accepts.values())
+                outs = [j for j in outs if j not in taken]
         return pairs
 
 

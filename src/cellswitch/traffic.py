@@ -28,12 +28,13 @@ star engine carries from source to sink:
 flow's cells from 0, ``valid_bytes`` is the payload the cell carries
 and ``eop`` marks the last cell of a packet.  The star path never
 serializes a cell, so it has no frame (``codec`` gives the frame's
-layout).  ``SourceProcess._packet`` is the one packet-cutting rule: full
+layout).  ``SourceProcess._packet`` cuts packets: full
 ``CELL_PAYLOAD_BYTES`` cells, then the remainder with ``eop`` set; an
 exact multiple gets no padding cell.  A fixed-size Bernoulli source
-never cuts: each packet is one cell, so it builds that one record
-inline (the rule's one-cell case, with the same draws in the same
-order), and a flow's last cell carries what is left of its budget.
+never cuts: each packet is one cell, so it keeps a second copy of
+``_packet``'s one-cell case inline (the same budget, flow-removal and
+sequence rule, with the same draws in the same order), and a flow's
+last cell carries what is left of its budget.
 
 Each arrival process is one generator, its state in locals, that
 ``poll()`` resumes: it returns the record arriving at this slot, or
@@ -182,6 +183,8 @@ class SourceProcess:
         if self._fixed:
             # Each packet is one cell: _packet's rule inlined, with the
             # same draws in the same order (destination, then gap).
+            # tests/test_traffic.py::TestMatchesReference keeps this
+            # copy in step with _packet, budgets of 2_560 bytes included.
             budget = self.budget
             flow_cells = self.flow_cells
             port = self.port

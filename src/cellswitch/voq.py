@@ -31,15 +31,15 @@ class VOQBank:
     channel is unpaused, an unpause only when a paused channel drains
     to exactly the off-threshold.
 
-    ``requests[channel]`` has bit ``port`` set exactly while channel
-    ``channel`` is non-empty; without a shared ``requests`` list the
-    bank keeps one of its own.  ``peak`` is the deepest any channel
-    has been.
+    ``requests`` is the switch's shared list of per-output request
+    masks: ``requests[channel]`` has bit ``port`` set exactly while
+    channel ``channel`` is non-empty.  ``peak`` is the deepest any
+    channel has been.
     """
 
     def __init__(self, n_ports: int, capacity: int,
                  on_threshold: int, off_threshold: int,
-                 requests: list[int] | None = None, port: int = 0):
+                 requests: list[int], port: int):
         if capacity < 1:
             raise ConfigError("capacity must be at least one cell")
         if not 0 <= off_threshold <= on_threshold < capacity:
@@ -51,7 +51,7 @@ class VOQBank:
         self.off_threshold = off_threshold
         self.queues: list[deque] = [deque() for _ in range(n_ports)]
         self.paused_upstream = [False] * n_ports
-        self.requests = [0] * n_ports if requests is None else requests
+        self.requests = requests
         self.bit = 1 << port
         self.peak = 0
 

@@ -39,16 +39,20 @@ class TestSizing:
 class TestConstruction:
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ConfigError):
-            VOQBank(2, capacity=8, on_threshold=8, off_threshold=2)
+            VOQBank(2, capacity=8, on_threshold=8, off_threshold=2,
+                    requests=[0] * 2, port=0)
         with pytest.raises(ConfigError):
-            VOQBank(2, capacity=8, on_threshold=3, off_threshold=4)
+            VOQBank(2, capacity=8, on_threshold=3, off_threshold=4,
+                    requests=[0] * 2, port=0)
         with pytest.raises(ConfigError):
-            VOQBank(2, capacity=0, on_threshold=0, off_threshold=0)
+            VOQBank(2, capacity=0, on_threshold=0, off_threshold=0,
+                    requests=[0] * 2, port=0)
 
 
 class TestFifoOrder:
     def test_cells_come_back_in_order(self):
-        bank = VOQBank(2, capacity=16, on_threshold=12, off_threshold=6)
+        bank = VOQBank(2, capacity=16, on_threshold=12, off_threshold=6,
+                       requests=[0] * 2, port=0)
         for tag in range(10):
             bank.enqueue(tag % 2, make_cell(tag))
         evens = [bank.dequeue(0)[0][2] for _ in range(5)]
@@ -57,14 +61,16 @@ class TestFifoOrder:
         assert odds == [1, 3, 5, 7, 9]
 
     def test_dequeue_empty_raises(self):
-        bank = VOQBank(2, capacity=4, on_threshold=2, off_threshold=1)
+        bank = VOQBank(2, capacity=4, on_threshold=2, off_threshold=1,
+                       requests=[0] * 2, port=0)
         with pytest.raises(SimInvariantError):
             bank.dequeue(0)
 
 
 class TestFlowControlEvents:
     def setup_method(self):
-        self.bank = VOQBank(2, capacity=8, on_threshold=4, off_threshold=2)
+        self.bank = VOQBank(2, capacity=8, on_threshold=4, off_threshold=2,
+                            requests=[0] * 2, port=0)
 
     def fill(self, n):
         return [self.bank.enqueue(0, make_cell(i)) for i in range(n)]
@@ -110,7 +116,8 @@ class TestAlternationProperty:
         """Random enqueue/dequeue mix against an independent FSM."""
         for seed in range(5):
             rng = random.Random(0xF0C + seed)
-            bank = VOQBank(6, capacity=12, on_threshold=6, off_threshold=3)
+            bank = VOQBank(6, capacity=12, on_threshold=6, off_threshold=3,
+                           requests=[0] * 6, port=0)
             occupancy = {0: 0, 2: 0, 5: 0}
             paused = {0: False, 2: False, 5: False}
             history = {0: [], 2: [], 5: []}
@@ -170,10 +177,3 @@ class TestOccupancyFacts:
                 for other, queue in zip(others, bank.queues)]
             assert bank.peak == deepest
         assert deepest == capacity
-
-    def test_own_masks_without_a_shared_list(self):
-        bank = VOQBank(3, capacity=4, on_threshold=2, off_threshold=1)
-        bank.enqueue(2, make_cell(0))
-        assert bank.requests == [0, 0, 1]
-        bank.dequeue(2)
-        assert bank.requests == [0, 0, 0] and bank.peak == 1
