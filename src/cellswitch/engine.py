@@ -55,7 +55,9 @@ the latencies seen as a dict.
 Losslessness is enforced, not assumed: queue overflows raise
 immediately, a fabric misroute at its structural replay, and every
 sink checks per-flow sequence numbers so any drop, duplicate, or
-reorder is detected.
+reorder is detected.  The run also counts the cells in the VOQs and
+raises at the first slot where some are queued but no request bit is
+set, since no arbiter would ever serve them and the run would stall.
 """
 
 from __future__ import annotations
@@ -364,6 +366,7 @@ class StarNetwork:
         # demand; the report gets it as a dict of the latencies seen.
         latency_counts = [0] * (config.latency_floor() + 1)
         generated = injected = delivered = 0
+        queued = 0                           # cells in the VOQs
         delivered_bytes = 0
         first_generation = first_injection = -1
         last_generation = last_delivery = -1
@@ -400,7 +403,8 @@ class StarNetwork:
                 arrivals.clear()
 
             injected_at = slot - up_delay
-            for record in uplink[now]:
+            landing = uplink[now]
+            for record in landing:
                 i = record[0]
                 out_port = record[1]
                 if bank_enqueue[i](out_port, (injected_at, record)):
@@ -408,7 +412,8 @@ class StarNetwork:
                     control[(slot + down_delay) % size].append(
                         (i, out_port, True))
                     pauses += 1
-            uplink[now].clear()
+            queued += len(landing)
+            landing.clear()
 
             sent = uplink[(slot + up_delay) % size]
             generated_before = generated
@@ -484,6 +489,11 @@ class StarNetwork:
                         # departs with the next downlink frame
                         fc.append((i, out_port, False))
                         unpauses += 1
+                queued -= len(pairs)
+            elif queued:
+                # queued cells that no arbiter will ever see
+                raise SimInvariantError(
+                    f"{queued} cells queued with no request bit set")
 
             slot += 1
             if delivered == injected == generated and \

@@ -46,12 +46,14 @@ every slot does the same thing: each side sends its next seq and
 delivers the peer's oldest in-flight one.  The skip draws the same
 corruption coins as ``DuplexLink.step`` in the same order (a to b,
 then b to a, each slot; none when the frame error probability is 0)
-and stops at the first corrupt draw, at a fault slot, or at the end
-of the run.  It is exact because a corrupted frame acts only when it
-arrives, ``one_way_delay`` slots after it is drawn: the slot that
-drew it still looks clean, so the skip ends by leaving the flag on
-the newest pipe entry, and ``step`` takes over from there until the
-link is steady again.
+and stops at the first slot with a corrupt draw, at a fault slot, or
+at the end of the run.  A slot whose a to b coin hits still draws its
+b to a coin, so the stream stays the one ``step`` would draw.  It is
+exact because a corrupted frame acts only when it arrives,
+``one_way_delay`` slots after it is drawn: the slot that drew it
+still looks clean, so the skip ends by leaving the flag on the newest
+pipe entry, and ``step`` takes over from there until the link is
+steady again.
 """
 
 from __future__ import annotations
@@ -267,11 +269,14 @@ class DuplexLink:
                         or (p > 0.0 and self.rng.random() < p), a.requesting))
         pipe_ba.append((frame_ba, slot in faults.b_to_a
                         or (p > 0.0 and self.rng.random() < p), b.requesting))
-        arrive_b = pipe_ab.popleft()
-        arrive_a = pipe_ba.popleft()
+        frame_ab, corrupt_ab, flag_ab = pipe_ab.popleft()
+        frame_ba, corrupt_ba, flag_ba = pipe_ba.popleft()
         self.slot = slot + 1
-        to_b = b.receive(*arrive_b)
-        to_a = a.receive(*arrive_a)
+        # Positional, not receive(*entry): CPython 3.11 compiles a star
+        # call to CALL_FUNCTION_EX, which it neither specializes nor
+        # inlines, so each slot would pay for two more C-level frames.
+        to_b = b.receive(frame_ab, corrupt_ab, flag_ab)
+        to_a = a.receive(frame_ba, corrupt_ba, flag_ba)
         return to_a, to_b
 
 
@@ -344,10 +349,14 @@ def _skip_clean(link: DuplexLink, end: int) -> int:
     p = link.p_frame
     if p > 0.0:
         rand = link.rng.random
+        # An a to b hit still draws its b to a coin, as ``step`` would.
         for n in range(1, limit + 1):
-            corrupt_ab = rand() < p
-            corrupt_ba = rand() < p
-            if corrupt_ab or corrupt_ba:
+            if rand() < p:
+                corrupt_ab = True
+                corrupt_ba = rand() < p
+                break
+            if rand() < p:
+                corrupt_ba = True
                 break
     link.slot = start + n
     delay = link.a.delay

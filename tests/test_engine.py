@@ -25,6 +25,7 @@ from cellswitch.engine import (
 from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.fabric import CHECK_INTERVAL
 from cellswitch.traffic import TrafficSpec
+from cellswitch.voq import VOQBank
 
 
 def small_run(n_ports=8, load=0.5, volume=20_000, scheduler=ISLIP, **kw):
@@ -207,6 +208,25 @@ class TestConservationAndIntegrity:
         report.verify()  # conservation counts staged and in-flight cells
         assert not report.drained
         assert report.slots_run == 400
+
+    def test_queued_cells_without_a_request_bit_raise(self, monkeypatch):
+        """A bank that clears its input's bit one cell early leaves
+        that cell where no arbiter looks; the run must raise at the
+        stall instead of idling until max_slots."""
+        dequeue = VOQBank.dequeue
+
+        def clears_early(self, channel):
+            taken = dequeue(self, channel)
+            if len(self.queues[channel]) == 1:
+                self.requests[channel] &= ~self.bit
+            return taken
+        monkeypatch.setattr(VOQBank, "dequeue", clears_early)
+        network = StarNetwork(
+            EngineConfig(n_ports=4, scheduler=SAFC, max_slots=50_000),
+            TrafficSpec(load=0.9, volume_bytes=20_000))
+        with pytest.raises(SimInvariantError,
+                           match="cells queued with no request bit set"):
+            network.run()
 
     def test_channel_buffer_one_still_lossless(self):
         report = small_run(n_ports=4, load=0.8, volume=10_000,
