@@ -75,24 +75,23 @@ configuration-style failure (exit 1).
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import csv
 import io
 import math
 import sys
 import time
-import traceback
 from contextlib import nullcontext
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
-from .checks import CHECKS
+# The link, the protocol checks, argparse and traceback are imported in
+# the functions that use them: a star sweep, whose set-up is paid by
+# every short run and every spawned pool worker, needs none of them.
 from .engine import EngineConfig, run_star
 from .errors import ConfigError
-from .link import check_link, frame_error_probability, run_point_to_point
 from .traffic import TrafficSpec
 
 EXIT_OK = 0
@@ -248,6 +247,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
             if not 0 < load <= 100:
                 raise ConfigError(f"workload {load} outside (0, 100]")
     if spec.kind != KIND_SWEEP:
+        from .link import check_link, frame_error_probability
         check_link(spec.one_way_delay, spec.slots, spec.link_load)
     if spec.kind == KIND_BER:
         if not spec.bers:
@@ -297,6 +297,7 @@ def _points_for(spec: ExperimentSpec, seed: int) -> list[partial]:
     if spec.kind == KIND_BER:
         return [partial(_ber_row, spec.one_way_delay, spec.slots, ber,
                         spec.link_load, seed) for ber in spec.bers]
+    from .checks import CHECKS
     return [partial(_check_row, check, spec.one_way_delay)
             for check in CHECKS]
 
@@ -328,6 +329,7 @@ def _sweep_row(config: EngineConfig, traffic: TrafficSpec) -> dict:
 
 def _ber_row(one_way_delay: int, slots: int, ber: float, load: float,
              seed: int) -> dict:
+    from .link import run_point_to_point
     result = run_point_to_point(one_way_delay, slots, ber=ber, load=load,
                                 seed=seed)
     return {
@@ -345,6 +347,7 @@ def _ber_row(one_way_delay: int, slots: int, ber: float, load: float,
 
 
 def _check_row(check: str, one_way_delay: int) -> dict:
+    from .checks import CHECKS
     return {"check": check, "status": "pass",
             "detail": CHECKS[check](one_way_delay)}
 
@@ -371,9 +374,10 @@ def write_csv(path: Path | None, columns: list[str],
 
 
 def _read_text(path: Path) -> str:
-    """The text of an input file, which must be UTF-8."""
+    """The text of an input file, which must be UTF-8; a leading
+    byte-order mark is dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                           f"{exc.start})") from None
@@ -539,7 +543,9 @@ VERDICT_COLUMNS = ["pattern", "size_mode", "scheduler", "nominal_load_pct",
 # -- entry point -----------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cellswitch",
         description="Cell-switched network simulator experiment runner")
@@ -632,6 +638,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:
+        import traceback
+
         trace_path = Path("cellswitch-error.txt")
         trace_path.write_text(traceback.format_exc())
         print(f"internal error: {exc} (trace: {trace_path})",

@@ -2,9 +2,14 @@
 
 import csv
 import hashlib
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -373,6 +378,17 @@ class TestRunCommand:
         assert "exp.ini: not UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "cellswitch-error.txt").exists()
 
+    def test_spec_with_byte_order_mark_runs(self, tmp_path):
+        spec_path = tmp_path / "exp.ini"
+        spec_path.write_text(TINY_BER.replace("bers = 0 1e-5", "bers = 0"),
+                             encoding="utf-8-sig")
+        assert spec_path.read_bytes().startswith(b"\xef\xbb\xbf")
+        code = cli.main(["run", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_OK
+        (row,) = cli.read_csv(tmp_path / "out" / "tinyber.csv")
+        assert row["pattern"] == "p2p-ber-0"
+
     def test_ber_sweep_rows(self, tmp_path):
         code, out = run_main(tmp_path, TINY_BER)
         assert code == cli.EXIT_OK
@@ -478,6 +494,35 @@ class TestRunCommand:
         assert code == cli.EXIT_INTERNAL
         assert "synthetic failure" in \
             (tmp_path / "cellswitch-error.txt").read_text()
+
+
+# Run in a fresh interpreter: the test session has loaded every module.
+COLD_START = """
+import json, sys
+before = set(sys.modules)
+from cellswitch import cli
+spec = cli.parse_experiment(cli.load_preset("bandwidth-bursty-variable-safc"))
+cli._points_for(spec, spec.seeds[0])
+star = sorted(set(sys.modules) - before)
+cli.parse_experiment(cli.load_preset("ber-sweep"))
+print(json.dumps({"star": star, "ber": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_star_sweep_skips_link_checks_and_entry_point_modules():
+    """Parsing a star preset and building its rows loads neither the
+    link, the protocol checks, argparse nor traceback."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    loaded = json.loads(done.stdout)
+    assert "cellswitch.cli" in loaded["star"]
+    unused = {"cellswitch.link", "cellswitch.checks", "argparse",
+              "traceback"}
+    assert unused.isdisjoint(loaded["star"])
+    assert "cellswitch.link" in loaded["ber"]
 
 
 def verdicts_by_status(verdicts):
@@ -596,6 +641,23 @@ class TestCompare:
         assert code == cli.EXIT_CONFIG
         assert "measured.csv: not UTF-8" in capsys.readouterr().err
         assert not (tmp_path / "cellswitch-error.txt").exists()
+
+    def test_measured_with_byte_order_mark_matches(self, tmp_path, capsys):
+        # Read as plain UTF-8, the mark would join the first header and
+        # leave every reference row "missing".
+        measured = tmp_path / "measured.csv"
+        reference = tmp_path / "reference.csv"
+        measured.write_text("pattern,size_mode,scheduler,nominal_load_pct,"
+                            "utilization_pct,p50\n"
+                            "bernoulli,fixed,islip,100,98.36,213\n",
+                            encoding="utf-8-sig")
+        cli.write_csv(reference, list(self.ROW), [self.ROW])
+        assert cli.read_csv(measured) == [self.ROW]
+        code = cli.main(["compare", "--measured", str(measured),
+                         "--reference", str(reference), "--strict",
+                         "--tolerance", "p50=rel:20"])
+        assert code == cli.EXIT_OK
+        assert "1 of 1 within tolerance" in capsys.readouterr().err
 
     def test_oversized_csv_field_is_config_error(self, tmp_path,
                                                  monkeypatch, capsys):
