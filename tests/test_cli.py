@@ -1,5 +1,6 @@
 """Experiment runner: config parsing, presets, reports, comparisons."""
 
+import codecs
 import csv
 import hashlib
 import json
@@ -380,9 +381,8 @@ class TestRunCommand:
 
     def test_spec_with_byte_order_mark_runs(self, tmp_path):
         spec_path = tmp_path / "exp.ini"
-        spec_path.write_text(TINY_BER.replace("bers = 0 1e-5", "bers = 0"),
-                             encoding="utf-8-sig")
-        assert spec_path.read_bytes().startswith(b"\xef\xbb\xbf")
+        spec_path.write_bytes(codecs.BOM_UTF8 + TINY_BER.replace(
+            "bers = 0 1e-5", "bers = 0").encode())
         code = cli.main(["run", "--spec", str(spec_path),
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_OK
@@ -647,11 +647,8 @@ class TestCompare:
         # leave every reference row "missing".
         measured = tmp_path / "measured.csv"
         reference = tmp_path / "reference.csv"
-        measured.write_text("pattern,size_mode,scheduler,nominal_load_pct,"
-                            "utilization_pct,p50\n"
-                            "bernoulli,fixed,islip,100,98.36,213\n",
-                            encoding="utf-8-sig")
         cli.write_csv(reference, list(self.ROW), [self.ROW])
+        measured.write_bytes(codecs.BOM_UTF8 + reference.read_bytes())
         assert cli.read_csv(measured) == [self.ROW]
         code = cli.main(["compare", "--measured", str(measured),
                          "--reference", str(reference), "--strict",
