@@ -64,7 +64,9 @@ utilization_pct, p1, p50, p75, p90, p95, p99, p100, retx, fc_events,
 seed.  Percentiles are cell latencies in cell times; fields that do
 not apply to a row kind are left empty, as are utilization and
 percentiles of a run cut short before its first delivery.  Lines
-starting with ``#`` in any CSV are comments.
+starting with ``#`` in any CSV are comments.  Every file written is
+UTF-8; the experiment name, which names the files, must be one path
+component that the file system can encode.
 
 Exit codes: 0 success, 1 configuration/usage error, 2 simulation
 invariant violation or any other internal error (the traceback is
@@ -79,6 +81,7 @@ import configparser
 import csv
 import io
 import math
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -237,9 +240,14 @@ def parse_experiment(text: str) -> ExperimentSpec:
     if "name" not in present:
         raise ConfigError("[experiment] name is required")
     spec = ExperimentSpec(**present)
-    if spec.name in (".", "..") or Path(spec.name).name != spec.name:
+    try:
+        unfit = b"\0" in os.fsencode(spec.name)
+    except UnicodeEncodeError:
+        unfit = True
+    if unfit or spec.name in (".", "..") or Path(spec.name).name != spec.name:
         raise ConfigError(f"[experiment] name {spec.name!r} names the "
-                          "output files: it must be one path component")
+                          "output files: it must be one path component "
+                          "that the file system can encode")
     if spec.kind == KIND_SWEEP:
         if not spec.workloads:
             raise ConfigError("[traffic] workloads is required for sweeps")
@@ -366,7 +374,7 @@ def _fmt(value: float) -> str:
 def write_csv(path: Path | None, columns: list[str],
               rows: list[dict]) -> None:
     """Write a report to ``path``, or to stdout when it is None."""
-    with (path.open("w", newline="") if path
+    with (path.open("w", newline="", encoding="utf-8") if path
           else nullcontext(sys.stdout)) as handle:
         writer = csv.DictWriter(handle, fieldnames=columns)
         writer.writeheader()
@@ -442,7 +450,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path, workers: int = 1,
         write_csv(csv_path, columns, rows)
         summary_path = out_dir / f"{stem}-summary.txt"
         summary_path.write_text(
-            "\n".join(_summary_lines(spec, rows, elapsed)) + "\n")
+            "\n".join(_summary_lines(spec, rows, elapsed)) + "\n",
+            encoding="utf-8")
         written.extend([csv_path, summary_path])
         if verbose:
             print(f"wrote {csv_path}", file=sys.stderr)
@@ -641,7 +650,7 @@ def main(argv=None) -> int:
         import traceback
 
         trace_path = Path("cellswitch-error.txt")
-        trace_path.write_text(traceback.format_exc())
+        trace_path.write_text(traceback.format_exc(), encoding="utf-8")
         print(f"internal error: {exc} (trace: {trace_path})",
               file=sys.stderr)
         return EXIT_INTERNAL

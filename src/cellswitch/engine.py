@@ -50,7 +50,9 @@ A cell's recorded latency runs from its uplink transmission to its
 sink delivery and therefore excludes time spent queued inside the
 source; an uncontended cell needs exactly ``latency_floor()`` slots.
 The run counts deliveries in a list indexed by latency and reports
-the latencies seen as a dict.
+the latencies seen as a dict.  It has drained once every cell is
+delivered and every source's last poll returned ``math.inf``, which a
+spent source does in the slot after its last record.
 
 Losslessness is enforced, not assumed: queue overflows raise
 immediately, a fabric misroute at its structural replay, and every
@@ -70,7 +72,7 @@ from .codec import FRAME_BYTES, HEADER_BYTES, MAX_SWITCH_PORTS
 from .errors import ConfigError, SimInvariantError
 from .fabric import SortRouteFabric
 from .scheduler import IslipScheduler, SafcScheduler
-from .traffic import TrafficSpec, make_sources
+from .traffic import SourceProcess, TrafficSpec
 from .voq import VOQBank
 
 ISLIP = "islip"
@@ -300,7 +302,8 @@ class StarNetwork:
         self.config = config
         self.traffic = traffic
         n = config.n_ports
-        self.sources = make_sources(traffic, n, config.seed)
+        self.sources = [SourceProcess(traffic, port, n, config.seed)
+                        for port in range(n)]
         # Per output, the bitmask of inputs holding a cell for it: the
         # banks keep their own bits and the arbiter reads the masks.
         self.out_requests = [0] * n
@@ -328,7 +331,6 @@ class StarNetwork:
 
         # Bind the per-port callables once; the slot loop below is the
         # hot path and runs millions of times.
-        sources = self.sources
         bank_enqueue = [bank.enqueue for bank in self.banks]
         bank_dequeue = [bank.dequeue for bank in self.banks]
         match = self.scheduler.match
@@ -342,7 +344,7 @@ class StarNetwork:
         src_pause = [0] * n
         due = [0] * n                        # slot of the next poll
         succ = [*range(1, n), 0]             # (k + 1) % n
-        hosts = list(zip(ports, [source.poll for source in sources], src_chan))
+        hosts = list(zip(ports, [s.poll for s in self.sources], src_chan))
         staging = (math.inf if config.channel_buffer is None
                    else config.channel_buffer)
 
@@ -496,8 +498,7 @@ class StarNetwork:
                     f"{queued} cells queued with no request bit set")
 
             slot += 1
-            if delivered == injected == generated and \
-                    all(source.exhausted for source in sources):
+            if delivered == injected == generated and min(due) == math.inf:
                 drained = True
                 break
             if max_slots is not None and slot >= max_slots:

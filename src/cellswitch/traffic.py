@@ -16,8 +16,8 @@ wire occupancy (fraction of uplink slots carrying a cell):
 
 Packet sizes are either one full cell of payload or uniform over a
 byte range.  Each flow can carry an exact payload-byte budget; the
-last packet of a flow is truncated so the budget is hit exactly, and
-an exhausted source stops emitting.
+last packet of a flow is truncated so the budget is hit exactly.  A
+flow without a volume has an infinite budget, so it never runs dry.
 
 A source emits each cell as a plain tuple, the cell record that the
 star engine carries from source to sink:
@@ -38,7 +38,8 @@ last cell carries what is left of its budget.
 
 Each arrival process is one generator, its state in locals, that
 ``poll()`` resumes: it returns the record arriving at this slot, or
-the number of slots before the next arrival (``math.inf`` when none).
+the number of slots before the next arrival: ``math.inf`` once the
+source is spent, since it draws nothing after its last record.
 """
 
 from __future__ import annotations
@@ -108,8 +109,9 @@ class SourceProcess:
     int ``k >= 1``: this slot and the next ``k - 1`` have no arrival.
     The process stands still between calls, so slots the caller skips
     are suspended rather than dropped (a closed-loop host that cannot
-    accept a cell simply does not poll).  An exhausted source returns
-    ``math.inf`` and draws nothing.
+    accept a cell simply does not poll).  A spent source draws nothing
+    after its last record and returns ``math.inf``; an unbounded flow
+    (``volume_bytes`` None) has an infinite budget.
     """
 
     def __init__(self, spec: TrafficSpec, port: int, n_ports: int, seed: int):
@@ -120,11 +122,10 @@ class SourceProcess:
         self.spec = spec
         self.port = port
         self.rng = random.Random(seed * 1_000_003 + port)
-        self.budget: dict[int, int | None] = {
-            dst: spec.volume_bytes for dst in range(n_ports) if dst != port
-        }
+        volume = math.inf if spec.volume_bytes is None else spec.volume_bytes
+        self.budget: dict[int, float] = {
+            dst: volume for dst in range(n_ports) if dst != port}
         self.flow_cells = {dst: 0 for dst in self.budget}
-        self.exhausted = False  # every budget spent, last record out
         # The open-flow list changes only when a budget runs dry.
         self._open: list[int] = list(self.budget)
         self._fixed = spec.size_mode == FIXED
@@ -142,11 +143,10 @@ class SourceProcess:
             size = spec.min_packet_bytes + int(self.rng.random() * (
                 spec.max_packet_bytes - spec.min_packet_bytes + 1))
         remaining = self.budget[dst]
-        if remaining is not None:
-            if size >= remaining:
-                size = remaining
-                self._open.remove(dst)
-            self.budget[dst] = remaining - size
+        if size >= remaining:
+            size = remaining
+            self._open.remove(dst)
+        self.budget[dst] = remaining - size
         port = self.port
         seq = self.flow_cells[dst]
         full = (size - 1) // CELL_PAYLOAD_BYTES
@@ -156,12 +156,6 @@ class SourceProcess:
             return (last,)
         return (*[(port, dst, k, CELL_PAYLOAD_BYTES, False)
                   for k in range(seq, seq + full)], last)
-
-    def _last(self, cells: tuple[tuple, ...]):
-        """Yield the final packet, exhausted as its last record leaves."""
-        yield from cells[:-1]
-        self.exhausted = True
-        yield cells[-1]
 
     # -- arrival processes ---------------------------------------------------
 
@@ -192,28 +186,25 @@ class SourceProcess:
                 dst = flows[int(rand() * len(flows))]
                 size = CELL_PAYLOAD_BYTES
                 remaining = budget[dst]
-                if remaining is not None:
-                    if remaining <= size:
-                        size = remaining
-                        flows.remove(dst)
-                        self.exhausted = not flows
-                    budget[dst] = remaining - size
+                if remaining <= size:
+                    size = remaining
+                    flows.remove(dst)
+                budget[dst] = remaining - size
                 seq = flow_cells[dst]
                 flow_cells[dst] = seq + 1
                 yield (port, dst, seq, size, True)
-                if scale and (gap := int(log(1.0 - rand()) * scale)):
+                if scale and flows and (gap := int(log(1.0 - rand()) * scale)):
                     yield gap
         while flows:
             cells = self._packet(flows[int(rand() * len(flows))])
-            if not flows:
-                cells = self._last(cells)
             if not scale:  # full load: no gaps between arrivals
                 yield from cells
                 continue
+            # no gap after the last (eop) cell of the final packet
             for cell in cells:
-                gap = int(log(1.0 - rand()) * scale)
                 yield cell
-                if gap:
+                if (flows or not cell[4]) and (
+                        gap := int(log(1.0 - rand()) * scale)):
                     yield gap
         while True:
             yield math.inf
@@ -237,12 +228,6 @@ class SourceProcess:
             while burst > 0 and budget[dst] != 0:
                 cells = self._packet(dst)
                 burst -= len(cells)
-                yield from cells if flows else self._last(cells)
+                yield from cells
         while True:
             yield math.inf
-
-
-def make_sources(spec: TrafficSpec, n_ports: int, seed: int
-                 ) -> list[SourceProcess]:
-    return [SourceProcess(spec, port, n_ports, seed)
-            for port in range(n_ports)]

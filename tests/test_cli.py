@@ -525,6 +525,29 @@ def test_star_sweep_skips_link_checks_and_entry_point_modules():
     assert "cellswitch.link" in loaded["ber"]
 
 
+@pytest.mark.parametrize("name", ["café", "a\0b"], ids=["ascii", "nul"])
+def test_name_the_file_system_cannot_hold_exits_1_before_any_row(
+        tmp_path, name):
+    """Under the C locale with UTF-8 mode off the file system encoding
+    is ASCII, so ``café`` cannot name a file; no file name can hold a
+    NUL byte.  Either is bad input, refused before the checks run."""
+    spec_path = tmp_path / "exp.ini"
+    spec_path.write_text(TINY_CHECKS.replace("name = tinyber",
+                                             f"name = {name}"),
+                         encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    done = subprocess.run(
+        [sys.executable, "-m", "cellswitch.cli", "run", "--spec",
+         str(spec_path), "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == cli.EXIT_CONFIG, done.stderr
+    assert "file system can encode" in done.stderr
+    assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "cellswitch-error.txt").exists()
+
+
 def verdicts_by_status(verdicts):
     grouped = {}
     for verdict in verdicts:

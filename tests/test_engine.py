@@ -106,10 +106,6 @@ class ScriptSource:
     def __init__(self, cells):
         self._cells = deque(cells)
 
-    @property
-    def exhausted(self):
-        return not self._cells
-
     def poll(self):
         return self._cells.popleft() if self._cells else math.inf
 
@@ -234,6 +230,28 @@ class TestConservationAndIntegrity:
         assert report.drained
         assert report.generated_cells == report.delivered_cells
         assert report.order_violations == 0
+
+    @pytest.mark.parametrize("size_mode", ["fixed", "variable"])
+    @pytest.mark.parametrize("mode", ["bernoulli", "bursty"])
+    def test_drained_run_ends_the_slot_after_its_last_delivery(
+            self, mode, size_mode):
+        # A spent source polls math.inf in the slot after its last
+        # record, so the drain test holds as the last cell lands; a
+        # source that drew a gap after its last record would hold the
+        # run open for that gap.
+        for load, scheduler, seed in itertools.product(
+                (0.05, 0.1, 0.5, 1.0), (ISLIP, SAFC), (1, 2, 3)):
+            report = run_star(
+                EngineConfig(n_ports=4, scheduler=scheduler, seed=seed),
+                TrafficSpec(mode=mode, size_mode=size_mode, load=load,
+                            volume_bytes=3_000))
+            assert report.drained
+            assert report.slots_run == report.last_delivery + 1, (
+                load, scheduler, seed)
+
+    def test_sources_cover_all_ports(self):
+        network = StarNetwork(EngineConfig(n_ports=8), TrafficSpec())
+        assert [s.port for s in network.sources] == list(range(8))
 
 
 class TestSchedulers:

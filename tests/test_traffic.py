@@ -12,8 +12,7 @@ import pytest
 from cellswitch.codec import CELL_PAYLOAD_BYTES
 from cellswitch.errors import ConfigError
 from cellswitch.traffic import (
-    SourceProcess, TrafficSpec, _geometric_from_one, _geometric_from_zero,
-    make_sources)
+    SourceProcess, TrafficSpec, _geometric_from_one, _geometric_from_zero)
 
 
 # Fields of a source's cell record (src, dst, flow_seq, valid_bytes, eop).
@@ -22,7 +21,7 @@ SRC, DST, FLOW_SEQ, VALID, EOP = range(5)
 
 def per_slot(source):
     """The source's arrivals slot by slot: each poll's record, or one
-    None for every slot of an idle count (forever once exhausted)."""
+    None for every slot of an idle count (forever once spent)."""
     while True:
         got = source.poll()
         if got.__class__ is tuple:
@@ -36,12 +35,18 @@ def per_slot(source):
 
 
 def drain(source, max_slots):
-    cells, slots, arrivals = [], 0, per_slot(source)
-    while not source.exhausted and slots < max_slots:
-        cell = next(arrivals)
-        slots += 1
-        if cell is not None:
-            cells.append(cell)
+    """Poll until the source returns ``math.inf`` or ``max_slots`` have
+    passed; the records it returned and the slots that passed."""
+    cells, slots = [], 0
+    while slots < max_slots:
+        got = source.poll()
+        if got.__class__ is tuple:
+            cells.append(got)
+            slots += 1
+        elif got == math.inf:
+            break
+        else:
+            slots += got
     return cells, slots
 
 
@@ -131,11 +136,19 @@ class TestPacketStructure:
 
 
 class TestBernoulliProcess:
-    def test_occupancy_tracks_load(self):
-        source = SourceProcess(TrafficSpec(load=0.5), 3, 16, seed=9)
+    @pytest.mark.parametrize("size_mode", ["fixed", "variable"])
+    @pytest.mark.parametrize("load", [0.1, 0.5, 0.9])
+    def test_occupancy_tracks_load(self, load, size_mode):
+        # Each slot is an independent coin, so the hits over N slots
+        # are Binomial(N, load): within 5 standard deviations of N*load.
+        # The flows are unbounded (an infinite budget).
+        slots = 200_000
+        source = SourceProcess(TrafficSpec(load=load, size_mode=size_mode),
+                               3, 16, seed=9)
         arrivals = per_slot(source)
-        hits = sum(next(arrivals) is not None for _ in range(200_000))
-        assert hits == pytest.approx(100_000, rel=0.015)
+        hits = sum(next(arrivals) is not None for _ in range(slots))
+        mean = slots * load
+        assert abs(hits - mean) <= 5 * math.sqrt(mean * (1 - load))
 
     def test_destinations_uniform(self):
         source = SourceProcess(TrafficSpec(load=1.0), 0, 8, seed=4)
@@ -215,7 +228,6 @@ class TestVolumeBudget:
         cells, slots = drain(source, 10_000)
         counts = Counter(c[DST] for c in cells)
         assert counts == {0: 10, 2: 10, 3: 10}
-        assert source.exhausted
         assert source.poll() == source.poll() == math.inf
 
     def test_variable_mode_exact_byte_total(self):
@@ -270,12 +282,8 @@ class TestDeterminism:
                             volume_bytes=20_000), port, 8, seed=7)
             arrivals = per_slot(source)
             stream = [next(arrivals) for _ in range(3_000)]
-            digest.update(repr((stream, source.exhausted)).encode())
+            digest.update(repr((stream, source.poll() == math.inf)).encode())
         assert digest.hexdigest() == self.STREAM_DIGEST
-
-    def test_make_sources_covers_all_ports(self):
-        sources = make_sources(TrafficSpec(), 8, seed=1)
-        assert [s.port for s in sources] == list(range(8))
 
 
 class ReferenceSource:
@@ -402,8 +410,9 @@ class TestMatchesReference:
             arrivals = per_slot(source)
             for slot in range(1_500 if volume is None else 40_000):
                 assert next(arrivals) == reference.poll(), (spec, slot)
-                assert source.exhausted == reference.exhausted, (spec, slot)
                 if reference.exhausted:
+                    # spent with its last record: it draws nothing more
+                    assert source.poll() == math.inf, (spec, slot)
                     break
             assert reference.exhausted == (volume is not None)
             drained_mid_burst += reference.drained_mid_burst
