@@ -78,7 +78,6 @@ configuration-style failure (exit 1).
 from __future__ import annotations
 
 import configparser
-import csv
 import io
 import math
 import os
@@ -90,12 +89,12 @@ from functools import partial
 from importlib import resources
 from pathlib import Path
 
-# The link, the protocol checks, argparse and traceback are imported in
-# the functions that use them: a star sweep, whose set-up is paid by
-# every short run and every spawned pool worker, needs none of them.
-from .engine import EngineConfig, run_star
+# The star engine, the link, the protocol checks, csv, argparse and
+# traceback are imported in the functions that use them (the engine
+# where a star row runs): every short run and pool worker pays its
+# set-up, so a link run loads no star code and a star sweep no link code.
+from .config import EngineConfig, TrafficSpec
 from .errors import ConfigError
-from .traffic import TrafficSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -123,9 +122,9 @@ KIND_CHECKS = "protocol-checks"
 class ExperimentSpec:
     """One experiment file, fully parsed and validated.
 
-    The sweep fields default to the engine's and the traffic source's
-    own defaults; only the per-flow volume has one of its own.  Each
-    sweep row passes them on by name, beside its sweep axes.
+    The sweep fields default to the defaults of ``config.EngineConfig``
+    and ``config.TrafficSpec``; only the per-flow volume has one of its
+    own.  Each sweep row passes them on by name, beside its sweep axes.
     """
 
     name: str
@@ -311,6 +310,7 @@ def _points_for(spec: ExperimentSpec, seed: int) -> list[partial]:
 
 
 def _sweep_row(config: EngineConfig, traffic: TrafficSpec) -> dict:
+    from .engine import run_star
     report = run_star(config, traffic)
     # A run cut short before its first delivery has no latencies and
     # no delivery window: those fields stay empty.
@@ -374,6 +374,7 @@ def _fmt(value: float) -> str:
 def write_csv(path: Path | None, columns: list[str],
               rows: list[dict]) -> None:
     """Write a report to ``path``, or to stdout when it is None."""
+    import csv
     with (path.open("w", newline="", encoding="utf-8") if path
           else nullcontext(sys.stdout)) as handle:
         writer = csv.DictWriter(handle, fieldnames=columns)
@@ -393,6 +394,7 @@ def _read_text(path: Path) -> str:
 
 def read_csv(path: Path) -> list[dict]:
     """Read a report, skipping ``#`` comment lines."""
+    import csv
     lines = [line for line in io.StringIO(_read_text(path))
              if not line.startswith("#")]
     try:

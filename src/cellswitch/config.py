@@ -1,0 +1,144 @@
+"""Run descriptions: ``EngineConfig`` for a star-network run and
+``TrafficSpec`` for the traffic its sources offer, with the constants
+they default from.  Each checks its values when built.
+
+This module imports no simulation code, so a process can read the
+defaults and build run descriptions without loading the star engine.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from .codec import MAX_SWITCH_PORTS
+from .errors import ConfigError
+
+ISLIP = "islip"
+SAFC = "safc"
+
+# Link and pipeline depths, in slots.  The switch sits mid-rack, so
+# both directions cost the same; the egress pipeline covers the output
+# port's buffering and serialization stages.
+UPLINK_DELAY = 7
+DOWNLINK_DELAY = 7
+EGRESS_DELAY = 3
+
+# Queue depth at which a channel asks its source to pause, and the
+# depth on which it unpauses.  The pause point is the deepest the
+# headroom guard below admits -- worst-case in-flight cells exactly
+# fill the queue -- and the release waits for a three-cell drain so
+# commands are not emitted on every enqueue/dequeue flutter around
+# one level.  Calibrated against the reference latency distributions
+# of a saturated 32-port switch.
+DEFAULT_ON_THRESHOLD = 10
+DEFAULT_OFF_THRESHOLD = 7
+
+# Per-channel staging depth at each endpoint, in cells; None leaves
+# the staging unbounded.  With a finite depth the host blocks --
+# suspending generation -- whenever the channel it must write next is
+# full, so endpoints throttle themselves against sustained
+# backpressure; unbounded staging instead lets the endpoint queue
+# behind a paused channel and keep the uplink busy with other
+# channels, which is the work-conserving behavior the bandwidth
+# figures assume.
+DEFAULT_CHANNEL_BUFFER = None
+
+BERNOULLI = "bernoulli"
+BURSTY = "bursty"
+FIXED = "fixed"
+VARIABLE = "variable"
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Static description of one star-network run."""
+
+    n_ports: int
+    scheduler: str = ISLIP
+    seed: int = 1
+    on_threshold: int = DEFAULT_ON_THRESHOLD
+    off_threshold: int = DEFAULT_OFF_THRESHOLD
+    channel_buffer: int | None = DEFAULT_CHANNEL_BUFFER
+    islip_iterations: int | None = None
+    uplink_delay: int = UPLINK_DELAY
+    downlink_delay: int = DOWNLINK_DELAY
+    egress_delay: int = EGRESS_DELAY
+    max_slots: int | None = None
+
+    def __post_init__(self):
+        if not 2 <= self.n_ports <= MAX_SWITCH_PORTS:
+            raise ConfigError(f"ports must be 2..{MAX_SWITCH_PORTS}")
+        if self.scheduler not in (ISLIP, SAFC):
+            raise ConfigError(f"unknown scheduler {self.scheduler!r}")
+        if not 0 <= self.off_threshold < self.on_threshold:
+            raise ConfigError("need 0 <= off threshold < on threshold")
+        if self.channel_buffer is not None and self.channel_buffer < 1:
+            raise ConfigError("channel staging depth must hold a cell")
+        if self.islip_iterations is not None and self.islip_iterations < 1:
+            raise ConfigError("need at least one grant/accept round")
+        if min(self.uplink_delay, self.downlink_delay) < 1:
+            raise ConfigError("link delays must be at least one slot")
+        if self.egress_delay < 0:
+            raise ConfigError("egress delay cannot be negative")
+        if self.max_slots is not None and self.max_slots < 1:
+            raise ConfigError("max_slots must allow at least one slot")
+        # A pause fires on the enqueue that crosses the on threshold,
+        # i.e. at depth on + 1, and exposure more cells may still land.
+        if self.on_threshold + 1 + self.pause_exposure() > self.voq_capacity():
+            raise ConfigError(
+                "pause threshold leaves too little headroom: cells in "
+                "flight when a pause fires could overflow the queue")
+
+    def fc_rtt(self) -> int:
+        """Pause-loop round trip: both link delays plus a slot of
+        transmit quantization margin at each end.  Cells already in
+        flight when a pause fires keep arriving for up to one such
+        round trip, so queue headroom is sized from this figure."""
+        return self.uplink_delay + self.downlink_delay + 2
+
+    def pause_exposure(self) -> int:
+        """Worst-case cells that can still reach one queue after its
+        pause command fires: everything already on the uplink plus
+        everything sent before the command lands at the endpoint."""
+        return self.uplink_delay + self.downlink_delay - 1
+
+    def voq_capacity(self) -> int:
+        """Per-channel queue depth, sized at one and a half pause-loop
+        round trips."""
+        return math.ceil(1.5 * self.fc_rtt())
+
+    def latency_floor(self) -> int:
+        """Slots an uncontended cell needs from uplink transmission to
+        sink delivery: both links, one fabric slot, the egress stages."""
+        return (self.uplink_delay + 1 + self.egress_delay
+                + self.downlink_delay)
+
+
+@dataclass(frozen=True)
+class TrafficSpec:
+    mode: str = BERNOULLI
+    size_mode: str = FIXED
+    load: float = 1.0
+    volume_bytes: int | None = None
+    min_packet_bytes: int = 64
+    max_packet_bytes: int = 2048
+    burst_mean_cells: float = 4.0
+
+    def __post_init__(self):
+        if self.mode not in (BERNOULLI, BURSTY):
+            raise ConfigError(f"unknown arrival process {self.mode!r}")
+        if self.size_mode not in (FIXED, VARIABLE):
+            raise ConfigError(f"unknown size mode {self.size_mode!r}")
+        if not 0.0 < self.load <= 1.0:
+            raise ConfigError("load must be in (0, 1]")
+        if 1.0 - self.load == 1.0:
+            # a Bernoulli gap is drawn as log(u) / log(1 - load)
+            raise ConfigError(f"load {self.load!r} is too small: "
+                              "1 - load rounds to 1")
+        if self.volume_bytes is not None and self.volume_bytes < 1:
+            raise ConfigError("per-flow volume must be positive")
+        if not 1 <= self.min_packet_bytes <= self.max_packet_bytes:
+            raise ConfigError("bad packet size range")
+        if not 1.0 <= self.burst_mean_cells < math.inf:
+            raise ConfigError("mean burst length must be finite, >= 1 cell")

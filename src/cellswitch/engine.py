@@ -60,6 +60,9 @@ sink checks per-flow sequence numbers so any drop, duplicate, or
 reorder is detected.  The run also counts the cells in the VOQs and
 raises at the first slot where some are queued but no request bit is
 set, since no arbiter would ever serve them and the run would stall.
+
+A run is described by ``config.EngineConfig`` and
+``config.TrafficSpec``, beside the defaults they take.
 """
 
 from __future__ import annotations
@@ -68,106 +71,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .codec import FRAME_BYTES, HEADER_BYTES, MAX_SWITCH_PORTS
-from .errors import ConfigError, SimInvariantError
-from .fabric import SortRouteFabric
+from .codec import FRAME_BYTES, HEADER_BYTES
+from .config import ISLIP, EngineConfig, TrafficSpec
+from .errors import SimInvariantError
 from .scheduler import IslipScheduler, SafcScheduler
-from .traffic import SourceProcess, TrafficSpec
+from .traffic import SourceProcess
 from .voq import VOQBank
-
-ISLIP = "islip"
-SAFC = "safc"
-
-# Link and pipeline depths, in slots.  The switch sits mid-rack, so
-# both directions cost the same; the egress pipeline covers the output
-# port's buffering and serialization stages.
-UPLINK_DELAY = 7
-DOWNLINK_DELAY = 7
-EGRESS_DELAY = 3
-
-# Queue depth at which a channel asks its source to pause, and the
-# depth on which it unpauses.  The pause point is the deepest the
-# headroom guard below admits -- worst-case in-flight cells exactly
-# fill the queue -- and the release waits for a three-cell drain so
-# commands are not emitted on every enqueue/dequeue flutter around
-# one level.  Calibrated against the reference latency distributions
-# of a saturated 32-port switch.
-DEFAULT_ON_THRESHOLD = 10
-DEFAULT_OFF_THRESHOLD = 7
-
-# Per-channel staging depth at each endpoint, in cells; None leaves
-# the staging unbounded.  With a finite depth the host blocks --
-# suspending generation -- whenever the channel it must write next is
-# full, so endpoints throttle themselves against sustained
-# backpressure; unbounded staging instead lets the endpoint queue
-# behind a paused channel and keep the uplink busy with other
-# channels, which is the work-conserving behavior the bandwidth
-# figures assume.
-DEFAULT_CHANNEL_BUFFER = None
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Static description of one star-network run."""
-
-    n_ports: int
-    scheduler: str = ISLIP
-    seed: int = 1
-    on_threshold: int = DEFAULT_ON_THRESHOLD
-    off_threshold: int = DEFAULT_OFF_THRESHOLD
-    channel_buffer: int | None = DEFAULT_CHANNEL_BUFFER
-    islip_iterations: int | None = None
-    uplink_delay: int = UPLINK_DELAY
-    downlink_delay: int = DOWNLINK_DELAY
-    egress_delay: int = EGRESS_DELAY
-    max_slots: int | None = None
-
-    def __post_init__(self):
-        if not 2 <= self.n_ports <= MAX_SWITCH_PORTS:
-            raise ConfigError(f"ports must be 2..{MAX_SWITCH_PORTS}")
-        if self.scheduler not in (ISLIP, SAFC):
-            raise ConfigError(f"unknown scheduler {self.scheduler!r}")
-        if not 0 <= self.off_threshold < self.on_threshold:
-            raise ConfigError("need 0 <= off threshold < on threshold")
-        if self.channel_buffer is not None and self.channel_buffer < 1:
-            raise ConfigError("channel staging depth must hold a cell")
-        if self.islip_iterations is not None and self.islip_iterations < 1:
-            raise ConfigError("need at least one grant/accept round")
-        if min(self.uplink_delay, self.downlink_delay) < 1:
-            raise ConfigError("link delays must be at least one slot")
-        if self.egress_delay < 0:
-            raise ConfigError("egress delay cannot be negative")
-        if self.max_slots is not None and self.max_slots < 1:
-            raise ConfigError("max_slots must allow at least one slot")
-        # A pause fires on the enqueue that crosses the on threshold,
-        # i.e. at depth on + 1, and exposure more cells may still land.
-        if self.on_threshold + 1 + self.pause_exposure() > self.voq_capacity():
-            raise ConfigError(
-                "pause threshold leaves too little headroom: cells in "
-                "flight when a pause fires could overflow the queue")
-
-    def fc_rtt(self) -> int:
-        """Pause-loop round trip: both link delays plus a slot of
-        transmit quantization margin at each end.  Cells already in
-        flight when a pause fires keep arriving for up to one such
-        round trip, so queue headroom is sized from this figure."""
-        return self.uplink_delay + self.downlink_delay + 2
-
-    def pause_exposure(self) -> int:
-        """Worst-case cells that can still reach one queue after its
-        pause command fires: everything already on the uplink plus
-        everything sent before the command lands at the endpoint."""
-        return self.uplink_delay + self.downlink_delay - 1
-
-    def voq_capacity(self) -> int:
-        """Per-channel queue depth, sized at one and a half pause-loop
-        round trips."""
-        return math.ceil(1.5 * self.fc_rtt())
-
-    def latency_floor(self) -> int:
-        """Slots an uncontended cell needs from uplink transmission to
-        sink delivery: both links, one fabric slot, the egress stages."""
-        return (self.uplink_delay + 1 + self.egress_delay
-                + self.downlink_delay)
 
 
 @dataclass
@@ -311,6 +220,7 @@ class StarNetwork:
                               config.off_threshold, self.out_requests, i)
                       for i in range(n)]
         if config.scheduler == ISLIP:
+            from .fabric import SortRouteFabric  # only iSLIP needs it
             self.scheduler = IslipScheduler(n, config.islip_iterations)
             # Only a conflict-free matching can cross the physical
             # sort-and-steer fabric, so the independent-output arbiter

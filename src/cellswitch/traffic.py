@@ -40,46 +40,19 @@ Each arrival process is one generator, its state in locals, that
 ``poll()`` resumes: it returns the record arriving at this slot, or
 the number of slots before the next arrival: ``math.inf`` once the
 source is spent, since it draws nothing after its last record.
+
+``config.TrafficSpec`` describes the traffic: process, size mode, load,
+volume and packet-size range.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .codec import CELL_PAYLOAD_BYTES
+from .config import BERNOULLI, FIXED, TrafficSpec
 from .errors import ConfigError
-
-BERNOULLI = "bernoulli"
-BURSTY = "bursty"
-FIXED = "fixed"
-VARIABLE = "variable"
-
-
-@dataclass(frozen=True)
-class TrafficSpec:
-    mode: str = BERNOULLI
-    size_mode: str = FIXED
-    load: float = 1.0
-    volume_bytes: int | None = None
-    min_packet_bytes: int = 64
-    max_packet_bytes: int = 2048
-    burst_mean_cells: float = 4.0
-
-    def __post_init__(self):
-        if self.mode not in (BERNOULLI, BURSTY):
-            raise ConfigError(f"unknown arrival process {self.mode!r}")
-        if self.size_mode not in (FIXED, VARIABLE):
-            raise ConfigError(f"unknown size mode {self.size_mode!r}")
-        if not 0.0 < self.load <= 1.0:
-            raise ConfigError("load must be in (0, 1]")
-        if self.volume_bytes is not None and self.volume_bytes < 1:
-            raise ConfigError("per-flow volume must be positive")
-        if not 1 <= self.min_packet_bytes <= self.max_packet_bytes:
-            raise ConfigError("bad packet size range")
-        if not 1.0 <= self.burst_mean_cells < math.inf:
-            raise ConfigError("mean burst length must be finite, >= 1 cell")
 
 
 def _geometric_from_one(rng: random.Random, mean: float) -> int:

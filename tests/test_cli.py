@@ -16,9 +16,8 @@ import pytest
 
 from cellswitch import cli
 from cellswitch.checks import CHECKS
-from cellswitch.engine import DEFAULT_ON_THRESHOLD, EngineConfig
+from cellswitch.config import DEFAULT_ON_THRESHOLD, EngineConfig, TrafficSpec
 from cellswitch.errors import ConfigError, SimInvariantError
-from cellswitch.traffic import TrafficSpec
 
 TINY_SWEEP = """
 [experiment]
@@ -298,6 +297,16 @@ class TestSchemaDrift:
         assert [c.strip() for c in columns.split(",")] == cli.CSV_COLUMNS
 
 
+def test_benchmark_import_paths_name_the_config_objects():
+    """The benchmark imports the run descriptions from ``engine`` and
+    ``traffic``; they must stay the objects ``config`` defines."""
+    from cellswitch import config, engine, traffic
+
+    assert engine.EngineConfig is config.EngineConfig
+    assert engine.ISLIP is config.ISLIP
+    assert traffic.TrafficSpec is config.TrafficSpec
+
+
 def run_main(tmp_path, ini_text, *args):
     spec_path = tmp_path / "exp.ini"
     spec_path.write_text(ini_text)
@@ -471,6 +480,16 @@ class TestRunCommand:
                 assert row[column] == ""
             assert float(row["measured_load_pct"]) > 0
 
+    def test_vanishing_load_is_config_error(self, tmp_path, monkeypatch):
+        # 1e-15 % is a load of 1e-17, and 1.0 - 1e-17 == 1.0: a
+        # Bernoulli gap would divide by log(1.0)
+        monkeypatch.chdir(tmp_path)
+        code, _ = run_main(tmp_path, TINY_SWEEP.replace("workloads = 50 100",
+                                                        "workloads = 1e-15"))
+        assert code == cli.EXIT_CONFIG
+        assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "cellswitch-error.txt").exists()
+
     def test_zero_slot_ber_sweep_is_config_error(self, tmp_path,
                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -496,33 +515,60 @@ class TestRunCommand:
             (tmp_path / "cellswitch-error.txt").read_text()
 
 
-# Run in a fresh interpreter: the test session has loaded every module.
-COLD_START = """
-import json, sys
-before = set(sys.modules)
-from cellswitch import cli
-spec = cli.parse_experiment(cli.load_preset("bandwidth-bursty-variable-safc"))
-cli._points_for(spec, spec.seeds[0])
-star = sorted(set(sys.modules) - before)
-cli.parse_experiment(cli.load_preset("ber-sweep"))
-print(json.dumps({"star": star, "ber": sorted(set(sys.modules) - before)}))
-"""
+def loaded_by(code):
+    """The modules that running ``code`` newly loads in a fresh
+    interpreter (the test session has loaded every module)."""
+    script = ("import json, sys\nbefore = set(sys.modules)\n" + code
+              + "\nprint(json.dumps(sorted(set(sys.modules) - before)))")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def build_rows(preset):
+    return ("from cellswitch import cli\n"
+            f"spec = cli.parse_experiment(cli.load_preset({preset!r}))\n"
+            "cli._points_for(spec, spec.seeds[0])")
+
+
+STAR_MODULES = {f"cellswitch.{name}"
+                for name in ("engine", "traffic", "fabric", "scheduler", "voq")}
 
 
 def test_star_sweep_skips_link_checks_and_entry_point_modules():
     """Parsing a star preset and building its rows loads neither the
     link, the protocol checks, argparse nor traceback."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", COLD_START], env=env,
-                          capture_output=True, text=True, timeout=60,
-                          check=True)
-    loaded = json.loads(done.stdout)
-    assert "cellswitch.cli" in loaded["star"]
+    star = loaded_by(build_rows("bandwidth-bursty-variable-safc"))
+    assert "cellswitch.cli" in star
     unused = {"cellswitch.link", "cellswitch.checks", "argparse",
               "traceback"}
-    assert unused.isdisjoint(loaded["star"])
-    assert "cellswitch.link" in loaded["ber"]
+    assert unused.isdisjoint(star)
+    assert "cellswitch.link" in loaded_by(build_rows("ber-sweep"))
+
+
+@pytest.mark.parametrize("code", [
+    build_rows("ber-sweep"), build_rows("protocol-checks"),
+    "from cellswitch import cli\ncli.main(['presets'])",
+], ids=["ber-sweep", "protocol-checks", "presets"])
+def test_link_runs_and_presets_load_no_star_code(code):
+    """The link experiments and the preset list read the run
+    descriptions from ``config`` and never load the star engine."""
+    loaded = loaded_by(code)
+    assert "cellswitch.config" in loaded
+    assert STAR_MODULES.isdisjoint(loaded)
+
+
+def test_only_an_islip_network_loads_the_fabric():
+    """The SAFC arbiter never routes through the sort-and-steer fabric."""
+    build = ("from cellswitch.config import EngineConfig, TrafficSpec\n"
+             "from cellswitch.engine import StarNetwork\n"
+             "StarNetwork(EngineConfig(n_ports=4, scheduler={!r}), "
+             "TrafficSpec())")
+    assert "cellswitch.fabric" not in loaded_by(build.format("safc"))
+    assert "cellswitch.fabric" in loaded_by(build.format("islip"))
 
 
 @pytest.mark.parametrize("name", ["café", "a\0b"], ids=["ascii", "nul"])

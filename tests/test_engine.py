@@ -12,19 +12,17 @@ from collections import deque
 import pytest
 
 from cellswitch.codec import CELL_PAYLOAD_BYTES, FRAME_BYTES, MAX_SWITCH_PORTS
-from cellswitch.engine import (
+from cellswitch.config import (
     DEFAULT_OFF_THRESHOLD,
     DEFAULT_ON_THRESHOLD,
     ISLIP,
     SAFC,
     EngineConfig,
-    MetricsReport,
-    StarNetwork,
-    run_star,
+    TrafficSpec,
 )
+from cellswitch.engine import MetricsReport, StarNetwork, run_star
 from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.fabric import CHECK_INTERVAL
-from cellswitch.traffic import TrafficSpec
 from cellswitch.voq import VOQBank
 
 

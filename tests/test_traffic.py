@@ -10,9 +10,10 @@ from collections import Counter
 import pytest
 
 from cellswitch.codec import CELL_PAYLOAD_BYTES
+from cellswitch.config import TrafficSpec
 from cellswitch.errors import ConfigError
 from cellswitch.traffic import (
-    SourceProcess, TrafficSpec, _geometric_from_one, _geometric_from_zero)
+    SourceProcess, _geometric_from_one, _geometric_from_zero)
 
 
 # Fields of a source's cell record (src, dst, flow_seq, valid_bytes, eop).
@@ -60,6 +61,9 @@ class TestSpecValidation:
             TrafficSpec(load=0.0)
         with pytest.raises(ConfigError):
             TrafficSpec(load=1.2)
+        with pytest.raises(ConfigError, match="1e-17"):
+            TrafficSpec(load=1e-17)  # 1.0 - 1e-17 == 1.0
+        TrafficSpec(load=2**-53)  # 1.0 - 2**-53 < 1.0
         with pytest.raises(ConfigError):
             TrafficSpec(volume_bytes=0)
         with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cellswitch.codec import CELL_PAYLOAD_BYTES
-from cellswitch.engine import EngineConfig
+from cellswitch.config import EngineConfig
 from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.voq import VOQBank
 
