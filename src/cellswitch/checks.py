@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .codec import ROUTE_SLOTS, L2Header, forward, selector_for, source_address
 from .errors import SimInvariantError
-from .link import FaultSchedule, run_point_to_point
+from .link import REPLAY_KIND, REREQ_KIND, FaultSchedule, run_point_to_point
 
 MAX_PORTS = 16
 ROUND_TRIP_PORTS = 8
@@ -90,12 +90,12 @@ def _check_recovery_timing(delay: int) -> str:
         delay, slots=30 * delay + 60,
         faults=FaultSchedule(b_to_a=frozenset({fault})),
         record_kinds=True)
-    pause = sum(kind == "rereq" for kind in result.kinds_a)
+    pause = sum(kind == REREQ_KIND for kind in result.kinds_a)
     if not abs(pause - 2.5 * rtt) <= 1:
         raise SimInvariantError(f"pause was {pause} slots, "
                                 f"expected about {2.5 * rtt}")
     last_replay = max(i for i, kind in enumerate(result.kinds_b)
-                      if kind == "replay")
+                      if kind == REPLAY_KIND)
     correction = last_replay - fault
     if not abs(correction - 3.5 * rtt) <= 1:
         raise SimInvariantError(f"correction took {correction} slots, "

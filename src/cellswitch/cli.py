@@ -80,6 +80,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import operator
 import os
 import sys
 import time
@@ -360,10 +361,6 @@ def _check_row(check: str, one_way_delay: int) -> dict:
             "detail": CHECKS[check](one_way_delay)}
 
 
-def _call(row_call: partial) -> dict:
-    return row_call()
-
-
 # -- report emission -------------------------------------------------------
 
 
@@ -441,7 +438,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path, workers: int = 1,
             from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(max_workers=processes) if processes > 1
               else nullcontext()) as pool:
-            for row in (pool.map if pool else map)(_call, calls):
+            for row in (pool.map if pool else map)(operator.call, calls):
                 rows.append(row)
                 if verbose:
                     print(f"  done {row}", file=sys.stderr)

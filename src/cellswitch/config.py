@@ -25,12 +25,11 @@ DOWNLINK_DELAY = 7
 EGRESS_DELAY = 3
 
 # Queue depth at which a channel asks its source to pause, and the
-# depth on which it unpauses.  The pause point is the deepest the
-# headroom guard below admits -- worst-case in-flight cells exactly
-# fill the queue -- and the release waits for a three-cell drain so
-# commands are not emitted on every enqueue/dequeue flutter around
-# one level.  Calibrated against the reference latency distributions
-# of a saturated 32-port switch.
+# depth on which it unpauses.  Both are calibrated against the
+# reference latency distributions of a saturated 32-port switch; the
+# release waits for a three-cell drain so commands are not emitted on
+# every enqueue/dequeue flutter around one level.  The queue capacity
+# follows from the pause point (``EngineConfig.voq_capacity``).
 DEFAULT_ON_THRESHOLD = 10
 DEFAULT_OFF_THRESHOLD = 7
 
@@ -83,19 +82,6 @@ class EngineConfig:
             raise ConfigError("egress delay cannot be negative")
         if self.max_slots is not None and self.max_slots < 1:
             raise ConfigError("max_slots must allow at least one slot")
-        # A pause fires on the enqueue that crosses the on threshold,
-        # i.e. at depth on + 1, and exposure more cells may still land.
-        if self.on_threshold + 1 + self.pause_exposure() > self.voq_capacity():
-            raise ConfigError(
-                "pause threshold leaves too little headroom: cells in "
-                "flight when a pause fires could overflow the queue")
-
-    def fc_rtt(self) -> int:
-        """Pause-loop round trip: both link delays plus a slot of
-        transmit quantization margin at each end.  Cells already in
-        flight when a pause fires keep arriving for up to one such
-        round trip, so queue headroom is sized from this figure."""
-        return self.uplink_delay + self.downlink_delay + 2
 
     def pause_exposure(self) -> int:
         """Worst-case cells that can still reach one queue after its
@@ -104,9 +90,11 @@ class EngineConfig:
         return self.uplink_delay + self.downlink_delay - 1
 
     def voq_capacity(self) -> int:
-        """Per-channel queue depth, sized at one and a half pause-loop
-        round trips."""
-        return math.ceil(1.5 * self.fc_rtt())
+        """Per-channel queue depth: exactly the pause headroom.  A
+        pause fires on the enqueue that crosses the on threshold, at
+        depth on + 1, and ``pause_exposure()`` more cells may still
+        land, so no lossless run queues deeper than this."""
+        return self.on_threshold + 1 + self.pause_exposure()
 
     def latency_floor(self) -> int:
         """Slots an uncontended cell needs from uplink transmission to

@@ -56,10 +56,11 @@ spent source does in the slot after its last record.
 
 Losslessness is enforced, not assumed: queue overflows raise
 immediately, a fabric misroute at its structural replay, and every
-sink checks per-flow sequence numbers so any drop, duplicate, or
-reorder is detected.  The run also counts the cells in the VOQs and
-raises at the first slot where some are queued but no request bit is
-set, since no arbiter would ever serve them and the run would stall.
+sink checks per-flow sequence numbers and raises at the first
+misrouted, dropped, duplicated or reordered cell.  The run also counts
+the cells in the VOQs and raises at the first slot where some are
+queued but no request bit is set, since no arbiter would ever serve
+them and the run would stall.
 
 A run is described by ``config.EngineConfig`` and
 ``config.TrafficSpec``, beside the defaults they take.
@@ -100,7 +101,6 @@ class MetricsReport:
     pauses: int
     unpauses: int
     peak_voq_occupancy: int
-    order_violations: int
     fabric_checks: int
     latency_hist: dict[int, int] = field(repr=False)
 
@@ -159,10 +159,10 @@ class MetricsReport:
     # -- integrity -----------------------------------------------------------
 
     def verify(self) -> None:
-        """Raise unless the run was provably lossless and in order."""
-        if self.order_violations:
-            raise SimInvariantError(
-                f"{self.order_violations} per-flow sequence violations")
+        """Raise unless the run was provably lossless: no queue went
+        past its capacity and every cell is accounted for.  Order needs
+        no check here, since a sink raises during the run at the first
+        misrouted, dropped, duplicated or reordered cell."""
         if self.peak_voq_occupancy > self.config.voq_capacity():
             raise SimInvariantError("queue exceeded its stated capacity")
         if (self.generated_cells != self.staged_cells + self.injected_cells
@@ -283,7 +283,6 @@ class StarNetwork:
         first_generation = first_injection = -1
         last_generation = last_delivery = -1
         pauses = unpauses = 0
-        order_violations = 0
 
         slot = 0
         while True:
@@ -305,7 +304,10 @@ class StarNetwork:
                         slot - injected_at + 1 - len(latency_counts))
                     latency_counts[slot - injected_at] += 1
                 if dst != out_port or flow_seq != expected_seq[src][out_port]:
-                    order_violations += 1
+                    raise SimInvariantError(
+                        f"output {out_port} got cell {flow_seq} of flow "
+                        f"{src}->{dst}; flow {src}->{out_port} expected "
+                        f"cell {expected_seq[src][out_port]}")
                 expected_seq[src][out_port] = flow_seq + 1
                 delivered_bytes += valid
             if arrivals:
@@ -440,7 +442,6 @@ class StarNetwork:
             pauses=pauses,
             unpauses=unpauses,
             peak_voq_occupancy=max(bank.peak for bank in self.banks),
-            order_violations=order_violations,
             fabric_checks=(0 if self.fabric is None
                            else self.fabric.structural_checks),
             latency_hist={latency: count for latency, count

@@ -4,10 +4,11 @@ Each switch input owns a bank of per-output-channel FIFO queues,
 indexed by output port; the input's own slot is never used.  Crossing
 the on-threshold on an enqueue asks the upstream device to pause that
 one channel; draining back to the off-threshold asks it to resume.
-Queues must never overflow: ``EngineConfig`` sizes them and checks
-that the thresholds leave enough headroom for every cell already in
-flight when the pause lands, so an overflow is a simulation bug and
-aborts the run.  Queued items are opaque to the bank.
+Queues must never overflow: ``EngineConfig`` sizes them to exactly
+the pause headroom -- the on-threshold, the enqueue that crosses it,
+and every cell still in flight when the pause lands -- so an overflow
+is a simulation bug and aborts the run.  Queued items are opaque to
+the bank.
 
 A bank also keeps the occupancy facts the rest of the switch reads:
 its input's bit in the per-output request masks that the banks of one
@@ -42,9 +43,9 @@ class VOQBank:
                  requests: list[int], port: int):
         if capacity < 1:
             raise ConfigError("capacity must be at least one cell")
-        if not 0 <= off_threshold <= on_threshold < capacity:
+        if not 0 <= off_threshold < on_threshold < capacity:
             raise ConfigError(
-                f"need 0 <= off <= on < capacity, got "
+                f"need 0 <= off < on < capacity, got "
                 f"{off_threshold}/{on_threshold}/{capacity}")
         self.capacity = capacity
         self.on_threshold = on_threshold

@@ -155,9 +155,6 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bit error rate"):
             cli.parse_experiment(TINY_BER.replace("bers = 0 1e-5",
                                                   "bers = 0 1e-5 1.5"))
-        with pytest.raises(ConfigError, match="headroom"):  # on too high
-            cli.parse_experiment(TINY_SWEEP.replace(
-                "ports = 4", "ports = 4\non_threshold = 30"))
         with pytest.raises(ConfigError, match="arrival process"):
             cli.parse_experiment(TINY_SWEEP.replace(
                 "pattern = bernoulli", "pattern = bernoulli poisson"))
@@ -479,6 +476,14 @@ class TestRunCommand:
             for column in ["utilization_pct", *cli.LATENCY_COLUMNS]:
                 assert row[column] == ""
             assert float(row["measured_load_pct"]) > 0
+
+    def test_high_on_threshold_runs(self, tmp_path):
+        # capacity follows from the pause point, so no on threshold
+        # leaves too little headroom
+        code, out = run_main(tmp_path, TINY_SWEEP.replace(
+            "ports = 4", "ports = 4\non_threshold = 30"))
+        assert code == cli.EXIT_OK
+        assert len(cli.read_csv(out / "tiny.csv")) == 4
 
     def test_vanishing_load_is_config_error(self, tmp_path, monkeypatch):
         # 1e-15 % is a load of 1e-17, and 1.0 - 1e-17 == 1.0: a

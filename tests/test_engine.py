@@ -66,16 +66,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig(n_ports=257)
 
-    def test_pause_headroom_guard(self):
-        # With 7-slot links a pause fires at depth on+1 and 13 more
-        # cells can land; capacity 24 admits on <= 10 and nothing more.
-        EngineConfig(n_ports=8, on_threshold=10, off_threshold=1)
-        with pytest.raises(ConfigError):
-            EngineConfig(n_ports=8, on_threshold=11, off_threshold=1)
-
     def test_derived_quantities(self):
         config = EngineConfig(n_ports=8)
-        assert config.fc_rtt() == 16
         assert config.pause_exposure() == 13
         assert config.voq_capacity() == 24
         assert config.latency_floor() == 18
@@ -86,9 +78,8 @@ class TestConfigValidation:
         config = EngineConfig(n_ports=4, uplink_delay=3, downlink_delay=2,
                               egress_delay=0, on_threshold=5,
                               off_threshold=2)
-        assert config.fc_rtt() == 7
         assert config.pause_exposure() == 4
-        assert config.voq_capacity() == 11
+        assert config.voq_capacity() == 10  # 5 + 1 + 4
         assert config.latency_floor() == 6
 
 
@@ -147,7 +138,6 @@ class TestConservationAndIntegrity:
         assert report.drained
         assert (report.generated_cells == report.injected_cells
                 == report.delivered_cells > 0)
-        assert report.order_violations == 0
         assert sum(report.latency_hist.values()) == report.delivered_cells
 
     def test_fixed_cells_account_full_frames(self):
@@ -168,12 +158,39 @@ class TestConservationAndIntegrity:
         assert config.on_threshold < report.peak_voq_occupancy \
             <= config.voq_capacity()
 
+    @pytest.mark.parametrize("on", [1, 5, 20])
+    @pytest.mark.parametrize("up,down", [(1, 1), (3, 2), (1, 5)])
+    def test_capacity_is_the_exact_pause_headroom(self, up, down, on):
+        # A pause fires at depth on + 1 and up + down - 1 more cells
+        # can still land, so saturated queues reach the capacity and
+        # never pass it.
+        peaks = []
+        for scheduler, mode in itertools.product((ISLIP, SAFC),
+                                                 ("bernoulli", "bursty")):
+            config = EngineConfig(n_ports=8, scheduler=scheduler, seed=2,
+                                  uplink_delay=up, downlink_delay=down,
+                                  egress_delay=0, on_threshold=on,
+                                  off_threshold=0)
+            report = run_star(config, TrafficSpec(mode=mode, load=1.0,
+                                                  volume_bytes=20_000))
+            assert report.peak_voq_occupancy <= config.voq_capacity()
+            peaks.append(report.peak_voq_occupancy)
+        assert max(peaks) == config.voq_capacity() == on + up + down
+
+    @pytest.mark.parametrize("seqs", [(0, 2), (0, 0)],
+                             ids=["gap", "repeat"])
+    def test_sink_raises_at_first_out_of_sequence_cell(self, seqs):
+        net = StarNetwork(EngineConfig(n_ports=2), TrafficSpec())
+        net.sources = [
+            ScriptSource([(0, 1, seq, CELL_PAYLOAD_BYTES, True)
+                          for seq in seqs]),
+            ScriptSource([])]
+        with pytest.raises(SimInvariantError,
+                           match=f"cell {seqs[1]} of flow 0->1"):
+            net.run()
+
     def test_verify_flags_doctored_reports(self):
         report = small_run(n_ports=4, load=0.4, volume=5_000)
-        report.order_violations = 1
-        with pytest.raises(SimInvariantError):
-            report.verify()
-        report.order_violations = 0
         report.peak_voq_occupancy = report.config.voq_capacity() + 1
         with pytest.raises(SimInvariantError):
             report.verify()
@@ -227,7 +244,6 @@ class TestConservationAndIntegrity:
                            channel_buffer=1)
         assert report.drained
         assert report.generated_cells == report.delivered_cells
-        assert report.order_violations == 0
 
     @pytest.mark.parametrize("size_mode", ["fixed", "variable"])
     @pytest.mark.parametrize("mode", ["bernoulli", "bursty"])
@@ -296,7 +312,7 @@ def report_with(hist):
         staged_cells=0, in_flight_cells=0,
         delivered_wire_bytes=delivered * FRAME_BYTES, first_injection=0,
         last_delivery=max(hist), first_generation=0, last_generation=0,
-        pauses=0, unpauses=0, peak_voq_occupancy=0, order_violations=0,
+        pauses=0, unpauses=0, peak_voq_occupancy=0,
         fabric_checks=0, latency_hist=hist)
 
 
@@ -418,9 +434,10 @@ class TestByteIdentity:
                 report.last_delivery]).encode())
         assert digest.hexdigest() == self.DIGEST
 
-    # Recorded on the engine with per-port link rings and deques.
+    # Recorded on the engine whose queue capacity is the exact pause
+    # headroom and whose report has no order_violations field.
     WIDE_DIGEST = (
-        "518950b09201e3aaaa1546dfc6d61cb1fc687f2f3c7d12b3a1e45caf27801137")
+        "cc860a9dd9e770fbab94d1c3bb0c15a6ec5bab3f812633b1688179eddb69ac96")
 
     def test_truncated_and_custom_delay_digest_unchanged(self):
         # Every report field, staged and in-flight counts included, of

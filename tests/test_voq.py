@@ -17,9 +17,10 @@ def make_cell(tag: int) -> tuple:
 
 class TestSizing:
     def test_reference_fabric_size(self):
-        # 64 ports, 15-cell round trip: 23 cells of headroom per channel.
+        # 64 ports, 7/6-slot links: a pause fires at depth 10 + 1 and 12
+        # more cells can land, so 23 = 10 + 1 + 12 cells per channel.
         config = EngineConfig(n_ports=64, uplink_delay=7, downlink_delay=6)
-        assert config.fc_rtt() == 15
+        assert config.pause_exposure() == 12
         per_channel = config.voq_capacity()
         per_port = per_channel * 63 * CELL_PAYLOAD_BYTES
         total = per_port * 64
@@ -29,11 +30,15 @@ class TestSizing:
         assert 360 <= per_port / 1024 <= 365
         assert 22 <= total / 2**20 <= 24
 
-    def test_headroom_rounds_up(self):
-        # 1.5 round trips: 16 -> 24 exactly, 15 -> 22.5 rounds up to 23.
+    def test_capacity_is_pause_headroom(self):
+        # on + 1 + exposure: 10 + 1 + 13 = 24 at the defaults, one less
+        # per slot taken off a link, one more per step of the on
+        # threshold.
         assert EngineConfig(n_ports=4).voq_capacity() == 24
         assert EngineConfig(n_ports=4, downlink_delay=6).voq_capacity() \
             == 23
+        assert EngineConfig(n_ports=4, on_threshold=30).voq_capacity() \
+            == 44
 
 
 class TestConstruction:
@@ -43,6 +48,9 @@ class TestConstruction:
                     requests=[0] * 2, port=0)
         with pytest.raises(ConfigError):
             VOQBank(2, capacity=8, on_threshold=3, off_threshold=4,
+                    requests=[0] * 2, port=0)
+        with pytest.raises(ConfigError):  # no hysteresis
+            VOQBank(2, capacity=8, on_threshold=4, off_threshold=4,
                     requests=[0] * 2, port=0)
         with pytest.raises(ConfigError):
             VOQBank(2, capacity=0, on_threshold=0, off_threshold=0,
