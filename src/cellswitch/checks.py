@@ -109,7 +109,8 @@ def _check_bidirectional_faults(delay: int) -> str:
     fault = 10 * delay
     offsets = range(0, 7 * delay + 2)
     for offset in offsets:
-        # run_point_to_point raises on any loss, reorder or duplicate.
+        # run_point_to_point raises on a reorder, a duplicate, or a
+        # loss (a frame that left the replay window undelivered).
         run_point_to_point(
             delay, slots=40 * delay + 120,
             faults=FaultSchedule(a_to_b=frozenset({fault + offset}),

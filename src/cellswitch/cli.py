@@ -411,13 +411,15 @@ def _summary_lines(spec: ExperimentSpec, rows: list[dict],
         return lines
     header = ("pattern", "size", "sched", "load%", "meas%", "util%",
               "p50", "p99", "max")
-    lines.append("  " + " ".join(f"{h:>9}" for h in header))
-    for row in rows:
-        cells = (row["pattern"][:9], row["size_mode"], row["scheduler"],
-                 row["nominal_load_pct"], row["measured_load_pct"],
-                 row["utilization_pct"], str(row["p50"]), str(row["p99"]),
-                 str(row["p100"]))
-        lines.append("  " + " ".join(f"{c:>9}" for c in cells))
+    table = [header] + [
+        (row["pattern"], row["size_mode"], row["scheduler"],
+         row["nominal_load_pct"], row["measured_load_pct"],
+         row["utilization_pct"], str(row["p50"]), str(row["p99"]),
+         str(row["p100"])) for row in rows]
+    # The pattern column fits its widest row (p2p-ber-1e-12 and such).
+    widths = [max(9, *(len(cells[0]) for cells in table))] + [9] * 8
+    lines.extend("  " + " ".join(f"{c:>{w}}" for c, w in zip(cells, widths))
+                 for cells in table)
     return lines
 
 
@@ -490,11 +492,15 @@ def compare_reports(measured: list[dict], reference: list[dict],
     """Per-cell tolerance check of measured rows against a reference.
 
     Rows are matched on (pattern, size_mode, scheduler, nominal load);
-    every tolerance-listed metric present on both sides of a matched
-    row yields one verdict.  A reference row with no measured partner
-    yields a single ``missing`` verdict, since silence must not pass,
-    and two measured rows with one key are a configuration error.
-    """
+    every tolerance metric with a value on both sides of a matched row
+    yields one verdict.  A reference row with no measured partner
+    yields a single ``missing`` verdict, since silence must not pass;
+    a metric missing from either header, like two measured rows with
+    one key, is a configuration error."""
+    for metric in tolerances:
+        for side, rows in (("measured", measured), ("reference", reference)):
+            if any(metric not in row for row in rows):
+                raise ConfigError(f"no column {metric!r} in the {side} report")
     index = {}
     for row in measured:
         key = _row_key(row)

@@ -2,22 +2,23 @@
 
 Every slot each endpoint transmits exactly one frame (idle if it has
 nothing to say) and receives the frame its peer sent ``one_way_delay``
-slots earlier.  Data frames are the only sequenced frames, and each
-is kept in a bounded replay buffer after transmission.  (Flow control
-is not carried on this link model: the star engine sends it as
-out-of-band control words.)  A receiver that sees a corrupted frame
-cannot trust anything about it, so it freezes its own sequenced
-transmissions (the corrupted frame may have been the peer's
-retransmit request) and asks the peer to replay by sending a request
-frame every slot.  The peer answers with a retransmission cycle: a
-fixed lead-in of control frames followed by its whole replay buffer
-in order, the last frame flagged as the end of the cycle.  Duplicates
-are discarded by sequence number, so delivery to the device is
-exactly-once in order: ``receive`` hands over at most one payload, as
-a 0- or 1-tuple.  ``run_point_to_point`` checks each as it arrives
-(the k-th payload delivered on a side must be the peer's k-th,
-numbered from 0) and so reports each side's deliveries as
-``range(k)``.
+slots earlier.  An endpoint's device is one count, ``offered``: the
+payloads it has handed over so far (``math.inf`` when saturated).  A
+payload is its sequence number: the k-th, from 0, is data frame k.
+Data frames are the only sequenced frames, and each is kept in a
+bounded replay buffer after transmission.  (Flow control is not
+carried on this link model: the star engine sends it as out-of-band
+control words.)  A receiver that sees a corrupted frame cannot trust
+anything about it, so it freezes its own sequenced transmissions (the
+corrupted frame may have been the peer's retransmit request) and asks
+the peer to replay by sending a request frame every slot.  The peer
+answers with a retransmission cycle: a fixed lead-in of control frames
+followed by its whole replay buffer in order, the last frame flagged
+as the end of the cycle.  Duplicates are discarded by sequence number,
+so delivery to the device is exactly-once in order: ``receive`` hands
+over at most one payload, as a 0- or 1-tuple.  ``run_point_to_point``
+checks each as it arrives (the k-th payload delivered on a side must
+be k) and so reports each side's deliveries as ``range(k)``.
 
 Replay buffer sizing: every frame carries the sender's "requesting"
 bit, and a receiver stops admitting new sequenced frames while its
@@ -84,7 +85,6 @@ class Frame:
 
     kind: str
     seq: int | None = None
-    payload: object = None
     cycle_end: bool = False
 
 
@@ -123,6 +123,7 @@ class LinkEndpoint:
         self.window = 2 * one_way_delay + 2
         self.cycle_lead_in = 3 * one_way_delay - 2
         # transmit side
+        self.offered = 0  # payloads the device has handed over so far
         self.next_seq = 0
         self.replay: deque[Frame] = deque(maxlen=self.window)
         self.cycle_queue: deque[Frame] = deque()
@@ -132,7 +133,7 @@ class LinkEndpoint:
         self.highest_seen = -1
         self.requesting = False
         self.peer_requesting = False
-        # counters
+        # statistics
         self.replays_emitted = 0
         self.delivered = 0
         self.dups_dropped = 0
@@ -141,14 +142,14 @@ class LinkEndpoint:
 
     # -- transmit ------------------------------------------------------------
 
-    def emit(self, data_provider=None) -> Frame:
+    def emit(self) -> Frame:
         """Produce this slot's outbound frame.
 
         Priority: finish a retransmission cycle, else keep requesting
-        a replay, else pull one payload from the device, else idle.
-        New sequence numbers are only assigned on the data path, so
-        the replay buffer is frozen for as long as either side is
-        recovering.  ``last_kind`` records the kind sent.
+        a replay, else send payload ``next_seq`` if ``offered`` covers
+        it, else idle.  New sequence numbers are only assigned on the
+        data path, so the replay buffer is frozen for as long as either
+        side is recovering.  ``last_kind`` records the kind sent.
         """
         if self.cycle_queue:
             frame = self.cycle_queue.popleft()
@@ -163,13 +164,10 @@ class LinkEndpoint:
             return _REREQ
         # While the peer is mid-recovery, hold all new sequence numbers
         # so nothing it may still need falls out of the window.
-        payload = None
-        if not self.peer_requesting and data_provider is not None:
-            payload = data_provider()
-        if payload is None:
+        if self.peer_requesting or self.next_seq >= self.offered:
             self.last_kind = IDLE_KIND
             return _IDLE
-        frame = Frame(DATA_KIND, self.next_seq, payload)
+        frame = Frame(DATA_KIND, self.next_seq)
         self.next_seq += 1
         self.replay.append(frame)
         self.last_kind = DATA_KIND
@@ -180,7 +178,7 @@ class LinkEndpoint:
         queue.extend(self.replay)
         tail = queue.pop()
         # A flagged copy: the replay buffer keeps the unflagged frame.
-        queue.append(Frame(tail.kind, tail.seq, tail.payload, True))
+        queue.append(Frame(tail.kind, tail.seq, True))
         self.cycle_queue = queue
         self.cycles_started += 1
 
@@ -188,8 +186,8 @@ class LinkEndpoint:
 
     def receive(self, frame: Frame, corrupted: bool,
                 peer_flag: bool = False) -> tuple:
-        """Process one arriving frame; return ``(payload,)`` if it
-        delivers one in order now, else ``()``."""
+        """Process one arriving frame; return ``(seq,)`` if it
+        delivers that payload in order now, else ``()``."""
         if corrupted:
             self.corrupted_seen += 1
             self.requesting = True
@@ -210,7 +208,7 @@ class LinkEndpoint:
                 # same replay train, so the request volley can stop.
                 self.requesting = False
                 self.delivered += 1
-                delivered = (frame.payload,)
+                delivered = (seq,)
             elif seq > self.expected:
                 # Deliverable gap: keep (or start) requesting.
                 self.highest_seen = max(self.highest_seen, seq)
@@ -255,14 +253,15 @@ class DuplexLink:
         self._pipe_ab = deque([idle] * one_way_delay)
         self._pipe_ba = deque([idle] * one_way_delay)
 
-    def step(self, provide_a=None, provide_b=None) -> tuple[tuple, tuple]:
-        """Run one slot; return the payloads delivered at a and at b,
-        each as ``receive`` returns them."""
+    def step(self) -> tuple[tuple, tuple]:
+        """Run one slot, each side sending from what its device has
+        ``offered``; return the payloads delivered at a and at b, each
+        as ``receive`` returns them."""
         a, b = self.a, self.b
         pipe_ab, pipe_ba = self._pipe_ab, self._pipe_ba
         slot, p, faults = self.slot, self.p_frame, self.faults
-        frame_ab = a.emit(provide_a)
-        frame_ba = b.emit(provide_b)
+        frame_ab = a.emit()
+        frame_ba = b.emit()
         # A forced slot is corrupt without a draw; else a coin is drawn
         # for a to b, then for b to a.
         pipe_ab.append((frame_ab, slot in faults.a_to_b
@@ -331,10 +330,9 @@ def _steady(link: DuplexLink) -> bool:
 def _skip_clean(link: DuplexLink, end: int) -> int:
     """If the link is steady, advance it over its clean stretch: up to
     and including the first slot that draws a corrupt frame, stopping
-    before any fault slot and at slot ``end``.  Payloads are taken to
-    equal their seqs, as the saturated counters of
-    ``run_point_to_point`` make them.  Return the number of slots
-    covered (0 if none); each side has delivered that many more."""
+    before any fault slot and at slot ``end``.  Both sides must be
+    saturated.  Return the number of slots covered (0 if none); each
+    side has sent and delivered that many more."""
     if not _steady(link):
         return 0
     start = link.slot
@@ -364,7 +362,7 @@ def _skip_clean(link: DuplexLink, end: int) -> int:
             (link._pipe_ab, link.a, link.b, corrupt_ab),
             (link._pipe_ba, link.b, link.a, corrupt_ba)):
         top = sender.next_seq + n
-        frames = [Frame(DATA_KIND, seq, seq) for seq in
+        frames = [Frame(DATA_KIND, seq) for seq in
                   range(max(sender.next_seq, top - sender.window), top)]
         sender.replay.extend(frames)
         sender.next_seq = top
@@ -383,35 +381,26 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
                        load: float = 1.0, seed: int = 0,
                        faults: FaultSchedule | None = None,
                        record_kinds: bool = False) -> PointToPointResult:
-    """Drive both directions with integer payload tokens for ``slots``.
+    """Drive both directions for ``slots``.
 
     load < 1 models each endpoint's device as a Bernoulli arrival
-    process into a queue, so payloads deferred by a recovery episode
-    are sent later rather than lost; at 1.0 the sources are
-    saturated, and clean steady stretches are skipped (module
+    process: each slot adds one payload to a side's ``offered`` with
+    probability ``load``, so payloads deferred by a recovery episode
+    are sent later rather than lost.  At 1.0 both sides offer
+    ``math.inf``, and clean steady stretches are skipped (module
     docstring).  Returned kind timelines (one entry per slot, replays
     marked "replay") support exact timing analysis of recoveries.
     Raise SimInvariantError at the first payload that arrives out of
-    order or twice, or if the result is not lossless.
+    order or twice, if a frame left its sender's replay buffer before
+    the peer delivered it, or if the result is not lossless.
     """
     check_link(one_way_delay, slots, load)
     link = DuplexLink(one_way_delay, ber=ber, seed=seed, faults=faults)
+    a, b = link.a, link.b
     src_rng = random.Random(seed ^ 0x5CE11)
-    counters = [0, 0]   # payloads sent by a and by b
+    if load == 1.0:
+        a.offered = b.offered = math.inf
     delivered_a = delivered_b = 0
-    backlog = [0, 0]
-
-    def provider(side):
-        def pull():
-            if load < 1.0:
-                if backlog[side] == 0:
-                    return None
-                backlog[side] -= 1
-            counters[side] += 1
-            return counters[side] - 1
-        return pull
-
-    pull_a, pull_b = provider(0), provider(1)
     kinds_a: list[str] = []
     kinds_b: list[str] = []
 
@@ -420,18 +409,16 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
     delivering = False
     while link.slot < slots:
         if load < 1.0:
-            backlog[0] += src_rng.random() < load
-            backlog[1] += src_rng.random() < load
+            a.offered += src_rng.random() < load
+            b.offered += src_rng.random() < load
         elif delivering and (n := _skip_clean(link, slots)):
-            counters[0] += n
-            counters[1] += n
             delivered_a += n
             delivered_b += n
             if record_kinds:
                 kinds_a.extend([DATA_KIND] * n)
                 kinds_b.extend([DATA_KIND] * n)
             continue
-        to_a, to_b = link.step(pull_a, pull_b)
+        to_a, to_b = link.step()
         # Each side's next payload must be the count it has delivered.
         if ((to_a and to_a != (delivered_a,))
                 or (to_b and to_b != (delivered_b,))):
@@ -441,13 +428,18 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
         delivered_b += len(to_b)
         delivering = to_a and to_b
         if record_kinds:
-            kinds_a.append(link.a.last_kind)
-            kinds_b.append(link.b.last_kind)
+            kinds_a.append(a.last_kind)
+            kinds_b.append(b.last_kind)
+    # A frame older than the sender's last ``window`` (its replay
+    # buffer) can never be replayed: undelivered, it is lost.
+    if (a.next_seq - b.expected > a.window
+            or b.next_seq - a.expected > b.window):
+        raise SimInvariantError("a frame left the replay window undelivered")
     result = PointToPointResult(
-        slots=slots, sent_a=counters[0], sent_b=counters[1],
+        slots=slots, sent_a=a.next_seq, sent_b=b.next_seq,
         delivered_at_b=range(delivered_b), delivered_at_a=range(delivered_a),
         kinds_a=kinds_a, kinds_b=kinds_b,
-        cycles_a=link.a.cycles_started, cycles_b=link.b.cycles_started,
+        cycles_a=a.cycles_started, cycles_b=b.cycles_started,
     )
     result.verify()
     return result

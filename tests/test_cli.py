@@ -405,6 +405,16 @@ class TestRunCommand:
             float(clean["utilization_pct"])
         assert int(noisy["retx"]) > 0
 
+    def test_ber_summary_keeps_full_patterns(self, tmp_path):
+        spec = replace(cli.parse_experiment(cli.load_preset("ber-sweep")),
+                       slots=2000)
+        cli.run_experiment(spec, tmp_path)
+        summary = (tmp_path / "ber-sweep-summary.txt").read_text()
+        patterns = [row.split()[0] for row in summary.splitlines()[6:]]
+        assert patterns == [f"p2p-ber-{ber:g}" for ber in spec.bers]
+        assert patterns[1:] == [f"p2p-ber-1e-{n:02d}"
+                                for n in range(12, 4, -1)]
+
     def test_negative_zero_reads_as_zero(self, tmp_path):
         """``-0`` is the value 0, so its row prints as 0."""
         code, out = run_main(tmp_path, TINY_BER.replace(
@@ -668,6 +678,41 @@ class TestCompare:
         assert cli.main(args + ["--strict"]) == cli.EXIT_CONFIG
         assert cli.main(["compare", "--measured", str(measured),
                          "--builtin", "latency"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("side", ["measured", "reference"])
+    def test_metric_not_a_column_is_config_error(self, tmp_path, capsys,
+                                                 side):
+        # A misspelt metric would otherwise yield no verdict and pass.
+        report = tmp_path / "report.csv"
+        cli.write_csv(report, list(self.ROW), [self.ROW])
+        args = ["compare", "--measured", str(report),
+                "--reference", str(report), "--strict",
+                "--tolerance", "utilisation_pct=abs:1.5"]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert "no column 'utilisation_pct' in the measured report" \
+            in capsys.readouterr().err
+        # Missing from one side only is an error too.
+        other = tmp_path / "other.csv"
+        columns = [c for c in self.ROW if c != "p50"]
+        cli.write_csv(other, columns, [{c: self.ROW[c] for c in columns}])
+        files = {"measured": report, "reference": report, side: other}
+        assert cli.main(["compare", "--measured", str(files["measured"]),
+                         "--reference", str(files["reference"]),
+                         "--tolerance", "p50=rel:20"]) == cli.EXIT_CONFIG
+        assert f"no column 'p50' in the {side} report" \
+            in capsys.readouterr().err
+
+    def test_metric_missing_from_builtin_is_config_error(self, tmp_path,
+                                                          capsys):
+        measured = tmp_path / "measured.csv"
+        row = dict(self.ROW, measured_load_pct="99")
+        cli.write_csv(measured, list(row), [row])
+        assert cli.main(["compare", "--measured", str(measured),
+                         "--builtin", "latency",
+                         "--tolerance", "measured_load_pct=abs:1"]) \
+            == cli.EXIT_CONFIG
+        assert "no column 'measured_load_pct' in the reference report" \
+            in capsys.readouterr().err
 
     def test_non_numeric_cell_is_config_error(self, tmp_path, capsys):
         measured = tmp_path / "measured.csv"

@@ -5,13 +5,21 @@ CPython 3.11 compiles ``f(*args)`` and ``f(**kwargs)`` to
 star call on a path that runs once per slot pays for an extra C-level
 frame every time.  ``StarNetwork.run`` is left out: its one such call
 builds the keyword-heavy ``MetricsReport`` once, after the slot loop.
+``run_point_to_point`` is in whole: its slot loop runs once per
+stepped slot.
 """
 
 import dis
 
 import pytest
 
-from cellswitch.link import DuplexLink, LinkEndpoint, _skip_clean, _steady
+from cellswitch.link import (
+    DuplexLink,
+    LinkEndpoint,
+    _skip_clean,
+    _steady,
+    run_point_to_point,
+)
 from cellswitch.scheduler import IslipScheduler, SafcScheduler
 from cellswitch.traffic import SourceProcess
 from cellswitch.voq import VOQBank
@@ -22,6 +30,7 @@ PER_SLOT = {
     "LinkEndpoint.receive": LinkEndpoint.receive,
     "_skip_clean": _skip_clean,
     "_steady": _steady,
+    "run_point_to_point": run_point_to_point,
     "VOQBank.enqueue": VOQBank.enqueue,
     "VOQBank.dequeue": VOQBank.dequeue,
     "IslipScheduler.match": IslipScheduler.match,

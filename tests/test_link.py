@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import tracemalloc
 from collections import deque
 
 import pytest
 
+from cellswitch.checks import CHECKS
 from cellswitch.codec import SEQ_MODULUS
 from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.link import (
@@ -42,18 +44,6 @@ def kind_runs(kinds, kind):
 
 def exact_prefix(seq):
     return list(seq) == list(range(len(seq)))
-
-
-def limited_source(n):
-    count = [0]
-
-    def pull():
-        if count[0] < n:
-            count[0] += 1
-            return count[0] - 1
-        return None
-
-    return pull
 
 
 class TestFrameErrorProbability:
@@ -96,34 +86,42 @@ class TestEndpointBasics:
 
     def test_idle_when_no_payload(self):
         e = LinkEndpoint(2)
-        frame = e.emit(lambda: None)
+        frame = e.emit()
         assert frame.kind == "idle"
         assert e.next_seq == 0
+        e.offered = 1
+        assert e.emit().kind == "data"
+        assert e.emit().kind == "idle"
+        assert e.next_seq == 1
 
     def test_requesting_preempts_everything_but_cycles(self):
         e = LinkEndpoint(2)
+        e.offered = math.inf
         e.requesting = True
-        assert e.emit(lambda: "cell").kind == "rereq"
+        assert e.emit().kind == "rereq"
         assert e.next_seq == 0
         e.cycle_queue.append(Frame("ctrl"))
-        assert e.emit(lambda: "cell").kind == "ctrl"
+        assert e.emit().kind == "ctrl"
         assert e.last_kind == "ctrl"
 
     def test_peer_requesting_freezes_admissions(self):
         e = LinkEndpoint(2)
+        e.offered = 1
         e.peer_requesting = True
-        frame = e.emit(lambda: "cell")
+        frame = e.emit()
         assert frame.kind == "idle"
         assert e.next_seq == 0 and not e.replay
         e.peer_requesting = False
-        frame = e.emit(lambda: "cell")
-        assert (frame.kind, frame.seq, frame.payload) == ("data", 0, "cell")
+        frame = e.emit()
+        assert (frame.kind, frame.seq) == ("data", 0)
 
     def test_cycle_contents(self):
         e = LinkEndpoint(2)
-        e.emit(lambda: "cell0")
-        e.emit(lambda: None)
-        e.emit(lambda: "cell1")
+        e.offered = 1
+        e.emit()
+        e.emit()
+        e.offered = 2
+        e.emit()
         e._start_cycle()
         kinds = [f.kind for f in e.cycle_queue]
         assert kinds == ["ctrl"] * 4 + ["data", "data"]
@@ -136,14 +134,15 @@ class TestEndpointBasics:
     def test_in_order_delivery_and_dedup(self):
         e = LinkEndpoint(2)
         peer = LinkEndpoint(2)
-        frames = [peer.emit(lambda i=i: f"p{i}") for i in range(4)]
-        assert e.receive(frames[0], False) == ("p0",)
+        peer.offered = 4
+        frames = [peer.emit() for _ in range(4)]
+        assert e.receive(frames[0], False) == (0,)
         assert e.receive(frames[0], False) == ()  # duplicate dropped
         assert e.receive(frames[2], False) == ()  # gap: held out
         assert e.requesting
-        assert e.receive(frames[1], False) == ("p1",)
+        assert e.receive(frames[1], False) == (1,)
         assert not e.requesting
-        assert e.receive(frames[2], False) == ("p2",)
+        assert e.receive(frames[2], False) == (2,)
         assert e.dups_dropped == 1
 
 
@@ -211,6 +210,23 @@ def test_clean_run_keeps_no_per_payload_record():
     assert result.delivered_at_a == range(200_000 - 7)
 
 
+def test_frame_lost_from_the_replay_window_raises(monkeypatch):
+    """With replay buffers of D + 2 frames, short of the 2D + 2 a
+    recovery can need, a frame can leave the buffer undelivered and
+    stall the link for good; the run and the check must say so."""
+    init = LinkEndpoint.__dict__["__init__"]
+
+    def shrunk(self, one_way_delay):
+        init(self, one_way_delay)
+        self.window = one_way_delay + 2
+        self.replay = deque(maxlen=self.window)
+    monkeypatch.setattr(LinkEndpoint, "__init__", shrunk)
+    with pytest.raises(SimInvariantError, match="replay window"):
+        run_point_to_point(7, 50_000, ber=1e-5)
+    with pytest.raises(SimInvariantError, match="replay window"):
+        CHECKS["bidirectional-faults"](7)
+
+
 class TestSingleErrorRecovery:
     """One corrupted frame on a saturated duplex link, delay 4.
 
@@ -269,11 +285,11 @@ class TestQuietLinkRecovery:
         the short first cycle by one round trip, so exactly one more
         (harmless) cycle absorbs its tail."""
         link = DuplexLink(4, faults=FaultSchedule(b_to_a=frozenset({30})))
-        src_a, src_b = limited_source(5), limited_source(0)
+        link.a.offered = 5
         got_a, got_b = [], []
         requests = 0
         for _ in range(120):
-            to_a, to_b = link.step(src_a, src_b)
+            to_a, to_b = link.step()
             got_a.extend(to_a)
             got_b.extend(to_b)
             requests += link.a.last_kind == "rereq"
@@ -285,9 +301,9 @@ class TestQuietLinkRecovery:
 
     def test_stale_replays_are_deduplicated(self):
         link = DuplexLink(3, faults=FaultSchedule(b_to_a=frozenset({40})))
-        src_a, src_b = limited_source(0), limited_source(3)
+        link.b.offered = 3
         for _ in range(120):
-            link.step(src_a, src_b)
+            link.step()
         assert link.a.delivered == 3
         assert link.a.dups_dropped == 6  # three stale frames, two cycles
         assert not link.a.requesting
@@ -346,29 +362,27 @@ class TestAdversarialCorruption:
 
     def test_heavy_corruption_soak_conserves_every_payload(self):
         link = DuplexLink(6, ber=1e-5, seed=7)
-        sent = {"a": 0, "b": 0}
-        sources = {"a": itertools.count(), "b": itertools.count()}
-
-        def make(side):
-            def pull():
-                sent[side] += 1
-                return next(sources[side])
-            return pull
-
-        pull_a, pull_b = make("a"), make("b")
+        link.a.offered = link.b.offered = math.inf
+        # Sends are tallied from the kind of each slot's frame, not
+        # read back from the endpoints' own sequence counters.
+        sent_a = sent_b = 0
         got_a, got_b = [], []
         for _ in range(40_000):
-            to_a, to_b = link.step(pull_a, pull_b)
+            to_a, to_b = link.step()
             got_a.extend(to_a)
             got_b.extend(to_b)
+            sent_a += link.a.last_kind == "data"
+            sent_b += link.b.last_kind == "data"
         assert link.a.corrupted_seen + link.b.corrupted_seen > 500
-        link.p_frame = 0.0  # stop injecting errors and drain
+        # Stop injecting errors, send nothing new, and drain.
+        link.p_frame = 0.0
+        link.a.offered = link.b.offered = 0
         for _ in range(4_000):
-            to_a, to_b = link.step(None, None)
+            to_a, to_b = link.step()
             got_a.extend(to_a)
             got_b.extend(to_b)
-        assert got_a == list(range(sent["b"]))
-        assert got_b == list(range(sent["a"]))
+        assert got_a == list(range(sent_b))
+        assert got_b == list(range(sent_a))
         # The frames every endpoint shares came through unchanged.
         assert (_IDLE, _REREQ, _CTRL) == (
             Frame(IDLE_KIND), Frame(REREQ_KIND), Frame(CTRL_KIND))
@@ -448,10 +462,10 @@ class TestByteIdentity:
             assert quiet.delivered_at_b == result.delivered_at_b
 
             link = DuplexLink(delay, ber=ber, seed=seed, faults=faults)
-            pull_a = itertools.count().__next__
-            pull_b = limited_source(int(load * self.SLOTS) // 2)
+            link.a.offered = math.inf
+            link.b.offered = int(load * self.SLOTS) // 2
             for _ in range(self.SLOTS):
-                link.step(pull_a, pull_b)
+                link.step()
             digest.update(repr([
                 (e.next_seq, e.expected, e.delivered, e.dups_dropped,
                  e.replays_emitted, e.cycles_started, e.corrupted_seen)
@@ -551,21 +565,13 @@ class TestSaturatedFastPath:
                             b_to_a=frozenset({120})))
 
     def stepped(self, delay, ber, seed, faults):
-        """Step a plain link with saturated counters; yield the
-        expected result and link state at each of SLOTS."""
+        """Step a plain saturated link; yield the expected result and
+        link state at each of SLOTS."""
         link = DuplexLink(delay, ber=ber, seed=seed, faults=faults)
-        sent = [0, 0]
-
-        def counter(side):
-            def pull():
-                sent[side] += 1
-                return sent[side] - 1
-            return pull
-
-        pull_a, pull_b = counter(0), counter(1)
+        link.a.offered = link.b.offered = math.inf
         got_a, got_b, kinds_a, kinds_b = [], [], [], []
         for slot in range(1, self.SLOTS[-1] + 1):
-            to_a, to_b = link.step(pull_a, pull_b)
+            to_a, to_b = link.step()
             got_a.extend(to_a)
             got_b.extend(to_b)
             kinds_a.append(link.a.last_kind)
@@ -573,7 +579,7 @@ class TestSaturatedFastPath:
             if slot in self.SLOTS:
                 assert exact_prefix(got_a) and exact_prefix(got_b)
                 yield slot, PointToPointResult(
-                    slot, sent[0], sent[1], range(len(got_b)),
+                    slot, link.a.next_seq, link.b.next_seq, range(len(got_b)),
                     range(len(got_a)),
                     list(kinds_a), list(kinds_b),
                     link.a.cycles_started, link.b.cycles_started,
