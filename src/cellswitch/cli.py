@@ -11,7 +11,8 @@ Subcommands
 ``compare``
     Check a produced CSV against a reference CSV cell by cell, under
     per-metric tolerances, and emit a machine-readable verdict table.
-    A measured row key or a tolerance metric given twice is an error.
+    A measured row key or a tolerance metric given twice is an error,
+    and so is a reference with no rows.
 ``presets``
     List the shipped presets.
 
@@ -627,6 +628,8 @@ def _cmd_compare(args) -> int:
     measured = read_csv(args.measured)
     reference = (reference_rows(args.builtin) if args.builtin
                  else read_csv(args.reference))
+    if not reference:  # zero verdicts would pass --strict
+        raise ConfigError(f"{args.builtin or args.reference}: no rows")
     verdicts = compare_reports(measured, reference, tolerances)
     write_csv(args.out, VERDICT_COLUMNS, verdicts)
     failed = sum(v["status"] != "pass" for v in verdicts)

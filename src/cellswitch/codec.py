@@ -11,11 +11,11 @@ assumption:
 * bytes 8-263: the payload.
 
 The 12-bit CRC covers all 264 bytes and travels beside the frame.
-The simulator never serializes a frame: the link model carries its
-own ``link.Frame`` and the star engine the tuple record documented in
-``traffic``, so this module keeps only the layout's sizes, the CRC and
-the routing layer.  The rule that cuts a packet into cells lives with
-the sources that emit them (``traffic``).
+The simulator never serializes a frame: the link model carries the
+frame tuple documented in ``link`` and the star engine the cell record
+documented in ``traffic``, so this module keeps only the layout's
+sizes, the CRC and the routing layer.  The rule that cuts a packet
+into cells lives with the sources that emit them (``traffic``).
 
 Routing is relative: a selector names an egress port by its position
 among the ports of the ingress switch excluding the ingress port

@@ -52,7 +52,10 @@ source; an uncontended cell needs exactly ``latency_floor()`` slots.
 The run counts deliveries in a list indexed by latency and reports
 the latencies seen as a dict.  It has drained once every cell is
 delivered and every source's last poll returned ``math.inf``, which a
-spent source does in the slot after its last record.
+spent source does in the slot after its last record.  While every cell
+is delivered, no control word is pending and no source is due, no
+slot can change anything, so the run jumps to the next slot a source
+is due (or to ``max_slots``).
 
 Losslessness is enforced, not assumed: queue overflows raise
 immediately, a fabric misroute at its structural replay, and every
@@ -410,9 +413,13 @@ class StarNetwork:
                     f"{queued} cells queued with no request bit set")
 
             slot += 1
-            if delivered == injected == generated and min(due) == math.inf:
-                drained = True
-                break
+            if delivered == injected == generated:
+                if (wake := min(due)) == math.inf:
+                    drained = True
+                    break
+                if wake > slot and not any(control):
+                    # an empty network: nothing happens before the wake
+                    slot = wake if max_slots is None else min(wake, max_slots)
             if max_slots is not None and slot >= max_slots:
                 drained = False
                 break

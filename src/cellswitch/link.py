@@ -2,23 +2,42 @@
 
 Every slot each endpoint transmits exactly one frame (idle if it has
 nothing to say) and receives the frame its peer sent ``one_way_delay``
-slots earlier.  An endpoint's device is one count, ``offered``: the
-payloads it has handed over so far (``math.inf`` when saturated).  A
-payload is its sequence number: the k-th, from 0, is data frame k.
-Data frames are the only sequenced frames, and each is kept in a
-bounded replay buffer after transmission.  (Flow control is not
-carried on this link model: the star engine sends it as out-of-band
-control words.)  A receiver that sees a corrupted frame cannot trust
-anything about it, so it freezes its own sequenced transmissions (the
-corrupted frame may have been the peer's retransmit request) and asks
-the peer to replay by sending a request frame every slot.  The peer
-answers with a retransmission cycle: a fixed lead-in of control frames
-followed by its whole replay buffer in order, the last frame flagged
-as the end of the cycle.  Duplicates are discarded by sequence number,
-so delivery to the device is exactly-once in order: ``receive`` hands
+slots earlier.  A frame is a plain tuple, the kind-only ones shared:
+
+    (kind, seq, cycle_end)
+
+``kind`` is a ``*_KIND`` name, ``seq`` a data frame's sequence number
+(None on other kinds) and ``cycle_end`` marks a cycle's last frame.
+An endpoint's device is one count, ``offered``: the payloads it has
+handed over so far (``math.inf`` when saturated).  A payload is its
+sequence number: the k-th, from 0, is data frame k.  Data frames are
+the only sequenced frames.  (Flow control is not carried on this link
+model: the star engine sends it as out-of-band control words.)  A
+receiver that sees a corrupted frame cannot trust anything about it,
+so it freezes its own sequenced transmissions (the corrupted frame may
+have been the peer's retransmit request) and asks the peer to replay
+by sending a request frame every slot.  The peer answers with a
+retransmission cycle: a fixed lead-in of control frames followed by
+its whole replay buffer in order, the last frame flagged as the end
+of the cycle.  Duplicates are discarded by sequence number, so
+delivery to the device is exactly-once in order: ``receive`` hands
 over at most one payload, as a 0- or 1-tuple.  ``run_point_to_point``
 checks each as it arrives (the k-th payload delivered on a side must
 be k) and so reports each side's deliveries as ``range(k)``.
+
+Replay buffer and cycle: the replay buffer is the last ``window`` seqs
+sent, so it is not stored.  ``emit`` serves a queued cycle first, so
+no seq is assigned while one is queued, and the cycle replays the
+``r = min(window, next_seq)`` seqs below ``next_seq``.  It is a
+countdown, ``cycle_left``, from ``cycle_lead_in + r``: the frame with
+``left`` more to follow is a control frame while ``left >= r``, else
+seq ``next_seq - 1 - left``, and is flagged at ``left == 0``.
+
+Cycle end: at a cycle-end frame that shows no gap, ``receive`` stops
+requesting, since the corruption that started the volley hit an
+unsequenced frame.  That frame carries the newest seq its sender had
+assigned, and frames arrive in send order, so no earlier clean arrival
+carried a larger seq: only a gap at it means something is missing.
 
 Replay buffer sizing: every frame carries the sender's "requesting"
 bit, and a receiver stops admitting new sequenced frames while its
@@ -77,20 +96,10 @@ REREQ_KIND = "rereq"
 CTRL_KIND = "ctrl"
 REPLAY_KIND = "replay"  # a data frame sent again in a cycle
 
-
-@dataclass(slots=True)
-class Frame:
-    """One frame on the wire.  No code mutates a frame once built, so
-    the frames that carry nothing but their kind are shared."""
-
-    kind: str
-    seq: int | None = None
-    cycle_end: bool = False
-
-
-_IDLE = Frame(IDLE_KIND)
-_REREQ = Frame(REREQ_KIND)
-_CTRL = Frame(CTRL_KIND)
+_IDLE = (IDLE_KIND, None, False)
+_REREQ = (REREQ_KIND, None, False)
+_CTRL = (CTRL_KIND, None, False)
+_CTRL_END = (CTRL_KIND, None, True)  # ends a cycle with nothing to replay
 
 
 def frame_error_probability(ber: float, frame_bits: int = FRAME_BITS) -> float:
@@ -125,12 +134,11 @@ class LinkEndpoint:
         # transmit side
         self.offered = 0  # payloads the device has handed over so far
         self.next_seq = 0
-        self.replay: deque[Frame] = deque(maxlen=self.window)
-        self.cycle_queue: deque[Frame] = deque()
+        self.cycle_left = 0  # frames of the queued cycle still to send
+        self.cycle_replays = 0  # the seqs that cycle replays
         self.last_kind = IDLE_KIND  # of the frame emit just produced
         # receive side
         self.expected = 0
-        self.highest_seen = -1
         self.requesting = False
         self.peer_requesting = False
         # statistics
@@ -142,23 +150,22 @@ class LinkEndpoint:
 
     # -- transmit ------------------------------------------------------------
 
-    def emit(self) -> Frame:
-        """Produce this slot's outbound frame.
+    def emit(self) -> tuple:
+        """Produce this slot's outbound frame and set ``last_kind``.
 
         Priority: finish a retransmission cycle, else keep requesting
         a replay, else send payload ``next_seq`` if ``offered`` covers
-        it, else idle.  New sequence numbers are only assigned on the
-        data path, so the replay buffer is frozen for as long as either
-        side is recovering.  ``last_kind`` records the kind sent.
+        it, else idle.  Seqs are only assigned on the data path, so the
+        replay buffer is frozen while either side is recovering.
         """
-        if self.cycle_queue:
-            frame = self.cycle_queue.popleft()
-            if frame.kind == CTRL_KIND:
+        if self.cycle_left:
+            left = self.cycle_left = self.cycle_left - 1
+            if left >= self.cycle_replays:
                 self.last_kind = CTRL_KIND
-            else:
-                self.last_kind = REPLAY_KIND
-                self.replays_emitted += 1
-            return frame
+                return _CTRL if left else _CTRL_END
+            self.last_kind = REPLAY_KIND
+            self.replays_emitted += 1
+            return (DATA_KIND, self.next_seq - 1 - left, not left)
         if self.requesting:
             self.last_kind = REREQ_KIND
             return _REREQ
@@ -167,24 +174,19 @@ class LinkEndpoint:
         if self.peer_requesting or self.next_seq >= self.offered:
             self.last_kind = IDLE_KIND
             return _IDLE
-        frame = Frame(DATA_KIND, self.next_seq)
-        self.next_seq += 1
-        self.replay.append(frame)
+        seq = self.next_seq
+        self.next_seq = seq + 1
         self.last_kind = DATA_KIND
-        return frame
+        return (DATA_KIND, seq, False)
 
     def _start_cycle(self) -> None:
-        queue = deque([_CTRL] * self.cycle_lead_in)
-        queue.extend(self.replay)
-        tail = queue.pop()
-        # A flagged copy: the replay buffer keeps the unflagged frame.
-        queue.append(Frame(tail.kind, tail.seq, True))
-        self.cycle_queue = queue
+        self.cycle_replays = min(self.window, self.next_seq)
+        self.cycle_left = self.cycle_lead_in + self.cycle_replays
         self.cycles_started += 1
 
     # -- receive -------------------------------------------------------------
 
-    def receive(self, frame: Frame, corrupted: bool,
+    def receive(self, frame: tuple, corrupted: bool,
                 peer_flag: bool = False) -> tuple:
         """Process one arriving frame; return ``(seq,)`` if it
         delivers that payload in order now, else ``()``."""
@@ -194,33 +196,26 @@ class LinkEndpoint:
             self.peer_requesting = True
             return ()
         self.peer_requesting = peer_flag
-        kind = frame.kind
-        delivered = ()
-        if kind == REREQ_KIND:
-            if not self.cycle_queue:
-                self._start_cycle()
-        elif kind == DATA_KIND:
-            seq = frame.seq
+        kind, seq, cycle_end = frame
+        if kind == DATA_KIND:
             if seq == self.expected:
                 self.expected += 1
-                self.highest_seen = max(self.highest_seen, seq)
                 # Anything else outstanding is behind this frame in the
                 # same replay train, so the request volley can stop.
                 self.requesting = False
                 self.delivered += 1
-                delivered = (seq,)
-            elif seq > self.expected:
-                # Deliverable gap: keep (or start) requesting.
-                self.highest_seen = max(self.highest_seen, seq)
+                return (seq,)
+            if seq > self.expected:
+                # A gap: keep (or start) requesting, even at a cycle end.
                 self.requesting = True
-            else:
-                self.dups_dropped += 1
-        if frame.cycle_end and self.highest_seen < self.expected:
-            # A full cycle went by with no sign of anything missing:
-            # the corruption that started the volley hit an
-            # unsequenced frame, so there is nothing to wait for.
+                return ()
+            self.dups_dropped += 1
+        elif kind == REREQ_KIND and not self.cycle_left:
+            self._start_cycle()
+        if cycle_end:
+            # A cycle went by and showed no gap (module docstring).
             self.requesting = False
-        return delivered
+        return ()
 
 
 @dataclass(slots=True)
@@ -311,7 +306,7 @@ def _steady(link: DuplexLink) -> bool:
     """True when the link is in the clean saturated steady state that
     ``_skip_clean`` can advance (see the module docstring)."""
     a, b = link.a, link.b
-    if (a.cycle_queue or b.cycle_queue or a.requesting or b.requesting
+    if (a.cycle_left or b.cycle_left or a.requesting or b.requesting
             or a.peer_requesting or b.peer_requesting):
         return False
     for pipe, sender, receiver in ((link._pipe_ab, a, b),
@@ -320,8 +315,7 @@ def _steady(link: DuplexLink) -> bool:
         if sender.next_seq - seq != len(pipe):
             return False
         for frame, corrupted, flag in pipe:
-            if (corrupted or flag or frame.cycle_end
-                    or frame.kind != DATA_KIND or frame.seq != seq):
+            if corrupted or flag or frame != (DATA_KIND, seq, False):
                 return False
             seq += 1
     return True
@@ -361,18 +355,13 @@ def _skip_clean(link: DuplexLink, end: int) -> int:
     for pipe, sender, receiver, corrupt in (
             (link._pipe_ab, link.a, link.b, corrupt_ab),
             (link._pipe_ba, link.b, link.a, corrupt_ba)):
-        top = sender.next_seq + n
-        frames = [Frame(DATA_KIND, seq) for seq in
-                  range(max(sender.next_seq, top - sender.window), top)]
-        sender.replay.extend(frames)
-        sender.next_seq = top
-        pipe.extend((frame, False, False) for frame in frames[-delay:])
-        while len(pipe) > delay:
-            pipe.popleft()
-        pipe[-1] = (pipe[-1][0], corrupt, False)
+        # The pipe: the last ``delay`` seqs, a corrupt draw only on the newest.
+        top = sender.next_seq = sender.next_seq + n
+        pipe.clear()
+        pipe.extend(((DATA_KIND, seq, False), False, False)
+                    for seq in range(top - delay, top - 1))
+        pipe.append(((DATA_KIND, top - 1, False), corrupt, False))
         receiver.expected += n
-        receiver.highest_seen = max(receiver.highest_seen,
-                                    receiver.expected - 1)
         receiver.delivered += n
     return n
 

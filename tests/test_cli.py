@@ -728,6 +728,18 @@ class TestCompare:
                          "--tolerance", "p50=rel:20"]) == cli.EXIT_CONFIG
         assert "p50" in capsys.readouterr().err
 
+    def test_reference_without_rows_is_config_error(self, tmp_path, capsys):
+        # Zero verdicts have no failure, so --strict would pass.
+        measured = tmp_path / "measured.csv"
+        reference = tmp_path / "reference.csv"
+        cli.write_csv(measured, list(self.ROW), [self.ROW])
+        cli.write_csv(reference, list(self.ROW), [])
+        code = cli.main(["compare", "--measured", str(measured),
+                         "--reference", str(reference), "--strict",
+                         "--tolerance", "p50=rel:20"])
+        assert code == cli.EXIT_CONFIG
+        assert "reference.csv: no rows" in capsys.readouterr().err
+
     def test_duplicate_measured_row_is_config_error(self):
         again = dict(self.ROW, p50="999")
         with pytest.raises(ConfigError,

@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import math
 import tracemalloc
-from collections import deque
 
 import pytest
 
@@ -15,14 +14,9 @@ from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.link import (
     _CTRL,
     _IDLE,
-    _REREQ,
-    CTRL_KIND,
-    IDLE_KIND,
     MAX_ONE_WAY_DELAY,
-    REREQ_KIND,
     DuplexLink,
     FaultSchedule,
-    Frame,
     LinkEndpoint,
     PointToPointResult,
     frame_error_probability,
@@ -86,50 +80,68 @@ class TestEndpointBasics:
 
     def test_idle_when_no_payload(self):
         e = LinkEndpoint(2)
-        frame = e.emit()
-        assert frame.kind == "idle"
+        kind, _, _ = e.emit()
+        assert kind == "idle"
         assert e.next_seq == 0
         e.offered = 1
-        assert e.emit().kind == "data"
-        assert e.emit().kind == "idle"
+        assert e.emit()[0] == "data"
+        assert e.emit()[0] == "idle"
         assert e.next_seq == 1
 
     def test_requesting_preempts_everything_but_cycles(self):
         e = LinkEndpoint(2)
         e.offered = math.inf
         e.requesting = True
-        assert e.emit().kind == "rereq"
+        assert e.emit()[0] == "rereq"
         assert e.next_seq == 0
-        e.cycle_queue.append(Frame("ctrl"))
-        assert e.emit().kind == "ctrl"
+        e._start_cycle()
+        assert e.emit()[0] == "ctrl"
         assert e.last_kind == "ctrl"
 
     def test_peer_requesting_freezes_admissions(self):
         e = LinkEndpoint(2)
         e.offered = 1
         e.peer_requesting = True
-        frame = e.emit()
-        assert frame.kind == "idle"
-        assert e.next_seq == 0 and not e.replay
+        kind, _, _ = e.emit()
+        assert kind == "idle"
+        # no seq assigned, so the replay buffer is still empty
+        assert e.next_seq == 0
         e.peer_requesting = False
-        frame = e.emit()
-        assert (frame.kind, frame.seq) == ("data", 0)
+        kind, seq, _ = e.emit()
+        assert (kind, seq) == ("data", 0)
+
+    @staticmethod
+    def cycle(e):
+        """Start a cycle on ``e`` and return the frames it emits."""
+        e._start_cycle()
+        frames = [e.emit() for _ in range(e.cycle_left)]
+        assert e.cycle_left == 0
+        return frames
 
     def test_cycle_contents(self):
         e = LinkEndpoint(2)
+        # With nothing to replay, the cycle ends on a flagged control.
+        assert self.cycle(e) == [_CTRL] * 3 + [("ctrl", None, True)]
         e.offered = 1
         e.emit()
         e.emit()
         e.offered = 2
         e.emit()
-        e._start_cycle()
-        kinds = [f.kind for f in e.cycle_queue]
-        assert kinds == ["ctrl"] * 4 + ["data", "data"]
-        assert [f.seq for f in e.cycle_queue][4:] == [0, 1]
-        assert [f.cycle_end for f in e.cycle_queue] == \
-            [False] * 5 + [True]
-        # replay buffer itself is untouched by the cycle-end copy
-        assert all(not f.cycle_end for f in e.replay)
+        assert self.cycle(e) == \
+            [_CTRL] * 4 + [("data", 0, False), ("data", 1, True)]
+        assert e.replays_emitted == 2 and e.next_seq == 2
+        # A second cycle flags only its own last frame.
+        e.offered = 3
+        assert e.emit() == ("data", 2, False)
+        assert self.cycle(e) == [_CTRL] * 4 + [
+            ("data", 0, False), ("data", 1, False), ("data", 2, True)]
+        assert e.emit() == _IDLE
+        # Past one window, a cycle replays the last window seqs only.
+        e.offered = 3 + e.window
+        for _ in range(e.window):
+            e.emit()
+        assert self.cycle(e) == [_CTRL] * 4 + [
+            ("data", seq, seq == 8) for seq in range(3, 9)]
 
     def test_in_order_delivery_and_dedup(self):
         e = LinkEndpoint(2)
@@ -210,6 +222,20 @@ def test_clean_run_keeps_no_per_payload_record():
     assert result.delivered_at_a == range(200_000 - 7)
 
 
+def test_endpoint_state_does_not_grow_with_delay(monkeypatch):
+    """An endpoint keeps counts, not frames: after a recovery-heavy
+    run at the largest delay, every attribute of both endpoints is a
+    scalar."""
+    endpoints = record_instances(monkeypatch, LinkEndpoint)
+    result = run_point_to_point(MAX_ONE_WAY_DELAY, 20_000, ber=1e-4,
+                                faults=FaultSchedule(b_to_a=frozenset({500})))
+    assert result.cycles_a + result.cycles_b > 10
+    assert len(endpoints) == 2
+    for e in endpoints:
+        for name, value in vars(e).items():
+            assert type(value) in (int, float, bool, str), name
+
+
 def test_frame_lost_from_the_replay_window_raises(monkeypatch):
     """With replay buffers of D + 2 frames, short of the 2D + 2 a
     recovery can need, a frame can leave the buffer undelivered and
@@ -219,7 +245,6 @@ def test_frame_lost_from_the_replay_window_raises(monkeypatch):
     def shrunk(self, one_way_delay):
         init(self, one_way_delay)
         self.window = one_way_delay + 2
-        self.replay = deque(maxlen=self.window)
     monkeypatch.setattr(LinkEndpoint, "__init__", shrunk)
     with pytest.raises(SimInvariantError, match="replay window"):
         run_point_to_point(7, 50_000, ber=1e-5)
@@ -346,8 +371,8 @@ class TestAdversarialCorruption:
         offsets = set()
 
         def recording(self, frame, corrupted, peer_flag=False):
-            if not corrupted and frame.kind == "data":
-                offsets.add(frame.seq - self.expected)
+            if not corrupted and frame[0] == "data":
+                offsets.add(frame[1] - self.expected)
             return receive(self, frame, corrupted, peer_flag)
 
         monkeypatch.setattr(LinkEndpoint, "receive", recording)
@@ -383,9 +408,6 @@ class TestAdversarialCorruption:
             got_b.extend(to_b)
         assert got_a == list(range(sent_b))
         assert got_b == list(range(sent_a))
-        # The frames every endpoint shares came through unchanged.
-        assert (_IDLE, _REREQ, _CTRL) == (
-            Frame(IDLE_KIND), Frame(REREQ_KIND), Frame(CTRL_KIND))
 
 
 class TestGoodputOracle:
@@ -545,8 +567,7 @@ def record_instances(monkeypatch, cls):
 
 
 def endpoint_state(e):
-    return {name: list(value) if isinstance(value, deque) else value
-            for name, value in vars(e).items()}
+    return dict(vars(e))
 
 
 def link_state(link):
