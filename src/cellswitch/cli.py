@@ -64,7 +64,8 @@ size_mode, scheduler, nominal_load_pct, measured_load_pct,
 utilization_pct, p1, p50, p75, p90, p95, p99, p100, retx, fc_events,
 seed.  Percentiles are cell latencies in cell times; fields that do
 not apply to a row kind are left empty, as are utilization and
-percentiles of a run cut short before its first delivery.  Lines
+percentiles of a run cut short before its first delivery, and the
+measured load of one cut short before its first generated cell.  Lines
 starting with ``#`` in any CSV are comments.  Every file written is
 UTF-8; the experiment name, which names the files, must be one path
 component that the file system can encode.
@@ -315,7 +316,9 @@ def _sweep_row(config: EngineConfig, traffic: TrafficSpec) -> dict:
     from .engine import run_star
     report = run_star(config, traffic)
     # A run cut short before its first delivery has no latencies and
-    # no delivery window: those fields stay empty.
+    # no delivery window, and before its first generated cell no
+    # generation window: those fields stay empty.
+    load = report.offered_load_pct
     utilization = ""
     latencies = dict.fromkeys(LATENCY_COLUMNS, "")
     if report.delivered_cells:
@@ -328,7 +331,7 @@ def _sweep_row(config: EngineConfig, traffic: TrafficSpec) -> dict:
         "size_mode": traffic.size_mode,
         "scheduler": config.scheduler,
         "nominal_load_pct": _fmt(traffic.load * 100),
-        "measured_load_pct": f"{report.offered_load_pct:.2f}",
+        "measured_load_pct": "" if load is None else f"{load:.2f}",
         "utilization_pct": utilization,
         **latencies,
         "retx": 0,

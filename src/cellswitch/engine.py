@@ -153,11 +153,13 @@ class MetricsReport:
         return 100.0 * self.delivered_wire_bytes / wire
 
     @property
-    def offered_load_pct(self) -> float:
+    def offered_load_pct(self) -> float | None:
         """Measured arrival intensity: generated cells per port-slot
-        over the generation window."""
+        over the generation window; None before any cell is generated,
+        when the window is undefined."""
         window = self.last_generation - self.first_generation + 1
-        return 100.0 * self.generated_cells / (self.config.n_ports * window)
+        return (100.0 * self.generated_cells / (self.config.n_ports * window)
+                if self.generated_cells else None)
 
     # -- integrity -----------------------------------------------------------
 
@@ -180,16 +182,17 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         """The report's figures; latency and utilization are None
-        before any delivery."""
+        before any delivery, the offered load before any generated cell."""
         delivered = self.delivered_cells
         summary = self.latency_summary() if delivered else None
+        load = self.offered_load_pct
         return {
             "n_ports": self.config.n_ports,
             "scheduler": self.config.scheduler,
             "mode": self.traffic.mode,
             "size_mode": self.traffic.size_mode,
             "nominal_load_pct": 100.0 * self.traffic.load,
-            "offered_load_pct": round(self.offered_load_pct, 4),
+            "offered_load_pct": None if load is None else round(load, 4),
             "utilization_pct":
                 round(self.utilization_pct, 4) if delivered else None,
             "slots_run": self.slots_run,

@@ -8,22 +8,24 @@ slots earlier.  A frame is a plain tuple, the kind-only ones shared:
 
 ``kind`` is a ``*_KIND`` name, ``seq`` a data frame's sequence number
 (None on other kinds) and ``cycle_end`` marks a cycle's last frame.
-An endpoint's device is one count, ``offered``: the payloads it has
-handed over so far (``math.inf`` when saturated).  A payload is its
-sequence number: the k-th, from 0, is data frame k.  Data frames are
-the only sequenced frames.  (Flow control is not carried on this link
-model: the star engine sends it as out-of-band control words.)  A
-receiver that sees a corrupted frame cannot trust anything about it,
-so it freezes its own sequenced transmissions (the corrupted frame may
-have been the peer's retransmit request) and asks the peer to replay
-by sending a request frame every slot.  The peer answers with a
+Data frames, the only sequenced ones, are ``DATA_KIND`` when fresh and
+``REPLAY_KIND`` when a cycle sends them again.  An endpoint's device
+is one count, ``offered``: the payloads it has handed over so far
+(``math.inf`` when saturated).  A payload is its sequence number: the
+k-th, from 0, is data frame k.  (Flow control is not carried on this
+link model: the star engine sends it as out-of-band control words.)
+A receiver that sees a corrupted frame cannot trust anything about
+it, so it freezes its own sequenced transmissions (the corrupted frame
+may have been the peer's retransmit request) and asks the peer to
+replay by sending a request frame every slot.  The peer answers with a
 retransmission cycle: a fixed lead-in of control frames followed by
 its whole replay buffer in order, the last frame flagged as the end
 of the cycle.  Duplicates are discarded by sequence number, so
 delivery to the device is exactly-once in order: ``receive`` hands
-over at most one payload, as a 0- or 1-tuple.  ``run_point_to_point``
-checks each as it arrives (the k-th payload delivered on a side must
-be k) and so reports each side's deliveries as ``range(k)``.
+over at most one payload, as a 0- or 1-tuple, and its ``delivered``
+count is the next seq it expects.  ``run_point_to_point`` checks each
+as it arrives (the k-th payload delivered on a side must be k) and so
+reports each side's deliveries as ``range(k)``.
 
 Replay buffer and cycle: the replay buffer is the last ``window`` seqs
 sent, so it is not stored.  ``emit`` serves a queued cycle first, so
@@ -51,7 +53,7 @@ retransmissions stretch it, so a window of 2D+2 frames provably still
 contains the victim when the replay cycle finally goes out.
 
 Sequence field width: a clean data arrival carries a seq from one
-window below the receiver's ``expected`` (the oldest replay) to one
+window below the receiver's ``delivered`` (the oldest replay) to one
 window minus one above it (fresh frames sent while its request is in
 flight).  Stored modulo ``codec.SEQ_MODULUS``, these 2 * window seqs
 stay distinct only while 2 * window <= SEQ_MODULUS: D <= 31.
@@ -61,7 +63,7 @@ load 1 advances the link over a run of error-free slots in one step
 whenever the link is in its steady state (no replay cycle queued,
 nothing requested or flagged on either side, and each pipe holding
 exactly ``one_way_delay`` fresh data frames whose seqs run from the
-receiver's ``expected`` up to the sender's last seq).  In that state
+receiver's ``delivered`` up to the sender's last seq).  In that state
 every slot does the same thing: each side sends its next seq and
 delivers the peer's oldest in-flight one.  The skip draws the same
 corruption coins as ``DuplexLink.step`` in the same order (a to b,
@@ -136,14 +138,12 @@ class LinkEndpoint:
         self.next_seq = 0
         self.cycle_left = 0  # frames of the queued cycle still to send
         self.cycle_replays = 0  # the seqs that cycle replays
-        self.last_kind = IDLE_KIND  # of the frame emit just produced
         # receive side
-        self.expected = 0
+        self.delivered = 0  # in order, so it is the next seq expected
         self.requesting = False
         self.peer_requesting = False
         # statistics
         self.replays_emitted = 0
-        self.delivered = 0
         self.dups_dropped = 0
         self.cycles_started = 0
         self.corrupted_seen = 0
@@ -151,7 +151,7 @@ class LinkEndpoint:
     # -- transmit ------------------------------------------------------------
 
     def emit(self) -> tuple:
-        """Produce this slot's outbound frame and set ``last_kind``.
+        """Produce this slot's outbound frame.
 
         Priority: finish a retransmission cycle, else keep requesting
         a replay, else send payload ``next_seq`` if ``offered`` covers
@@ -161,22 +161,17 @@ class LinkEndpoint:
         if self.cycle_left:
             left = self.cycle_left = self.cycle_left - 1
             if left >= self.cycle_replays:
-                self.last_kind = CTRL_KIND
                 return _CTRL if left else _CTRL_END
-            self.last_kind = REPLAY_KIND
             self.replays_emitted += 1
-            return (DATA_KIND, self.next_seq - 1 - left, not left)
+            return (REPLAY_KIND, self.next_seq - 1 - left, not left)
         if self.requesting:
-            self.last_kind = REREQ_KIND
             return _REREQ
         # While the peer is mid-recovery, hold all new sequence numbers
         # so nothing it may still need falls out of the window.
         if self.peer_requesting or self.next_seq >= self.offered:
-            self.last_kind = IDLE_KIND
             return _IDLE
         seq = self.next_seq
         self.next_seq = seq + 1
-        self.last_kind = DATA_KIND
         return (DATA_KIND, seq, False)
 
     def _start_cycle(self) -> None:
@@ -197,15 +192,14 @@ class LinkEndpoint:
             return ()
         self.peer_requesting = peer_flag
         kind, seq, cycle_end = frame
-        if kind == DATA_KIND:
-            if seq == self.expected:
-                self.expected += 1
+        if seq is not None:  # data, fresh or replayed
+            if seq == self.delivered:
+                self.delivered = seq + 1
                 # Anything else outstanding is behind this frame in the
                 # same replay train, so the request volley can stop.
                 self.requesting = False
-                self.delivered += 1
                 return (seq,)
-            if seq > self.expected:
+            if seq > self.delivered:
                 # A gap: keep (or start) requesting, even at a cycle end.
                 self.requesting = True
                 return ()
@@ -304,14 +298,16 @@ class PointToPointResult:
 
 def _steady(link: DuplexLink) -> bool:
     """True when the link is in the clean saturated steady state that
-    ``_skip_clean`` can advance (see the module docstring)."""
+    ``_skip_clean`` can advance (see the module docstring).  A replay
+    in a pipe fails it, and so does its cycle's flagged last frame,
+    which is always behind it in the same pipe."""
     a, b = link.a, link.b
     if (a.cycle_left or b.cycle_left or a.requesting or b.requesting
             or a.peer_requesting or b.peer_requesting):
         return False
     for pipe, sender, receiver in ((link._pipe_ab, a, b),
                                    (link._pipe_ba, b, a)):
-        seq = receiver.expected
+        seq = receiver.delivered
         if sender.next_seq - seq != len(pipe):
             return False
         for frame, corrupted, flag in pipe:
@@ -361,7 +357,6 @@ def _skip_clean(link: DuplexLink, end: int) -> int:
         pipe.extend(((DATA_KIND, seq, False), False, False)
                     for seq in range(top - delay, top - 1))
         pipe.append(((DATA_KIND, top - 1, False), corrupt, False))
-        receiver.expected += n
         receiver.delivered += n
     return n
 
@@ -377,8 +372,8 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
     probability ``load``, so payloads deferred by a recovery episode
     are sent later rather than lost.  At 1.0 both sides offer
     ``math.inf``, and clean steady stretches are skipped (module
-    docstring).  Returned kind timelines (one entry per slot, replays
-    marked "replay") support exact timing analysis of recoveries.
+    docstring).  Returned kind timelines, the kind of each frame a side
+    sent, slot by slot, support exact timing analysis of recoveries.
     Raise SimInvariantError at the first payload that arrives out of
     order or twice, if a frame left its sender's replay buffer before
     the peer delivered it, or if the result is not lossless.
@@ -416,13 +411,13 @@ def run_point_to_point(one_way_delay: int, slots: int, ber: float = 0.0,
         delivered_a += len(to_a)
         delivered_b += len(to_b)
         delivering = to_a and to_b
-        if record_kinds:
-            kinds_a.append(a.last_kind)
-            kinds_b.append(b.last_kind)
+        if record_kinds:  # the newest pipe entries: the frames just sent
+            kinds_a.append(link._pipe_ab[-1][0][0])
+            kinds_b.append(link._pipe_ba[-1][0][0])
     # A frame older than the sender's last ``window`` (its replay
     # buffer) can never be replayed: undelivered, it is lost.
-    if (a.next_seq - b.expected > a.window
-            or b.next_seq - a.expected > b.window):
+    if (a.next_seq - b.delivered > a.window
+            or b.next_seq - a.delivered > b.window):
         raise SimInvariantError("a frame left the replay window undelivered")
     result = PointToPointResult(
         slots=slots, sent_a=a.next_seq, sent_b=b.next_seq,

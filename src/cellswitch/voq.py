@@ -41,8 +41,6 @@ class VOQBank:
     def __init__(self, n_ports: int, capacity: int,
                  on_threshold: int, off_threshold: int,
                  requests: list[int], port: int):
-        if capacity < 1:
-            raise ConfigError("capacity must be at least one cell")
         if not 0 <= off_threshold < on_threshold < capacity:
             raise ConfigError(
                 f"need 0 <= off < on < capacity, got "

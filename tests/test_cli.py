@@ -487,6 +487,17 @@ class TestRunCommand:
                 assert row[column] == ""
             assert float(row["measured_load_pct"]) > 0
 
+    def test_truncated_run_without_generated_cells(self, tmp_path):
+        ini = TINY_SWEEP.replace("ports = 4", "ports = 4\nmax_slots = 1") \
+            .replace("workloads = 50 100", "workloads = 1") \
+            .replace("pattern = bernoulli", "pattern = bernoulli bursty")
+        code, out = run_main(tmp_path, ini)
+        assert code == cli.EXIT_OK
+        rows = cli.read_csv(out / "tiny.csv")
+        assert len(rows) == 4
+        for row in rows:
+            assert row["measured_load_pct"] == ""
+
     def test_high_on_threshold_runs(self, tmp_path):
         # capacity follows from the pause point, so no on threshold
         # leaves too little headroom

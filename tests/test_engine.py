@@ -14,6 +14,8 @@ import pytest
 from cellswitch import engine
 from cellswitch.codec import CELL_PAYLOAD_BYTES, FRAME_BYTES, MAX_SWITCH_PORTS
 from cellswitch.config import (
+    BERNOULLI,
+    BURSTY,
     DEFAULT_OFF_THRESHOLD,
     DEFAULT_ON_THRESHOLD,
     ISLIP,
@@ -212,6 +214,17 @@ class TestConservationAndIntegrity:
         report.staged_cells += 1
         with pytest.raises(SimInvariantError):
             report.verify()
+
+    @pytest.mark.parametrize("mode", [BERNOULLI, BURSTY])
+    def test_run_without_generated_cells_reports_no_load(self, mode):
+        """Cut short before its first generated cell, a run has no
+        generation window, so it claims no measured load."""
+        report = run_star(EngineConfig(n_ports=4, max_slots=1),
+                          TrafficSpec(mode=mode, load=0.01, volume_bytes=1000))
+        report.verify()
+        assert report.generated_cells == 0
+        assert report.offered_load_pct is None
+        assert report.to_dict()["offered_load_pct"] is None
 
     def test_max_slots_cuts_run_short(self):
         config = EngineConfig(n_ports=8, max_slots=400)
