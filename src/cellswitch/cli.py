@@ -5,9 +5,12 @@ Subcommands
 ``run``
     Execute an experiment described by an INI file (``--spec PATH``)
     or by a shipped preset (``--preset NAME``).  Each sweep point
-    becomes one CSV row, written in spec order; a human-readable
-    summary lands next to the CSV.  ``--seed`` may be given repeatedly
-    to produce one report per seed.
+    becomes one CSV row, written in spec order.  ``--seed`` may be
+    given repeatedly to produce one report per seed.  Beside each
+    ``{stem}.csv`` a run record, ``{stem}-run.json``, holds one JSON
+    object: ``seed``, ``rows`` (the CSV's row count), ``workers`` (the
+    processes the rows ran in), ``wall_s`` (the run's wall time in
+    seconds) and ``spec`` (the experiment as run, with that one seed).
 ``compare``
     Check a produced CSV against a reference CSV cell by cell, under
     per-metric tolerances, and emit a machine-readable verdict table.
@@ -87,13 +90,13 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
 
-# The star engine, the link, the protocol checks, csv, argparse and
-# traceback are imported in the functions that use them (the engine
+# The star engine, the link, the protocol checks, csv, json, argparse
+# and traceback are imported in the functions that use them (the engine
 # where a star row runs): every short run and pool worker pays its
 # set-up, so a link run loads no star code and a star sweep no link code.
 from .config import EngineConfig, TrafficSpec
@@ -404,32 +407,11 @@ def read_csv(path: Path) -> list[dict]:
         raise ConfigError(f"{path}: malformed CSV ({exc})") from None
 
 
-def _summary_lines(spec: ExperimentSpec, rows: list[dict],
-                   elapsed: float) -> list[str]:
-    lines = [f"experiment: {spec.name}", f"kind: {spec.kind}",
-             f"rows: {len(rows)}", f"elapsed: {elapsed:.1f}s", ""]
-    if spec.kind == KIND_CHECKS:
-        for row in rows:
-            lines.append(f"  {row['check']:<24} {row['status']:<6} "
-                         f"{row['detail']}")
-        return lines
-    header = ("pattern", "size", "sched", "load%", "meas%", "util%",
-              "p50", "p99", "max")
-    table = [header] + [
-        (row["pattern"], row["size_mode"], row["scheduler"],
-         row["nominal_load_pct"], row["measured_load_pct"],
-         row["utilization_pct"], str(row["p50"]), str(row["p99"]),
-         str(row["p100"])) for row in rows]
-    # The pattern column fits its widest row (p2p-ber-1e-12 and such).
-    widths = [max(9, *(len(cells[0]) for cells in table))] + [9] * 8
-    lines.extend("  " + " ".join(f"{c:>{w}}" for c, w in zip(cells, widths))
-                 for cells in table)
-    return lines
-
-
 def run_experiment(spec: ExperimentSpec, out_dir: Path, workers: int = 1,
                    verbose: bool = False) -> list[Path]:
-    """Execute every point of the experiment; one CSV per seed."""
+    """Execute every point of the experiment: per seed, the paths of
+    its CSV and then of its run record."""
+    import json
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = CHECK_COLUMNS if spec.kind == KIND_CHECKS else CSV_COLUMNS
     written = []
@@ -453,11 +435,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path, workers: int = 1,
                 else f"{spec.name}-seed{seed}")
         csv_path = out_dir / f"{stem}.csv"
         write_csv(csv_path, columns, rows)
-        summary_path = out_dir / f"{stem}-summary.txt"
-        summary_path.write_text(
-            "\n".join(_summary_lines(spec, rows, elapsed)) + "\n",
-            encoding="utf-8")
-        written.extend([csv_path, summary_path])
+        record = {"seed": seed, "rows": len(rows), "workers": processes,
+                  "wall_s": elapsed,
+                  "spec": asdict(replace(spec, seeds=(seed,)))}
+        record_path = out_dir / f"{stem}-run.json"
+        record_path.write_text(json.dumps(record, indent=2) + "\n",
+                               encoding="utf-8")
+        written.extend([csv_path, record_path])
         if verbose:
             print(f"wrote {csv_path}", file=sys.stderr)
     return written

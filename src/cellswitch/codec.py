@@ -1,4 +1,4 @@
-"""Frame layout, checksum, and relative-address routing.
+"""Frame layout and relative-address routing.
 
 Every unit crossing a link is a fixed 264-byte frame.  The paper's
 abstract gives only its size; the byte layout below is this package's
@@ -10,12 +10,13 @@ assumption:
 * bytes 3-7: the five route selectors;
 * bytes 8-263: the payload.
 
-The 12-bit CRC covers all 264 bytes and travels beside the frame.
-The simulator never serializes a frame: the link model carries the
-frame tuple documented in ``link`` and the star engine the cell record
-documented in ``traffic``, so this module keeps only the layout's
-sizes, the CRC and the routing layer.  The rule that cuts a packet
-into cells lives with the sources that emit them (``traffic``).
+The model carries no CRC or other checksum: ``link`` draws corruption
+once per frame, and every corrupted frame is detected.  The simulator
+never serializes a frame: the link model carries the frame tuple
+documented in ``link`` and the star engine the cell record documented
+in ``traffic``, so this module keeps only the layout's sizes and the
+routing layer.  The rule that cuts a packet into cells lives with the
+sources that emit them (``traffic``).
 
 Routing is relative: a selector names an egress port by its position
 among the ports of the ingress switch excluding the ingress port
@@ -42,33 +43,6 @@ MAX_SWITCH_PORTS = BROADCAST_SELECTOR + 1
 # The line header stores the frame sequence modulo this, which bounds
 # the link's one-way delay (``link.MAX_ONE_WAY_DELAY``).
 SEQ_MODULUS = 128
-
-CRC12_POLY = 0x80F  # x^12 + x^11 + x^3 + x^2 + x + 1
-CRC12_INIT = 0x000
-
-
-def _build_crc12_table(poly: int) -> list[int]:
-    table = []
-    for byte in range(256):
-        reg = byte << 4
-        for _ in range(8):
-            if reg & 0x800:
-                reg = ((reg << 1) ^ poly) & 0xFFF
-            else:
-                reg = (reg << 1) & 0xFFF
-        table.append(reg)
-    return table
-
-
-_CRC12_TABLE = _build_crc12_table(CRC12_POLY)
-
-
-def crc12(data: bytes) -> int:
-    """12-bit CRC over ``data``, MSB first, no reflection, no final xor."""
-    reg = CRC12_INIT
-    for byte in data:
-        reg = (_CRC12_TABLE[((reg >> 4) ^ byte) & 0xFF] ^ (reg << 8)) & 0xFFF
-    return reg
 
 
 @dataclass(slots=True)

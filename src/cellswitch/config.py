@@ -25,11 +25,13 @@ DOWNLINK_DELAY = 7
 EGRESS_DELAY = 3
 
 # Queue depth at which a channel asks its source to pause, and the
-# depth on which it unpauses.  Both are calibrated against the
-# reference latency distributions of a saturated 32-port switch; the
-# release waits for a three-cell drain so commands are not emitted on
-# every enqueue/dequeue flutter around one level.  The queue capacity
-# follows from the pause point (``EngineConfig.voq_capacity``).
+# depth on which it unpauses.  Both are meant to fit the reference
+# latency distributions of a saturated 32-port switch, but do not yet:
+# Bernoulli iSLIP at 100 % load fails its p90 and p99 verdicts at every
+# seed (item 3 of ROADMAP.md).  The release waits for a three-cell
+# drain so commands are not emitted on every enqueue/dequeue flutter
+# around one level.  The queue capacity follows from the pause point
+# (``EngineConfig.voq_capacity``).
 DEFAULT_ON_THRESHOLD = 10
 DEFAULT_OFF_THRESHOLD = 7
 

@@ -9,7 +9,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -328,7 +328,8 @@ class TestRunCommand:
             assert int(row["p1"]) == 18
             assert 0 < float(row["utilization_pct"]) <= 100
             assert int(row["p50"]) <= int(row["p99"]) <= int(row["p100"])
-        assert (out / "tiny-summary.txt").exists()
+        assert sorted(path.name for path in out.iterdir()) == \
+            ["tiny-run.json", "tiny.csv"]
 
     def test_runs_are_deterministic(self, tmp_path):
         _, out_a = run_main(tmp_path, TINY_SWEEP)
@@ -405,15 +406,29 @@ class TestRunCommand:
             float(clean["utilization_pct"])
         assert int(noisy["retx"]) > 0
 
-    def test_ber_summary_keeps_full_patterns(self, tmp_path):
-        spec = replace(cli.parse_experiment(cli.load_preset("ber-sweep")),
-                       slots=2000)
-        cli.run_experiment(spec, tmp_path)
-        summary = (tmp_path / "ber-sweep-summary.txt").read_text()
-        patterns = [row.split()[0] for row in summary.splitlines()[6:]]
-        assert patterns == [f"p2p-ber-{ber:g}" for ber in spec.bers]
-        assert patterns[1:] == [f"p2p-ber-1e-{n:02d}"
-                                for n in range(12, 4, -1)]
+    @pytest.mark.parametrize("text, stem, workers", [
+        (TINY_SWEEP, "tiny", 1), (TINY_CHECKS, "tinyber", 2)],
+        ids=["sweep", "protocol-checks"])
+    def test_run_record_follows_each_csv(self, tmp_path, text, stem,
+                                         workers):
+        """Per seed: the CSV, then a JSON run record of the seed, row
+        count, processes, wall time and the spec as run at that seed."""
+        spec = replace(cli.parse_experiment(text), seeds=(1, 2))
+        paths = cli.run_experiment(spec, tmp_path, workers=workers)
+        assert paths == [tmp_path / f"{stem}-seed{seed}{suffix}"
+                         for seed in (1, 2)
+                         for suffix in (".csv", "-run.json")]
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+        for seed, csv_path, record_path in zip((1, 2), paths[::2],
+                                               paths[1::2]):
+            record = json.loads(record_path.read_text(encoding="utf-8"))
+            rows = len(cli.read_csv(csv_path))
+            assert record["seed"] == seed
+            assert record["rows"] == rows
+            assert record["workers"] == min(workers, rows)
+            assert record["wall_s"] >= 0
+            assert record["spec"] == json.loads(json.dumps(
+                asdict(replace(spec, seeds=(seed,)))))
 
     def test_negative_zero_reads_as_zero(self, tmp_path):
         """``-0`` is the value 0, so its row prints as 0."""

@@ -1,6 +1,5 @@
-"""Codec tests: frame checksum and relative routing."""
+"""Codec tests: frame layout and relative routing."""
 
-import random
 from pathlib import Path
 
 import pytest
@@ -14,7 +13,6 @@ from cellswitch.codec import (
     ROUTE_SLOTS,
     SEQ_MODULUS,
     L2Header,
-    crc12,
     forward,
     selector_for,
     source_address,
@@ -22,92 +20,6 @@ from cellswitch.codec import (
 from cellswitch.errors import ProtocolError
 
 GOLDEN = Path(__file__).parent / "data" / "frame_golden.txt"
-
-
-def crc12_reference(data: bytes) -> int:
-    """Independent oracle: polynomial long division, bit by bit."""
-    n = int.from_bytes(data, "big") << 12 if data else 0
-    bits = len(data) * 8 + 12
-    poly = 0x180F
-    for shift in range(bits - 13, -1, -1):
-        if (n >> (shift + 12)) & 1:
-            n ^= poly << shift
-    return n & 0xFFF
-
-
-class TestCrc12:
-    def test_pinned_values(self):
-        # Frozen from two independent bitwise implementations.
-        assert crc12(b"") == 0x000
-        assert crc12(b"123456789") == 0xF5B
-        assert crc12(b"\xff" * 8) == 0xD97
-        assert crc12(bytes(range(256))) == 0x780
-
-    def test_matches_long_division_reference(self):
-        rng = random.Random(0xC12)
-        for _ in range(200):
-            data = rng.randbytes(rng.randrange(0, 64))
-            assert crc12(data) == crc12_reference(data)
-
-    def test_single_bit_flip_always_detected(self):
-        rng = random.Random(0xBEEF)
-        for _ in range(10_000):
-            frame = bytearray(rng.randbytes(FRAME_BYTES))
-            checksum = crc12(bytes(frame))
-            pos = rng.randrange(FRAME_BYTES * 8)
-            frame[pos // 8] ^= 1 << (pos % 8)
-            assert crc12(bytes(frame)) != checksum
-
-    def test_frame_blind_spots(self):
-        """The CRC has zero init and no final xor, so it is linear: an
-        error pattern goes undetected exactly when its own CRC is 0,
-        and that CRC is the xor of its bits' single-bit syndromes."""
-        bits = FRAME_BYTES * 8
-
-        def error(*positions):  # bit positions in wire order, MSB first
-            frame = bytearray(FRAME_BYTES)
-            for pos in positions:
-                frame[pos // 8] ^= 0x80 >> (pos % 8)
-            return bytes(frame)
-
-        rng = random.Random(0x12C)
-        frame = rng.randbytes(FRAME_BYTES)
-        flips = error(*rng.sample(range(bits), 5))
-        assert crc12(bytes(a ^ b for a, b in zip(frame, flips))) == \
-            crc12(frame) ^ crc12(flips)
-
-        syndromes = [crc12(error(pos)) for pos in range(bits)]
-        assert bits == 2112
-        assert all(syndromes)
-        # The generator (x+1)(x^11+x^2+1) has period 2047 < 2112 bits.
-        assert len(set(syndromes)) == 2047
-        first_seen = {}
-        blind_pairs = []
-        for pos, syndrome in enumerate(syndromes):
-            if syndrome in first_seen:
-                blind_pairs.append((first_seen[syndrome], pos))
-            else:
-                first_seen[syndrome] = pos
-        assert len(blind_pairs) == 65
-        assert all(b - a == 2047 for a, b in blind_pairs)
-        a, b = blind_pairs[0]
-        assert crc12(error(a, b)) == 0
-        # (x+1) divides the generator, so every syndrome has odd weight
-        # and an odd number of flipped bits can never cancel out.
-        assert all(bin(syndrome).count("1") % 2 for syndrome in syndromes)
-
-
-class TestGoldenVectors:
-    def test_frames_match_frozen_bytes(self):
-        records = [
-            line.split() for line in GOLDEN.read_text().splitlines()
-            if line and not line.startswith("#")
-        ]
-        assert len(records) == 5
-        for label, frame_hex, crc_hex in records:
-            frame = bytes.fromhex(frame_hex)
-            assert len(frame) == FRAME_BYTES, label
-            assert crc12(frame) == int(crc_hex, 16), label
 
 
 class TestLayout:
@@ -119,12 +31,14 @@ class TestLayout:
         # 7 sequence bits + 8 bits of valid_bytes - 1 + 1 eop bit
         assert SEQ_MODULUS == 2 ** 7
         assert (CELL_PAYLOAD_BYTES - 1).bit_length() == 8
-        # every golden frame's header decodes to in-range fields
-        for line in GOLDEN.read_text().splitlines():
-            if not line or line.startswith("#"):
-                continue
-            label, frame_hex, _ = line.split()
+        # every golden frame is a whole frame whose header decodes to
+        # in-range fields
+        records = [line.split() for line in GOLDEN.read_text().splitlines()
+                   if line and not line.startswith("#")]
+        assert len(records) == 5
+        for label, frame_hex in records:
             frame = bytes.fromhex(frame_hex)
+            assert len(frame) == FRAME_BYTES, label
             word = int.from_bytes(frame[:2], "big")
             valid_bytes = ((word >> 7) & 0xFF) + 1
             total, remain = frame[2] >> 4, frame[2] & 0xF
