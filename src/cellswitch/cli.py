@@ -15,7 +15,10 @@ Subcommands
     Check a produced CSV against a reference CSV cell by cell, under
     per-metric tolerances, and emit a machine-readable verdict table.
     A measured row key or a tolerance metric given twice is an error,
-    and so is a reference with no rows.
+    and so is a reference with no rows.  A reference row with no
+    measured row, and a metric blank in the measured row where the
+    reference has a value, yield a ``missing`` verdict; a blank
+    reference cell yields no verdict.
 ``presets``
     List the shipped presets.
 
@@ -76,8 +79,8 @@ component that the file system can encode.
 Exit codes: 0 success, 1 configuration/usage error, 2 simulation
 invariant violation or any other internal error (the traceback is
 written to ``cellswitch-error.txt`` in the current directory).
-``compare --strict`` treats an out-of-tolerance verdict as a
-configuration-style failure (exit 1).
+``compare --strict`` treats an out-of-tolerance or ``missing`` verdict
+as a configuration-style failure (exit 1).
 """
 
 from __future__ import annotations
@@ -480,11 +483,13 @@ def compare_reports(measured: list[dict], reference: list[dict],
     """Per-cell tolerance check of measured rows against a reference.
 
     Rows are matched on (pattern, size_mode, scheduler, nominal load);
-    every tolerance metric with a value on both sides of a matched row
+    every tolerance metric with a value in a matched reference row
     yields one verdict.  A reference row with no measured partner
-    yields a single ``missing`` verdict, since silence must not pass;
-    a metric missing from either header, like two measured rows with
-    one key, is a configuration error."""
+    yields a single ``missing`` verdict, and a blank measured cell
+    (a run cut short before its first delivery) a ``missing`` verdict
+    naming the metric, since silence must not pass; a blank reference
+    cell yields none.  A metric missing from either header, like two
+    measured rows with one key, is a configuration error."""
     for metric in tolerances:
         for side, rows in (("measured", measured), ("reference", reference)):
             if any(metric not in row for row in rows):
@@ -508,23 +513,26 @@ def compare_reports(measured: list[dict], reference: list[dict],
         for metric, (mode, value) in sorted(tolerances.items()):
             want_raw = (ref.get(metric) or "").strip()
             got_raw = (got_row.get(metric) or "").strip()
-            if not want_raw or not got_raw:
+            if not want_raw:
                 continue
             try:
-                want, got = float(want_raw), float(got_raw)
+                want = float(want_raw)
+                got = float(got_raw) if got_raw else None
             except ValueError:
                 raise ConfigError(
                     f"row {'/'.join(key)}: {metric} is not a number "
                     f"(measured {got_raw!r}, reference {want_raw!r})"
                 ) from None
             allowed = value if mode == "abs" else abs(want) * value / 100.0
+            status = ("missing" if got is None
+                      else "pass" if abs(got - want) <= allowed else "fail")
             verdicts.append({
                 **key_fields,
                 "metric": metric,
                 "measured": got_raw,
                 "reference": want_raw,
                 "tolerance": f"{mode}:{_fmt(value)}",
-                "status": "pass" if abs(got - want) <= allowed else "fail",
+                "status": status,
             })
     return verdicts
 

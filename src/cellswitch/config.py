@@ -1,6 +1,6 @@
 """Run descriptions: ``EngineConfig`` for a star-network run and
-``TrafficSpec`` for the traffic its sources offer, with the constants
-they default from.  Each checks its values when built.
+``TrafficSpec`` for the traffic its sources offer.  Each states its
+defaults and checks its values when built.
 
 This module imports no simulation code, so a process can read the
 defaults and build run descriptions without loading the star engine.
@@ -17,34 +17,6 @@ from .errors import ConfigError
 ISLIP = "islip"
 SAFC = "safc"
 
-# Link and pipeline depths, in slots.  The switch sits mid-rack, so
-# both directions cost the same; the egress pipeline covers the output
-# port's buffering and serialization stages.
-UPLINK_DELAY = 7
-DOWNLINK_DELAY = 7
-EGRESS_DELAY = 3
-
-# Queue depth at which a channel asks its source to pause, and the
-# depth on which it unpauses.  Both are meant to fit the reference
-# latency distributions of a saturated 32-port switch, but do not yet:
-# Bernoulli iSLIP at 100 % load fails its p90 and p99 verdicts at every
-# seed (item 3 of ROADMAP.md).  The release waits for a three-cell
-# drain so commands are not emitted on every enqueue/dequeue flutter
-# around one level.  The queue capacity follows from the pause point
-# (``EngineConfig.voq_capacity``).
-DEFAULT_ON_THRESHOLD = 10
-DEFAULT_OFF_THRESHOLD = 7
-
-# Per-channel staging depth at each endpoint, in cells; None leaves
-# the staging unbounded.  With a finite depth the host blocks --
-# suspending generation -- whenever the channel it must write next is
-# full, so endpoints throttle themselves against sustained
-# backpressure; unbounded staging instead lets the endpoint queue
-# behind a paused channel and keep the uplink busy with other
-# channels, which is the work-conserving behavior the bandwidth
-# figures assume.
-DEFAULT_CHANNEL_BUFFER = None
-
 BERNOULLI = "bernoulli"
 BURSTY = "bursty"
 FIXED = "fixed"
@@ -58,13 +30,32 @@ class EngineConfig:
     n_ports: int
     scheduler: str = ISLIP
     seed: int = 1
-    on_threshold: int = DEFAULT_ON_THRESHOLD
-    off_threshold: int = DEFAULT_OFF_THRESHOLD
-    channel_buffer: int | None = DEFAULT_CHANNEL_BUFFER
+    # Queue depth at which a channel asks its source to pause, and the
+    # depth on which it unpauses.  Both are meant to fit the reference
+    # latency distributions of a saturated 32-port switch, but do not
+    # yet: Bernoulli iSLIP at 100 % load fails its p90 and p99 verdicts
+    # at every seed (item 3 of ROADMAP.md).  The release waits for a
+    # three-cell drain so commands are not emitted on every
+    # enqueue/dequeue flutter around one level.  The queue capacity
+    # follows from the pause point (``voq_capacity``).
+    on_threshold: int = 10
+    off_threshold: int = 7
+    # Per-channel staging depth at each endpoint, in cells; None leaves
+    # the staging unbounded.  With a finite depth the host blocks --
+    # suspending generation -- whenever the channel it must write next
+    # is full, so endpoints throttle themselves against sustained
+    # backpressure; unbounded staging instead lets the endpoint queue
+    # behind a paused channel and keep the uplink busy with other
+    # channels, which is the work-conserving behavior the bandwidth
+    # figures assume.
+    channel_buffer: int | None = None
     islip_iterations: int | None = None
-    uplink_delay: int = UPLINK_DELAY
-    downlink_delay: int = DOWNLINK_DELAY
-    egress_delay: int = EGRESS_DELAY
+    # Link and pipeline depths, in slots.  The switch sits mid-rack, so
+    # both directions cost the same; the egress pipeline covers the
+    # output port's buffering and serialization stages.
+    uplink_delay: int = 7
+    downlink_delay: int = 7
+    egress_delay: int = 3
     max_slots: int | None = None
 
     def __post_init__(self):

@@ -8,8 +8,7 @@ short egress pipeline ahead of the downlink.
 
 Pause and unpause commands travel beside the data: every downlink
 frame slot carries a small control word out-of-band of the 264-byte
-cell budget (like the line checksum), so backpressure costs latency
-but never data bandwidth.
+cell budget, so backpressure costs latency but never data bandwidth.
 
 Each fixed delay is a ring of per-slot lists shared by all ports: an
 entry put ``delay`` slots ahead is taken when its slot comes round, so
@@ -66,7 +65,9 @@ queued but no request bit is set, since no arbiter would ever serve
 them and the run would stall.
 
 A run is described by ``config.EngineConfig`` and
-``config.TrafficSpec``, beside the defaults they take.
+``config.TrafficSpec``, which state its defaults and check its values.
+``StarNetwork`` builds every source, bank, arbiter and fabric from
+them, and the components do not check those values again.
 """
 
 from __future__ import annotations

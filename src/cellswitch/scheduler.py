@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .errors import ConfigError
-
 
 def default_iterations(n_ports: int) -> int:
     """Grant/accept rounds: three converge quickly up to 32 ports;
@@ -46,14 +44,8 @@ class IslipScheduler:
     """
 
     def __init__(self, n_ports: int, iterations: int | None = None):
-        if n_ports < 2:
-            raise ConfigError("need at least two ports")
-        if iterations is None:
-            iterations = default_iterations(n_ports)
-        if iterations < 1:
-            raise ConfigError("need at least one grant/accept round")
         self.n_ports = n_ports
-        self.iterations = iterations
+        self.iterations = iterations or default_iterations(n_ports)
         self.grant_ptr = [0] * n_ports
         self.accept_ptr = [0] * n_ports
         self._full = (1 << n_ports) - 1
@@ -110,8 +102,6 @@ class SafcScheduler:
     """
 
     def __init__(self, n_ports: int):
-        if n_ports < 2:
-            raise ConfigError("need at least two ports")
         self.n_ports = n_ports
         self.pointer = [0] * n_ports
         self._succ = [*range(1, n_ports), 0]   # (k + 1) % n_ports

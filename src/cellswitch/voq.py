@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import ConfigError, SimInvariantError
+from .errors import SimInvariantError
 
 
 class VOQBank:
@@ -41,10 +41,6 @@ class VOQBank:
     def __init__(self, n_ports: int, capacity: int,
                  on_threshold: int, off_threshold: int,
                  requests: list[int], port: int):
-        if not 0 <= off_threshold < on_threshold < capacity:
-            raise ConfigError(
-                f"need 0 <= off < on < capacity, got "
-                f"{off_threshold}/{on_threshold}/{capacity}")
         self.capacity = capacity
         self.on_threshold = on_threshold
         self.off_threshold = off_threshold

@@ -16,7 +16,7 @@ import pytest
 
 from cellswitch import cli
 from cellswitch.checks import CHECKS
-from cellswitch.config import DEFAULT_ON_THRESHOLD, EngineConfig, TrafficSpec
+from cellswitch.config import EngineConfig, TrafficSpec
 from cellswitch.errors import ConfigError, SimInvariantError
 
 TINY_SWEEP = """
@@ -74,7 +74,7 @@ class TestParsing:
         assert spec.ports == 32
         assert spec.schedulers == ("islip",)
         assert spec.patterns == ("bernoulli",)
-        assert spec.on_threshold == DEFAULT_ON_THRESHOLD
+        assert spec.on_threshold == EngineConfig.on_threshold
 
     # [link] values fail at parse time, before any row runs.
     @pytest.mark.parametrize("text", [TINY_BER, TINY_CHECKS],
@@ -675,6 +675,26 @@ class TestCompare:
         grouped = verdicts_by_status(verdicts)
         assert len(grouped["pass"]) == 1
         assert len(grouped["missing"]) == 1
+
+    def test_blank_measured_cell_is_flagged(self, tmp_path, capsys):
+        # A run cut short before its first delivery leaves p50 blank;
+        # with no verdict, --strict would pass it.  A blank reference
+        # cell still yields no verdict.
+        blank = dict(self.ROW, p50="")
+        verdicts = cli.compare_reports([blank], [dict(self.ROW)],
+                                       {"p50": ("rel", 20)})
+        assert [(v["metric"], v["measured"], v["reference"], v["status"])
+                for v in verdicts] == [("p50", "", "213", "missing")]
+        assert cli.compare_reports([dict(self.ROW)], [blank],
+                                   {"p50": ("rel", 20)}) == []
+        measured = tmp_path / "measured.csv"
+        reference = tmp_path / "reference.csv"
+        cli.write_csv(measured, list(self.ROW), [blank])
+        cli.write_csv(reference, list(self.ROW), [self.ROW])
+        assert cli.main(["compare", "--measured", str(measured),
+                         "--reference", str(reference), "--strict",
+                         "--tolerance", "p50=rel:20"]) == cli.EXIT_CONFIG
+        assert "0 of 1 within tolerance" in capsys.readouterr().err
 
     def test_numeric_keys_match_across_formats(self):
         measured = dict(self.ROW, nominal_load_pct="100.0")

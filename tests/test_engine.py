@@ -1,5 +1,6 @@
 """Star-network engine: floor, conservation, determinism, metrics."""
 
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -8,6 +9,7 @@ import math
 import random
 import statistics
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +18,6 @@ from cellswitch.codec import CELL_PAYLOAD_BYTES, FRAME_BYTES, MAX_SWITCH_PORTS
 from cellswitch.config import (
     BERNOULLI,
     BURSTY,
-    DEFAULT_OFF_THRESHOLD,
-    DEFAULT_ON_THRESHOLD,
     ISLIP,
     SAFC,
     EngineConfig,
@@ -47,6 +47,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig(n_ports=8, on_threshold=5, off_threshold=-1)
         with pytest.raises(ConfigError):
+            EngineConfig(n_ports=8, on_threshold=3, off_threshold=4)
+        with pytest.raises(ConfigError):
             EngineConfig(n_ports=8, channel_buffer=0)
         with pytest.raises(ConfigError):
             EngineConfig(n_ports=8, uplink_delay=0)
@@ -74,8 +76,7 @@ class TestConfigValidation:
         assert config.pause_exposure() == 13
         assert config.voq_capacity() == 24
         assert config.latency_floor() == 18
-        assert (config.on_threshold, config.off_threshold) == (
-            DEFAULT_ON_THRESHOLD, DEFAULT_OFF_THRESHOLD)
+        assert (config.on_threshold, config.off_threshold) == (10, 7)
 
     def test_custom_delays(self):
         config = EngineConfig(n_ports=4, uplink_delay=3, downlink_delay=2,
@@ -84,6 +85,27 @@ class TestConfigValidation:
         assert config.pause_exposure() == 4
         assert config.voq_capacity() == 10  # 5 + 1 + 4
         assert config.latency_floor() == 6
+
+    def test_only_star_network_builds_components(self):
+        # The components do not re-check what EngineConfig and
+        # TrafficSpec check, which is sound only while StarNetwork,
+        # building them from a checked config, is their one caller.
+        root = Path(__file__).resolve().parent.parent
+        components = {"IslipScheduler", "SafcScheduler", "SortRouteFabric",
+                      "VOQBank", "SourceProcess"}
+        calls = []
+        for path in sorted([*(root / "src" / "cellswitch").glob("*.py"),
+                            *(root / "bench").glob("*.py")]):
+            if path.name == "engine.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in components:
+                        calls.append(f"{path.name}:{node.lineno} {name}")
+        assert not calls, f"components built outside engine: {calls}"
 
 
 def one_cell(src, dst):

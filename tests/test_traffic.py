@@ -72,12 +72,6 @@ class TestSpecValidation:
             with pytest.raises(ConfigError, match="mean burst length"):
                 TrafficSpec(burst_mean_cells=mean)
 
-    def test_source_validation(self):
-        with pytest.raises(ConfigError):
-            SourceProcess(TrafficSpec(), port=4, n_ports=4, seed=0)
-        with pytest.raises(ConfigError):
-            SourceProcess(TrafficSpec(), port=0, n_ports=1, seed=0)
-
 
 class TestRouting:
     def test_records_address_every_other_port(self):

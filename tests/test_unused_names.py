@@ -1,12 +1,14 @@
-"""Every top-level name of the package has a caller in the program.
+"""Every name the package defines has a caller in the program.
 
-A top-level function, class or assignment of ``src/cellswitch`` must be
-named somewhere in ``src/cellswitch`` or ``bench/*.py`` outside the
-statement that defines it; tests do not count, so code that only a
-test calls fails here.  Dunder names are exempt.
+A top-level function, class or assignment of ``src/cellswitch``, and a
+method or property of a top-level class, must be named somewhere in
+``src/cellswitch`` or ``bench/*.py`` outside the statement that
+defines it; tests do not count, so code that only a test calls fails
+here.  Dunder names are exempt.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,31 +29,45 @@ def _defined(stmt: ast.stmt) -> list[str]:
             if isinstance(node, ast.Name)]
 
 
-def _named(tree: ast.AST) -> set[str]:
-    names = set()
+def _methods(stmt: ast.stmt) -> list[ast.stmt]:
+    """The methods and properties of a class statement."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [item for item in stmt.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _named(tree: ast.AST) -> Counter:
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names[node.attr] += 1
         elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
+            names[node.name.rpartition(".")[2]] += 1
     return names
 
 
 TREES = {path: ast.parse(path.read_text(encoding="utf-8"))
          for path in PROGRAM}
+NAMED = sum((_named(tree) for tree in TREES.values()), Counter())
+
+
+def _unused(definitions) -> list[str]:
+    """The non-dunder names that no statement but their own names."""
+    return [name for stmt, names in definitions for name in names
+            if not name.startswith("__") and NAMED[name] == _named(stmt)[name]]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_every_top_level_name_is_used(path):
-    elsewhere = set().union(*(_named(tree) for other, tree in TREES.items()
-                              if other != path))
-    body = TREES[path].body
-    named = [_named(stmt) for stmt in body]
-    unused = []
-    for index, stmt in enumerate(body):
-        rest = elsewhere.union(*named[:index], *named[index + 1:])
-        unused.extend(name for name in _defined(stmt)
-                      if not name.startswith("__") and name not in rest)
+    unused = _unused((stmt, _defined(stmt)) for stmt in TREES[path].body)
+    assert not unused, f"{path.name}: no caller for {unused}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_method_is_used(path):
+    unused = _unused((method, [method.name]) for stmt in TREES[path].body
+                     for method in _methods(stmt))
     assert not unused, f"{path.name}: no caller for {unused}"

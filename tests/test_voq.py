@@ -6,7 +6,7 @@ import pytest
 
 from cellswitch.codec import CELL_PAYLOAD_BYTES
 from cellswitch.config import EngineConfig
-from cellswitch.errors import ConfigError, SimInvariantError
+from cellswitch.errors import SimInvariantError
 from cellswitch.voq import VOQBank
 
 
@@ -39,22 +39,6 @@ class TestSizing:
             == 23
         assert EngineConfig(n_ports=4, on_threshold=30).voq_capacity() \
             == 44
-
-
-class TestConstruction:
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ConfigError):
-            VOQBank(2, capacity=8, on_threshold=8, off_threshold=2,
-                    requests=[0] * 2, port=0)
-        with pytest.raises(ConfigError):
-            VOQBank(2, capacity=8, on_threshold=3, off_threshold=4,
-                    requests=[0] * 2, port=0)
-        with pytest.raises(ConfigError):  # no hysteresis
-            VOQBank(2, capacity=8, on_threshold=4, off_threshold=4,
-                    requests=[0] * 2, port=0)
-        with pytest.raises(ConfigError):
-            VOQBank(2, capacity=0, on_threshold=0, off_threshold=0,
-                    requests=[0] * 2, port=0)
 
 
 class TestFifoOrder:
