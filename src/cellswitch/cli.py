@@ -109,7 +109,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INTERNAL = 2
 
-LATENCY_COLUMNS = ["p1", "p50", "p75", "p90", "p95", "p99", "p100"]
+# Each latency column and the nearest-rank percentile it reports.
+LATENCY_COLUMNS = {"p1": 1, "p50": 50, "p75": 75, "p90": 90, "p95": 95,
+                   "p99": 99, "p100": 100}
 
 CSV_COLUMNS = [
     "pattern", "size_mode", "scheduler", "nominal_load_pct",
@@ -329,9 +331,8 @@ def _sweep_row(config: EngineConfig, traffic: TrafficSpec) -> dict:
     latencies = dict.fromkeys(LATENCY_COLUMNS, "")
     if report.delivered_cells:
         utilization = f"{report.utilization_pct:.2f}"
-        summary = report.latency_summary()
-        latencies = dict(zip(LATENCY_COLUMNS,
-                             (report.percentile(1), *summary[1:])))
+        latencies = {column: report.percentile(p)
+                     for column, p in LATENCY_COLUMNS.items()}
     return {
         "pattern": traffic.mode,
         "size_mode": traffic.size_mode,

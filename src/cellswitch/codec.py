@@ -29,7 +29,7 @@ source.  A spent route yields no copies: the cell is for this device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ProtocolError
 
@@ -51,7 +51,7 @@ class L2Header:
 
     total_hops: int
     remain_hops: int
-    dst_ports: list[int] = field(default_factory=lambda: [0] * ROUTE_SLOTS)
+    dst_ports: list[int]
 
 
 def _check_port_count(n_ports: int) -> None:
@@ -112,6 +112,4 @@ def source_address(header: L2Header) -> list[int]:
     """
     if header.remain_hops != 0:
         raise ProtocolError("source address is defined only after delivery")
-    if header.total_hops == 0:
-        return []
     return list(reversed(header.dst_ports[ROUTE_SLOTS - header.total_hops:]))

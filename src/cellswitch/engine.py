@@ -49,12 +49,16 @@ A cell's recorded latency runs from its uplink transmission to its
 sink delivery and therefore excludes time spent queued inside the
 source; an uncontended cell needs exactly ``latency_floor()`` slots.
 The run counts deliveries in a list indexed by latency and reports
-the latencies seen as a dict.  It has drained once every cell is
-delivered and every source's last poll returned ``math.inf``, which a
-spent source does in the slot after its last record.  While every cell
-is delivered, no control word is pending and no source is due, no
-slot can change anything, so the run jumps to the next slot a source
-is due (or to ``max_slots``).
+the latencies seen as a dict; the least and greatest latency are its
+nearest-rank percentiles at p = 0 and p = 100.  Utilization is taken
+over the delivery window, which starts at the first generated cell:
+nothing is staged or paused yet, so its host sends it in the slot it
+is generated.  The run has drained once every cell is delivered and
+every source's last poll returned ``math.inf``, which a spent source
+does in the slot after its last record.  While every cell is
+delivered, no control word is pending and no source is due, no slot
+can change anything, so the run jumps to the next slot a source is
+due (or to ``max_slots``).
 
 Losslessness is enforced, not assumed: queue overflows raise
 immediately, a fabric misroute at its structural replay, and every
@@ -98,7 +102,6 @@ class MetricsReport:
     staged_cells: int       # at exit: in endpoint staging, held included
     in_flight_cells: int    # at exit: on links, in egress, in VOQs
     delivered_wire_bytes: int
-    first_injection: int
     last_delivery: int
     first_generation: int
     last_generation: int
@@ -111,7 +114,9 @@ class MetricsReport:
     # -- latency -------------------------------------------------------------
 
     def percentile(self, p: float) -> int:
-        """Nearest-rank percentile of delivered-cell latency."""
+        """Nearest-rank percentile of delivered-cell latency: the
+        latency at rank ceil(p * n / 100), at least 1, of the n sorted
+        cells, so p = 0 is the minimum and p = 100 the maximum."""
         if not self.delivered_cells:
             raise SimInvariantError("no deliveries to take a percentile of")
         rank = math.ceil(p * self.delivered_cells / 100)
@@ -121,13 +126,6 @@ class MetricsReport:
             if cum >= rank:
                 return latency
         raise AssertionError("histogram does not cover its own total")
-
-    def latency_summary(self) -> tuple[int, int, int, int, int, int, int]:
-        """(min, p50, p75, p90, p95, p99, max) of cell latency."""
-        lo, hi = min(self.latency_hist), max(self.latency_hist)
-        return (lo, self.percentile(50), self.percentile(75),
-                self.percentile(90), self.percentile(95),
-                self.percentile(99), hi)
 
     def mean_latency(self) -> float | None:
         """Mean delivered-cell latency; None before any delivery."""
@@ -140,8 +138,10 @@ class MetricsReport:
 
     @property
     def delivery_window(self) -> int:
-        """Slots from first uplink transmission to last delivery."""
-        return self.last_delivery - self.first_injection + 1
+        """Slots from the first generated cell, which finds nothing
+        staged or paused and so leaves in the slot it is generated, to
+        the last delivery."""
+        return self.last_delivery - self.first_generation + 1
 
     @property
     def utilization_pct(self) -> float | None:
@@ -185,7 +185,8 @@ class MetricsReport:
         """The report's figures; latency and utilization are None
         before any delivery, the offered load before any generated cell."""
         delivered = self.delivered_cells
-        summary = self.latency_summary() if delivered else None
+        summary = (tuple(map(self.percentile, (0, 50, 75, 90, 95, 99, 100)))
+                   if delivered else None)
         load = self.offered_load_pct
         return {
             "n_ports": self.config.n_ports,
@@ -287,7 +288,7 @@ class StarNetwork:
         generated = injected = delivered = 0
         queued = 0                           # cells in the VOQs
         delivered_bytes = 0
-        first_generation = first_injection = -1
+        first_generation = -1
         last_generation = last_delivery = -1
         pauses = unpauses = 0
 
@@ -392,8 +393,6 @@ class StarNetwork:
                 last_generation = slot
                 if first_generation < 0:
                     first_generation = slot
-            if first_injection < 0 and injected:
-                first_injection = slot
 
             # arbitration and fabric traversal, only while some queue
             # holds a cell: an empty match moves no arbiter pointer
@@ -446,7 +445,6 @@ class StarNetwork:
             staged_cells=staged,
             in_flight_cells=in_flight,
             delivered_wire_bytes=delivered_bytes,
-            first_injection=first_injection,
             last_delivery=last_delivery,
             first_generation=first_generation,
             last_generation=last_generation,

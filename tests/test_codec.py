@@ -149,6 +149,10 @@ class TestRotation:
         assert header.remain_hops == 0
         assert source_address(header) == [selector_for(2, 4, 8)]
 
+    def test_zero_hop_source_address_is_empty(self):
+        # A cell that crossed no switch has no route back to read.
+        assert source_address(fresh_header([])) == []
+
     def test_source_address_requires_delivery(self):
         header = fresh_header([1, 2])
         with pytest.raises(ProtocolError):

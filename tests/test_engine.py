@@ -137,7 +137,7 @@ class TestLatencyFloor:
         report.verify()
         assert report.drained
         assert report.latency_hist == {config.latency_floor(): n}
-        assert report.last_delivery == report.first_injection + 18
+        assert report.last_delivery == report.first_generation + 18
 
     def test_quiet_network_min_is_floor(self):
         report = small_run(n_ports=2, load=0.2, volume=5_000)
@@ -346,7 +346,7 @@ def report_with(hist):
         slots_run=1, drained=True, generated_cells=delivered,
         injected_cells=delivered, delivered_cells=delivered,
         staged_cells=0, in_flight_cells=0,
-        delivered_wire_bytes=delivered * FRAME_BYTES, first_injection=0,
+        delivered_wire_bytes=delivered * FRAME_BYTES,
         last_delivery=max(hist), first_generation=0, last_generation=0,
         pauses=0, unpauses=0, peak_voq_occupancy=0,
         fabric_checks=0, latency_hist=hist)
@@ -355,7 +355,7 @@ def report_with(hist):
 class TestPercentiles:
     def test_single_sample(self):
         report = report_with({18: 1})
-        for p in (1, 50, 75, 90, 95, 99, 100):
+        for p in (0, 1, 50, 75, 90, 95, 99, 100):
             assert report.percentile(p) == 18
 
     def test_nearest_rank_examples(self):
@@ -374,16 +374,18 @@ class TestPercentiles:
                 hist[s] = hist.get(s, 0) + 1
             report = report_with(hist)
             ordered = sorted(samples)
-            for p in (1, 10, 25, 50, 75, 90, 95, 99, 100):
-                rank = -(-p * len(samples) // 100)  # ceil, 1-based
+            for p in (0, 1, 10, 25, 50, 75, 90, 95, 99, 100):
+                # ceil, 1-based, so p = 0 reads the minimum
+                rank = max(1, -(-p * len(samples) // 100))
                 assert report.percentile(p) == ordered[rank - 1], \
                     f"p{p} of {len(samples)} samples"
 
     def test_summary_is_monotone(self):
         report = small_run(n_ports=8, load=0.9, volume=20_000)
-        summary = report.latency_summary()
+        summary = report.to_dict()["latency_min_p50_p75_p90_p95_p99_max"]
         assert list(summary) == sorted(summary)
         assert summary[0] == 18
+        assert summary[-1] == max(report.latency_hist)
 
     def test_empty_distribution_refuses(self):
         report = report_with({18: 1})
@@ -418,8 +420,11 @@ class TestBandwidthAccounting:
         assert data["n_ports"] == 4
         assert data["drained"] is True
         assert data["delivered_cells"] == report.delivered_cells
-        assert data["latency_min_p50_p75_p90_p95_p99_max"] == \
-            report.latency_summary()
+        summary = data["latency_min_p50_p75_p90_p95_p99_max"]
+        assert summary[1:-1] == tuple(
+            report.percentile(p) for p in (50, 75, 90, 95, 99))
+        assert (summary[0], summary[-1]) == (min(report.latency_hist),
+                                             max(report.latency_hist))
 
 
 class TestAnalyticalOracle:
@@ -449,7 +454,10 @@ class TestAnalyticalOracle:
 
 class TestByteIdentity:
     """Pins every reported figure of a grid of small runs, so a change
-    meant to keep results identical is checked to do so."""
+    meant to keep results identical is checked to do so.  DIGEST and
+    PORT32_DIGEST hash first_generation twice: they were recorded when
+    the report also kept the slot of its first transmission, which
+    always equals it."""
 
     DIGEST = "79bf0d401b53c768284a37cbc1b98ec6b1c981e5d733bf907aba5dc1b5314808"
 
@@ -466,14 +474,14 @@ class TestByteIdentity:
             digest.update(json.dumps([
                 report.to_dict(), sorted(report.latency_hist.items()),
                 report.delivered_wire_bytes, report.first_generation,
-                report.last_generation, report.first_injection,
+                report.last_generation, report.first_generation,
                 report.last_delivery]).encode())
         assert digest.hexdigest() == self.DIGEST
 
-    # Recorded on the engine whose queue capacity is the exact pause
-    # headroom and whose report has no order_violations field.
+    # Recorded on the engine whose report keeps one start of its
+    # delivery window, first_generation.
     WIDE_DIGEST = (
-        "cc860a9dd9e770fbab94d1c3bb0c15a6ec5bab3f812633b1688179eddb69ac96")
+        "905e8254b7d5b30ae13b17e1bd95578cd43bef7e5979b586540c4c378296baa5")
 
     def test_truncated_and_custom_delay_digest_unchanged(self):
         # Every report field, staged and in-flight counts included, of
@@ -520,7 +528,7 @@ class TestByteIdentity:
             digest.update(json.dumps([
                 report.to_dict(), sorted(report.latency_hist.items()),
                 report.delivered_wire_bytes, report.first_generation,
-                report.last_generation, report.first_injection,
+                report.last_generation, report.first_generation,
                 report.last_delivery]).encode())
         assert digest.hexdigest() == self.PORT32_DIGEST
 

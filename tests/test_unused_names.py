@@ -4,7 +4,9 @@ A top-level function, class or assignment of ``src/cellswitch``, and a
 method or property of a top-level class, must be named somewhere in
 ``src/cellswitch`` or ``bench/*.py`` outside the statement that
 defines it; tests do not count, so code that only a test calls fails
-here.  Dunder names are exempt.
+here.  Dunder names are exempt.  A name a module imports, at its top
+or inside a function, must be named again in that module, so a
+deletion that leaves an import behind fails too.
 """
 
 import ast
@@ -71,3 +73,20 @@ def test_every_method_is_used(path):
     unused = _unused((method, [method.name]) for stmt in TREES[path].body
                      for method in _methods(stmt))
     assert not unused, f"{path.name}: no caller for {unused}"
+
+
+def _imported(tree: ast.AST) -> list[str]:
+    """The names the import statements of a module bind."""
+    return [alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = TREES[path]
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for name in _imported(tree) if name not in named]
+    assert not unused, f"{path.name}: imports {unused} and never names them"
