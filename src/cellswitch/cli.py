@@ -10,7 +10,9 @@ Subcommands
     ``{stem}.csv`` a run record, ``{stem}-run.json``, holds one JSON
     object: ``seed``, ``rows`` (the CSV's row count), ``workers`` (the
     processes the rows ran in), ``wall_s`` (the run's wall time in
-    seconds) and ``spec`` (the experiment as run, with that one seed).
+    seconds) and ``spec`` (the experiment as run, with that one seed:
+    ``name``, ``kind``, ``seeds`` and each field its kind reads, as
+    the schema below lists them, and no other).
 ``compare``
     Check a produced CSV against a reference CSV cell by cell, under
     per-metric tolerances, and emit a machine-readable verdict table.
@@ -76,9 +78,11 @@ starting with ``#`` in any CSV are comments.  Every file written is
 UTF-8; the experiment name, which names the files, must be one path
 component that the file system can encode.
 
-Exit codes: 0 success, 1 configuration/usage error, 2 simulation
-invariant violation or any other internal error (the traceback is
-written to ``cellswitch-error.txt`` in the current directory).
+Exit codes: 0 success (``--help`` included), 1 configuration or usage
+error (a missing or malformed command-line argument included), 2
+simulation invariant violation or any other internal error (the
+traceback is written to ``cellswitch-error.txt`` in the current
+directory).
 ``compare --strict`` treats an out-of-tolerance or ``missing`` verdict
 as a configuration-style failure (exit 1).
 """
@@ -316,8 +320,8 @@ def _points_for(spec: ExperimentSpec, seed: int) -> list[partial]:
         return [partial(_ber_row, spec.one_way_delay, spec.slots, ber,
                         spec.link_load, seed) for ber in spec.bers]
     from .checks import CHECKS
-    return [partial(_check_row, check, spec.one_way_delay)
-            for check in CHECKS]
+    return [partial(_check_row, check, run, spec.one_way_delay)
+            for check, run in CHECKS.items()]
 
 
 def _sweep_row(config: EngineConfig, traffic: TrafficSpec) -> dict:
@@ -366,10 +370,8 @@ def _ber_row(one_way_delay: int, slots: int, ber: float, load: float,
     }
 
 
-def _check_row(check: str, one_way_delay: int) -> dict:
-    from .checks import CHECKS
-    return {"check": check, "status": "pass",
-            "detail": CHECKS[check](one_way_delay)}
+def _check_row(check: str, run, one_way_delay: int) -> dict:
+    return {"check": check, "status": "pass", "detail": run(one_way_delay)}
 
 
 # -- report emission -------------------------------------------------------
@@ -411,43 +413,41 @@ def read_csv(path: Path) -> list[dict]:
         raise ConfigError(f"{path}: malformed CSV ({exc})") from None
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: Path, workers: int = 1,
-                   verbose: bool = False) -> list[Path]:
+def run_experiment(spec: ExperimentSpec, out_dir: Path,
+                   workers: int = 1) -> list[Path]:
     """Execute every point of the experiment: per seed, the paths of
     its CSV and then of its run record."""
     import json
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = CHECK_COLUMNS if spec.kind == KIND_CHECKS else CSV_COLUMNS
+    # the spec fields the kind reads, which its run record states
+    read = [_FIELDS.get(option, option)
+            for options in _SCHEMAS[spec.kind].values() for option in options]
     written = []
     for seed in spec.seeds:
         calls = _points_for(spec, seed)
         # A pool starts all its workers at once: never more than rows.
         processes = min(workers, len(calls))
         start = time.monotonic()
-        rows = []
         if processes > 1:
             # a 20-30 ms import that start-up and serial runs skip
             from concurrent.futures import ProcessPoolExecutor
         with (ProcessPoolExecutor(max_workers=processes) if processes > 1
               else nullcontext()) as pool:
-            for row in (pool.map if pool else map)(operator.call, calls):
-                rows.append(row)
-                if verbose:
-                    print(f"  done {row}", file=sys.stderr)
+            rows = list((pool.map if pool else map)(operator.call, calls))
         elapsed = time.monotonic() - start
         stem = (spec.name if len(spec.seeds) == 1
                 else f"{spec.name}-seed{seed}")
         csv_path = out_dir / f"{stem}.csv"
         write_csv(csv_path, columns, rows)
+        ran = asdict(replace(spec, seeds=(seed,)))
         record = {"seed": seed, "rows": len(rows), "workers": processes,
                   "wall_s": elapsed,
-                  "spec": asdict(replace(spec, seeds=(seed,)))}
+                  "spec": {name: ran[name] for name in read}}
         record_path = out_dir / f"{stem}-run.json"
         record_path.write_text(json.dumps(record, indent=2) + "\n",
                                encoding="utf-8")
         written.extend([csv_path, record_path])
-        if verbose:
-            print(f"wrote {csv_path}", file=sys.stderr)
     return written
 
 
@@ -572,7 +572,6 @@ def _build_parser():
                      help="override the spec's seeds; repeatable")
     run.add_argument("--workers", type=int, default=1,
                      help="run rows in at most this many processes")
-    run.add_argument("-v", "--verbose", action="store_true")
 
     comp = sub.add_parser("compare", help="check a report against a "
                                           "reference table")
@@ -603,8 +602,7 @@ def _cmd_run(args) -> int:
         spec = replace(spec, seeds=tuple(args.seed))
     if args.workers < 1:
         raise ConfigError("need at least one worker")
-    for path in run_experiment(spec, args.out, workers=args.workers,
-                               verbose=args.verbose):
+    for path in run_experiment(spec, args.out, workers=args.workers):
         print(path)
     return EXIT_OK
 
@@ -637,9 +635,11 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its help or usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    try:
         if args.command == "presets":
             for name in preset_names():
                 print(name)

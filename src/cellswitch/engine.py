@@ -50,15 +50,17 @@ sink delivery and therefore excludes time spent queued inside the
 source; an uncontended cell needs exactly ``latency_floor()`` slots.
 The run counts deliveries in a list indexed by latency and reports
 the latencies seen as a dict; the least and greatest latency are its
-nearest-rank percentiles at p = 0 and p = 100.  Utilization is taken
-over the delivery window, which starts at the first generated cell:
-nothing is staged or paused yet, so its host sends it in the slot it
-is generated.  The run has drained once every cell is delivered and
-every source's last poll returned ``math.inf``, which a spent source
-does in the slot after its last record.  While every cell is
-delivered, no control word is pending and no source is due, no slot
-can change anything, so the run jumps to the next slot a source is
-due (or to ``max_slots``).
+nearest-rank percentiles at p = 0 and p = 100.  The wire bytes of the
+delivered cells are one formula, applied once at report time: their
+payload (``valid_bytes``) plus ``HEADER_BYTES`` per cell.  Utilization
+divides them by ``FRAME_BYTES`` per port-slot of the delivery window,
+which starts at the first generated cell: nothing is staged or paused
+yet, so its host sends it in the slot it is generated.  The run has
+drained once every cell is delivered and every source's last poll
+returned ``math.inf``, which a spent source does in the slot after its
+last record.  While every cell is delivered, no control word is
+pending and no source is due, no slot can change anything, so the run
+jumps to the next slot a source is due (or to ``max_slots``).
 
 Losslessness is enforced, not assumed: queue overflows raise
 immediately, a fabric misroute at its structural replay, and every
@@ -245,7 +247,6 @@ class StarNetwork:
         down_delay = config.downlink_delay
         out_delay = config.egress_delay + 1 + down_delay  # match to sink
         max_slots = config.max_slots
-        header_bytes = HEADER_BYTES
 
         # Bind the per-port callables once; the slot loop below is the
         # hot path and runs millions of times.
@@ -287,7 +288,7 @@ class StarNetwork:
         latency_counts = [0] * (config.latency_floor() + 1)
         generated = injected = delivered = 0
         queued = 0                           # cells in the VOQs
-        delivered_bytes = 0
+        delivered_payload = 0                # valid bytes of delivered cells
         first_generation = -1
         last_generation = last_delivery = -1
         pauses = unpauses = 0
@@ -317,10 +318,9 @@ class StarNetwork:
                         f"{src}->{dst}; flow {src}->{out_port} expected "
                         f"cell {expected_seq[src][out_port]}")
                 expected_seq[src][out_port] = flow_seq + 1
-                delivered_bytes += valid
+                delivered_payload += valid
             if arrivals:
                 delivered += len(arrivals)
-                delivered_bytes += header_bytes * len(arrivals)
                 last_delivery = slot
                 arrivals.clear()
 
@@ -444,7 +444,7 @@ class StarNetwork:
             delivered_cells=delivered,
             staged_cells=staged,
             in_flight_cells=in_flight,
-            delivered_wire_bytes=delivered_bytes,
+            delivered_wire_bytes=delivered_payload + HEADER_BYTES * delivered,
             last_delivery=last_delivery,
             first_generation=first_generation,
             last_generation=last_generation,

@@ -6,8 +6,11 @@ internal collisions.  A bitonic sorting network orders active cells
 by destination and packs idle lines to the end; the concentrated,
 monotone result then traverses a shuffle-exchange (omega) network
 whose 2x2 elements steer by one destination bit per stage, most
-significant first.  Sorted-and-concentrated input is exactly the
-condition under which that network is collision-free.
+significant first.  Each steering stage is the perfect-shuffle wiring
+plus one column of 2x2 elements, modelled in one pass: a cell on lane
+p enters element ``shuffle[p] // 2`` and exits on its upper or lower
+lane by its destination bit.  Sorted-and-concentrated input is exactly
+the condition under which that network is collision-free.
 
 A matching is the arbiter's list of ``(input, output)`` pairs, and
 every routing method takes it as is.  ``route_structural`` models the
@@ -110,19 +113,15 @@ class SortRouteFabric:
         shuffle = self.shuffle
         for stage_idx in range(self.k):
             bit = self.k - 1 - stage_idx
-            shuffled: list[tuple[int, int] | None] = [None] * width
-            for p, cell in enumerate(cells):
-                if cell is not None:
-                    shuffled[shuffle[p]] = cell
             nxt: list[tuple[int, int] | None] = [None] * width
-            for p, cell in enumerate(shuffled):
+            for p, cell in enumerate(cells):
                 if cell is None:
                     continue
-                exit_pos = (p & ~1) | (cell[0] >> bit & 1)
+                exit_pos = (shuffle[p] & ~1) | (cell[0] >> bit & 1)
                 if nxt[exit_pos] is not None:
                     raise SimInvariantError(
                         f"element collision at steering stage {stage_idx}, "
-                        f"element {p // 2}")
+                        f"element {shuffle[p] // 2}")
                 nxt[exit_pos] = cell
             cells = nxt
         out: list[int | None] = [None] * self.n_ports

@@ -170,14 +170,10 @@ class SourceProcess:
                 if scale and flows and (gap := int(log(1.0 - rand()) * scale)):
                     yield gap
         while flows:
-            cells = self._packet(flows[int(rand() * len(flows))])
-            if not scale:  # full load: no gaps between arrivals
-                yield from cells
-                continue
-            # no gap after the last (eop) cell of the final packet
-            for cell in cells:
+            # no gap at full load, nor after the final packet's eop cell
+            for cell in self._packet(flows[int(rand() * len(flows))]):
                 yield cell
-                if (flows or not cell[4]) and (
+                if scale and (flows or not cell[4]) and (
                         gap := int(log(1.0 - rand()) * scale)):
                     yield gap
         while True:

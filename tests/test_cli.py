@@ -406,13 +406,25 @@ class TestRunCommand:
             float(clean["utilization_pct"])
         assert int(noisy["retx"]) > 0
 
-    @pytest.mark.parametrize("text, stem, workers", [
-        (TINY_SWEEP, "tiny", 1), (TINY_CHECKS, "tinyber", 2)],
-        ids=["sweep", "protocol-checks"])
+    COMMON_KEYS = {"name", "kind", "seeds"}
+    LINK_KEYS = COMMON_KEYS | {"one_way_delay"}
+
+    @pytest.mark.parametrize("text, stem, workers, keys", [
+        (TINY_SWEEP, "tiny", 1, COMMON_KEYS | {
+            "ports", "schedulers", "islip_iterations", "uplink_delay",
+            "downlink_delay", "egress_delay", "on_threshold",
+            "off_threshold", "channel_buffer", "max_slots", "patterns",
+            "size_mode", "volume_bytes", "min_packet_bytes",
+            "max_packet_bytes", "burst_mean_cells", "workloads"}),
+        (TINY_BER, "tinyber", 1,
+         LINK_KEYS | {"slots", "bers", "link_load"}),
+        (TINY_CHECKS, "tinyber", 2, LINK_KEYS)],
+        ids=["sweep", "ber-sweep", "protocol-checks"])
     def test_run_record_follows_each_csv(self, tmp_path, text, stem,
-                                         workers):
+                                         workers, keys):
         """Per seed: the CSV, then a JSON run record of the seed, row
-        count, processes, wall time and the spec as run at that seed."""
+        count, processes, wall time and the spec as run at that seed,
+        holding only the fields the experiment's kind reads."""
         spec = replace(cli.parse_experiment(text), seeds=(1, 2))
         paths = cli.run_experiment(spec, tmp_path, workers=workers)
         assert paths == [tmp_path / f"{stem}-seed{seed}{suffix}"
@@ -427,8 +439,9 @@ class TestRunCommand:
             assert record["rows"] == rows
             assert record["workers"] == min(workers, rows)
             assert record["wall_s"] >= 0
-            assert record["spec"] == json.loads(json.dumps(
-                asdict(replace(spec, seeds=(seed,)))))
+            assert set(record["spec"]) == keys
+            ran = json.loads(json.dumps(asdict(replace(spec, seeds=(seed,)))))
+            assert record["spec"] == {key: ran[key] for key in keys}
 
     def test_negative_zero_reads_as_zero(self, tmp_path):
         """``-0`` is the value 0, so its row prints as 0."""
@@ -610,6 +623,30 @@ def test_only_an_islip_network_loads_the_fabric():
              "TrafficSpec())")
     assert "cellswitch.fabric" not in loaded_by(build.format("safc"))
     assert "cellswitch.fabric" in loaded_by(build.format("islip"))
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["run"],
+    ["run", "--preset", "nope", "--workers", "x"],
+    ["compare", "--builtin", "latency", "--tolerance", "p50=rel:20"],
+    ["run", "--preset", "nope", "-v"],
+], ids=["no-command", "run-without-source", "workers-x",
+        "compare-without-measured", "no-verbose-flag"])
+def test_usage_error_exits_1(tmp_path, monkeypatch, capsys, argv):
+    """A command line argparse rejects is a usage error: exit 1 after
+    the usage message, with no trace file and nothing run."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "usage:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]],
+                         ids=["top", "run"])
+def test_help_exits_0(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "usage:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", ["café", "a\0b"], ids=["ascii", "nul"])

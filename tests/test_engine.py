@@ -325,6 +325,30 @@ class TestSchedulers:
         assert safc.percentile(99) < islip.percentile(99)
 
 
+class TestWorstCaseLatency:
+    # iSLIP is left out: a granted input may still accept another
+    # output, so this form does not bound it (saturated iSLIP runs at
+    # 3-8 ports broke it by up to 1.42x); it needs a bound of its own.
+    @pytest.mark.parametrize("delays", [
+        {}, dict(uplink_delay=1, downlink_delay=1, egress_delay=0)],
+        ids=["default-delays", "short-delays"])
+    @pytest.mark.parametrize("mode", [BERNOULLI, BURSTY])
+    @pytest.mark.parametrize("n_ports", [3, 4, 8])
+    def test_safc_latency_bound(self, n_ports, mode, delays):
+        """An SAFC output serves a requesting input within n - 2 slots
+        (each of the n - 2 other inputs at most once before it), then
+        at least once every n - 1 slots.  A cell that lands at depth
+        d <= voq_capacity() in its VOQ is therefore matched at most
+        (n - 2) + (d - 1)(n - 1) slots after it lands, so no cell takes
+        more than latency_floor() + (n - 1) * voq_capacity() - 1."""
+        config = EngineConfig(n_ports=n_ports, scheduler=SAFC, **delays)
+        report = run_star(config, TrafficSpec(mode=mode, load=1.0,
+                                              volume_bytes=20_000))
+        bound = (config.latency_floor()
+                 + (n_ports - 1) * config.voq_capacity() - 1)
+        assert max(report.latency_hist) <= bound
+
+
 class TestDeterminism:
     def test_same_seed_same_report(self):
         kw = dict(n_ports=8, load=0.7, volume=20_000, seed=11)

@@ -107,12 +107,22 @@ class TestStructuralRouting:
         pairs = [(0, 5), (2, 0), (3, 1), (5, 3)]
         assert f.route_structural(pairs) == [2, 3, None, 5, None, 0]
 
-    def test_duplicate_destination_detected_both_paths(self):
-        f = SortRouteFabric(4)
+    @pytest.mark.parametrize("n, pairs, stage, element", [
+        (4, [(0, 2), (2, 2)], 1, 1),
+        (8, [(0, 5), (1, 5)], 2, 2),
+        (32, [(3, 17), (30, 17), (4, 1)], 4, 8),
+    ])
+    def test_duplicate_destination_detected_both_paths(self, n, pairs,
+                                                       stage, element):
+        # Here the two cells for one output meet in the last steering
+        # stage, in the element that holds both lanes of that output.
+        f = SortRouteFabric(n)
+        with pytest.raises(SimInvariantError, match=(
+                f"^element collision at steering stage {stage}, "
+                f"element {element}$")):
+            f.route_structural(pairs)
         with pytest.raises(SimInvariantError):
-            f.route_structural([(0, 2), (2, 2)])
-        with pytest.raises(SimInvariantError):
-            f.route_crossbar([(0, 2), (2, 2)])
+            f.route_crossbar(pairs)
 
     def test_duplicate_input_detected(self):
         # An arbiter whose outputs pull independently (SAFC) may pair
