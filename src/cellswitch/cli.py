@@ -3,24 +3,26 @@
 Subcommands
 -----------
 ``run``
-    Execute an experiment described by an INI file (``--spec PATH``)
-    or by a shipped preset (``--preset NAME``).  Each sweep point
-    becomes one CSV row, written in spec order.  ``--seed`` may be
-    given repeatedly to produce one report per seed.  Beside each
-    ``{stem}.csv`` a run record, ``{stem}-run.json``, holds one JSON
-    object: ``seed``, ``rows`` (the CSV's row count), ``workers`` (the
-    processes the rows ran in), ``wall_s`` (the run's wall time in
-    seconds) and ``spec`` (the experiment as run, with that one seed:
-    ``name``, ``kind``, ``seeds`` and each field its kind reads, as
-    the schema below lists them, and no other).
+    Execute an experiment described by an INI file (``--spec PATH``) or
+    by a shipped preset (``--preset NAME``).  Each sweep point becomes
+    one CSV row, written in spec order.  ``--seed`` may be given
+    repeatedly to produce one report per seed, and ``--workers`` must be
+    at least 1.  An experiment is checked when it is built, however it
+    is built, before any row runs.  Beside each ``{stem}.csv`` a run
+    record, ``{stem}-run.json``, holds one JSON object: ``seed``,
+    ``rows`` (the CSV's row count), ``workers`` (the processes the rows
+    ran in), ``wall_s`` (the run's wall time in seconds) and ``spec``
+    (the experiment as run, with that one seed: ``name``, ``kind``,
+    ``seeds`` and each field its kind reads, as the schema below lists
+    them, and no other).
 ``compare``
     Check a produced CSV against a reference CSV cell by cell, under
     per-metric tolerances, and emit a machine-readable verdict table.
-    A measured row key or a tolerance metric given twice is an error,
-    and so is a reference with no rows.  A reference row with no
-    measured row, and a metric blank in the measured row where the
-    reference has a value, yield a ``missing`` verdict; a blank
-    reference cell yields no verdict.
+    A row key in either report or a tolerance metric given twice is
+    an error, and so is a comparison that yields no verdict.  A
+    reference row with no measured row, and a metric blank in the
+    measured row where the reference has a value, yield a ``missing``
+    verdict; a blank reference cell yields no verdict.
 ``presets``
     List the shipped presets.
 
@@ -135,12 +137,11 @@ KIND_CHECKS = "protocol-checks"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment file, fully parsed and validated.
+    """One experiment, checked in full when built, however it is built.
 
     The sweep fields default to the defaults of ``config.EngineConfig``
     and ``config.TrafficSpec``; only the per-flow volume has one of its
-    own.  Each sweep row passes them on by name, beside its sweep axes.
-    """
+    own.  Each sweep row passes them on by name, beside its sweep axes."""
 
     name: str
     kind: str = KIND_SWEEP
@@ -179,10 +180,31 @@ class ExperimentSpec:
                 raise ConfigError(f"{name} {values}: list each "
                                   f"{name[:-1]} once (a repeat would run "
                                   "again and write the same rows)")
+        if not self.seeds:
+            raise ConfigError("[run] seeds: need at least one seed")
         if any(seed < 0 for seed in self.seeds):
             # random.Random(-s) draws the same stream as Random(s)
             raise ConfigError(f"seeds {self.seeds}: a negative seed would "
                               "repeat the run of its absolute value")
+        try:
+            unfit = not self.name or b"\0" in os.fsencode(self.name)
+        except UnicodeEncodeError:
+            unfit = True
+        if unfit or Path(self.name).name != self.name or self.name == "..":
+            raise ConfigError(f"[experiment] name {self.name!r} names the "
+                              "output files: it must be one path component "
+                              "that the file system can encode")
+        if self.kind == KIND_SWEEP and not self.workloads:
+            raise ConfigError("[traffic] workloads is required for sweeps")
+        if self.kind == KIND_BER and not self.bers:
+            raise ConfigError("[link] bers is required for a ber sweep")
+        if self.kind != KIND_SWEEP:
+            from .link import check_link, frame_error_probability
+            check_link(self.one_way_delay, self.slots, self.link_load)
+            for ber in self.bers:
+                frame_error_probability(ber)
+        # Building the rows checks every engine and traffic value.
+        _points_for(self, self.seeds[0])
 
 
 def _words(convert):
@@ -221,7 +243,7 @@ _FIELDS = {"scheduler": "schedulers", "pattern": "patterns",
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
-    """Parse and validate the INI form of an experiment."""
+    """Parse the INI form of an experiment; the spec checks its values."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                        interpolation=None)
     try:
@@ -253,32 +275,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
                                   f"{raw!r}") from None
     if "name" not in present:
         raise ConfigError("[experiment] name is required")
-    spec = ExperimentSpec(**present)
-    try:
-        unfit = b"\0" in os.fsencode(spec.name)
-    except UnicodeEncodeError:
-        unfit = True
-    if unfit or spec.name in (".", "..") or Path(spec.name).name != spec.name:
-        raise ConfigError(f"[experiment] name {spec.name!r} names the "
-                          "output files: it must be one path component "
-                          "that the file system can encode")
-    if spec.kind == KIND_SWEEP:
-        if not spec.workloads:
-            raise ConfigError("[traffic] workloads is required for sweeps")
-        for load in spec.workloads:
-            if not 0 < load <= 100:
-                raise ConfigError(f"workload {load} outside (0, 100]")
-    if spec.kind != KIND_SWEEP:
-        from .link import check_link, frame_error_probability
-        check_link(spec.one_way_delay, spec.slots, spec.link_load)
-    if spec.kind == KIND_BER:
-        if not spec.bers:
-            raise ConfigError("[link] bers is required for a ber sweep")
-        for ber in spec.bers:
-            frame_error_probability(ber)
-    # Building the rows validates every engine and traffic value.
-    _points_for(spec, spec.seeds[0])
-    return spec
+    return ExperimentSpec(**present)
 
 
 def load_preset(name: str) -> str:
@@ -415,9 +412,11 @@ def read_csv(path: Path) -> list[dict]:
 
 def run_experiment(spec: ExperimentSpec, out_dir: Path,
                    workers: int = 1) -> list[Path]:
-    """Execute every point of the experiment: per seed, the paths of
-    its CSV and then of its run record."""
+    """Execute every point of the experiment in at most ``workers``
+    processes (at least 1): per seed, its CSV and run record paths."""
     import json
+    if workers < 1:
+        raise ConfigError(f"workers {workers}: need at least one worker")
     out_dir.mkdir(parents=True, exist_ok=True)
     columns = CHECK_COLUMNS if spec.kind == KIND_CHECKS else CSV_COLUMNS
     # the spec fields the kind reads, which its run record states
@@ -440,7 +439,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path,
                 else f"{spec.name}-seed{seed}")
         csv_path = out_dir / f"{stem}.csv"
         write_csv(csv_path, columns, rows)
-        ran = asdict(replace(spec, seeds=(seed,)))
+        ran = {**asdict(spec), "seeds": (seed,)}
         record = {"seed": seed, "rows": len(rows), "workers": processes,
                   "wall_s": elapsed,
                   "spec": {name: ran[name] for name in read}}
@@ -490,21 +489,21 @@ def compare_reports(measured: list[dict], reference: list[dict],
     (a run cut short before its first delivery) a ``missing`` verdict
     naming the metric, since silence must not pass; a blank reference
     cell yields none.  A metric missing from either header, like two
-    measured rows with one key, is a configuration error."""
+    rows with one key in either report, is a configuration error."""
     for metric in tolerances:
         for side, rows in (("measured", measured), ("reference", reference)):
             if any(metric not in row for row in rows):
                 raise ConfigError(f"no column {metric!r} in the {side} report")
-    index = {}
-    for row in measured:
-        key = _row_key(row)
-        if key in index:
-            raise ConfigError(f"row {'/'.join(key)} is measured twice")
-        index[key] = row
+    index = {"measured": {}, "referenced": {}}
+    for verb, rows in zip(index, (measured, reference)):
+        for row in rows:
+            key = _row_key(row)
+            if key in index[verb]:
+                raise ConfigError(f"row {'/'.join(key)} is {verb} twice")
+            index[verb][key] = row
     verdicts = []
-    for ref in reference:
-        key = _row_key(ref)
-        got_row = index.get(key)
+    for key, ref in index["referenced"].items():
+        got_row = index["measured"].get(key)
         key_fields = {field: ref.get(field, "") for field in KEY_FIELDS}
         if got_row is None:
             verdicts.append({**key_fields, "metric": "", "measured": "",
@@ -547,8 +546,8 @@ def reference_rows(name: str) -> list[dict]:
     return read_csv(path)
 
 
-VERDICT_COLUMNS = ["pattern", "size_mode", "scheduler", "nominal_load_pct",
-                   "metric", "measured", "reference", "tolerance", "status"]
+VERDICT_COLUMNS = [*KEY_FIELDS, "metric", "measured", "reference",
+                   "tolerance", "status"]
 
 
 # -- entry point -----------------------------------------------------------
@@ -595,13 +594,10 @@ def _build_parser():
 
 
 def _cmd_run(args) -> int:
-    text = (load_preset(args.preset) if args.preset
-            else _read_text(args.spec))
-    spec = parse_experiment(text)
+    spec = parse_experiment(load_preset(args.preset) if args.preset
+                            else _read_text(args.spec))
     if args.seed:
         spec = replace(spec, seeds=tuple(args.seed))
-    if args.workers < 1:
-        raise ConfigError("need at least one worker")
     for path in run_experiment(spec, args.out, workers=args.workers):
         print(path)
     return EXIT_OK
@@ -622,9 +618,10 @@ def _cmd_compare(args) -> int:
     measured = read_csv(args.measured)
     reference = (reference_rows(args.builtin) if args.builtin
                  else read_csv(args.reference))
-    if not reference:  # zero verdicts would pass --strict
-        raise ConfigError(f"{args.builtin or args.reference}: no rows")
     verdicts = compare_reports(measured, reference, tolerances)
+    if not verdicts:  # zero verdicts would pass --strict
+        raise ConfigError(f"{args.builtin or args.reference}: "
+                          "no rows to compare")
     write_csv(args.out, VERDICT_COLUMNS, verdicts)
     failed = sum(v["status"] != "pass" for v in verdicts)
     print(f"# {len(verdicts) - failed} of {len(verdicts)} within tolerance",

@@ -112,7 +112,7 @@ class TrafficSpec:
         if self.size_mode not in (FIXED, VARIABLE):
             raise ConfigError(f"unknown size mode {self.size_mode!r}")
         if not 0.0 < self.load <= 1.0:
-            raise ConfigError("load must be in (0, 1]")
+            raise ConfigError(f"load {self.load!r} outside (0, 1]")
         if 1.0 - self.load == 1.0:
             # a Bernoulli gap is drawn as log(u) / log(1 - load)
             raise ConfigError(f"load {self.load!r} is too small: "

@@ -83,7 +83,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .codec import FRAME_BYTES, HEADER_BYTES
-from .config import ISLIP, EngineConfig, TrafficSpec
+from .config import ISLIP, SAFC, EngineConfig, TrafficSpec
 from .errors import SimInvariantError
 from .scheduler import IslipScheduler, SafcScheduler
 from .traffic import SourceProcess
@@ -170,9 +170,15 @@ class MetricsReport:
         """Raise unless the run was provably lossless: no queue went
         past its capacity and every cell is accounted for.  Order needs
         no check here, since a sink raises during the run at the first
-        misrouted, dropped, duplicated or reordered cell."""
-        if self.peak_voq_occupancy > self.config.voq_capacity():
+        misrouted, dropped, duplicated or reordered cell.  SAFC matches a
+        cell within (n - 1) * voq_capacity() - 1 slots of landing; iSLIP
+        has no such bound yet, as a granted input may accept another output."""
+        config, cap = self.config, self.config.voq_capacity()
+        if self.peak_voq_occupancy > cap:
             raise SimInvariantError("queue exceeded its stated capacity")
+        above = max(self.latency_hist, default=0) - config.latency_floor()
+        if config.scheduler == SAFC and above >= (config.n_ports - 1) * cap:
+            raise SimInvariantError("SAFC latency exceeded its stated bound")
         if (self.generated_cells != self.staged_cells + self.injected_cells
                 or self.injected_cells
                 != self.delivered_cells + self.in_flight_cells):

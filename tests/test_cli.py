@@ -117,7 +117,9 @@ class TestParsing:
             cli.parse_experiment("[experiment]\nname = x\nkind = dance\n")
         with pytest.raises(ConfigError):  # sweep without workloads
             cli.parse_experiment("[experiment]\nname = x\n")
-        with pytest.raises(ConfigError):  # workload out of range
+        # a workload out of range is caught as the load it gives
+        with pytest.raises(ConfigError,
+                           match=re.escape("load 0.0 outside (0, 1]")):
             cli.parse_experiment(
                 "[experiment]\nname = x\n[traffic]\nworkloads = 0\n")
         with pytest.raises(ConfigError):  # unknown scheduler
@@ -190,6 +192,50 @@ class TestParsing:
         for bers in ("bers = 0 1e-5 0.00001", "bers = 0 -0"):
             with pytest.raises(ConfigError, match="each ber once"):
                 cli.parse_experiment(TINY_BER.replace("bers = 0 1e-5", bers))
+
+    # Each bad value the spec owns, as an edit of the INI text and as a
+    # ``replace`` override: both ways of building the spec must reject
+    # it with one message.  A blank [run] seeds keeps the default, so
+    # an empty seed list has no INI form.
+    @pytest.mark.parametrize("text, edit, override", [
+        (TINY_BER, ("name = tinyber", "name = ../escaped"),
+         dict(name="../escaped")),
+        (TINY_BER, ("name = tinyber", "name = sub/x"), dict(name="sub/x")),
+        (TINY_BER, ("name = tinyber", "name = ."), dict(name=".")),
+        (TINY_BER, ("name = tinyber", "name = .."), dict(name="..")),
+        (TINY_SWEEP, ("workloads = 50 100\n", ""), dict(workloads=())),
+        (TINY_SWEEP, ("workloads = 50 100", "workloads = 0"),
+         dict(workloads=(0.0,))),
+        (TINY_SWEEP, ("workloads = 50 100", "workloads = 150"),
+         dict(workloads=(150.0,))),
+        (TINY_BER, ("bers = 0 1e-5\n", ""), dict(bers=())),
+        (TINY_BER, ("bers = 0 1e-5", "bers = 1.5"), dict(bers=(1.5,))),
+        (TINY_BER, ("slots = 20000", "slots = 0"), dict(slots=0)),
+        (TINY_BER, ("one_way_delay = 4", "one_way_delay = 32"),
+         dict(one_way_delay=32)),
+        (TINY_BER, ("slots = 20000", "slots = 20000\nload = 1.5"),
+         dict(link_load=1.5)),
+        (TINY_SWEEP, None, dict(seeds=())),
+        (TINY_SWEEP, ("scheduler = islip safc", "scheduler = mad"),
+         dict(schedulers=("mad",))),
+    ], ids=["name-parent", "name-subdir", "name-dot", "name-dotdot",
+            "no-workloads", "workload-0", "workload-150", "no-bers",
+            "ber-1.5", "slots-0", "delay-32", "link-load-1.5", "no-seeds",
+            "scheduler-mad"])
+    def test_parse_and_replace_agree(self, tmp_path, text, edit, override):
+        if edit is None:
+            message = "[run] seeds: need at least one seed"
+        else:
+            assert edit[0] in text
+            with pytest.raises(ConfigError) as parsed:
+                cli.parse_experiment(text.replace(*edit))
+            message = str(parsed.value)
+        with pytest.raises(ConfigError) as replaced:
+            cli.run_experiment(replace(cli.parse_experiment(text),
+                                       **override), tmp_path / "out")
+        assert str(replaced.value) == message
+        # nothing is written, in the output directory or beside it
+        assert not any(tmp_path.iterdir())
 
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
@@ -486,6 +532,18 @@ class TestRunCommand:
                            "--workers", "500")
         assert code == cli.EXIT_OK
         assert created == [len(CHECKS)]  # one row runs serially
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_run_needs_a_worker(self, tmp_path, workers):
+        """Fewer than one worker is refused before anything is made."""
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="need at least one worker"):
+            cli.run_experiment(cli.parse_experiment(TINY_BER), out,
+                               workers=workers)
+        assert not out.exists()
+        code, out = run_main(tmp_path, TINY_BER, "--workers", str(workers))
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_oversized_port_count_is_config_error(self, tmp_path,
                                                   monkeypatch):
@@ -812,22 +870,34 @@ class TestCompare:
         assert "p50" in capsys.readouterr().err
 
     def test_reference_without_rows_is_config_error(self, tmp_path, capsys):
-        # Zero verdicts have no failure, so --strict would pass.
+        # Zero verdicts have no failure, so --strict would pass: a
+        # reference with no rows, or whose rows leave the tolerance
+        # metric blank, yields none, with or without --strict.
         measured = tmp_path / "measured.csv"
         reference = tmp_path / "reference.csv"
         cli.write_csv(measured, list(self.ROW), [self.ROW])
-        cli.write_csv(reference, list(self.ROW), [])
-        code = cli.main(["compare", "--measured", str(measured),
-                         "--reference", str(reference), "--strict",
-                         "--tolerance", "p50=rel:20"])
-        assert code == cli.EXIT_CONFIG
-        assert "reference.csv: no rows" in capsys.readouterr().err
+        for rows in ([], [dict(self.ROW, p50="")]):
+            cli.write_csv(reference, list(self.ROW), rows)
+            for strict in (["--strict"], []):
+                code = cli.main(["compare", "--measured", str(measured),
+                                 "--reference", str(reference), *strict,
+                                 "--tolerance", "p50=rel:20"])
+                assert code == cli.EXIT_CONFIG
+                assert "reference.csv: no rows" in capsys.readouterr().err
 
     def test_duplicate_measured_row_is_config_error(self):
         again = dict(self.ROW, p50="999")
         with pytest.raises(ConfigError,
                            match="bernoulli/fixed/islip/100 is measured twice"):
             cli.compare_reports([dict(self.ROW), again], [dict(self.ROW)],
+                                {"p50": ("rel", 20)})
+
+    def test_duplicate_reference_row_is_config_error(self):
+        # two reference rows would give one measured row two verdicts
+        again = dict(self.ROW, p50="999")
+        with pytest.raises(ConfigError, match="bernoulli/fixed/islip/100 "
+                                              "is referenced twice"):
+            cli.compare_reports([dict(self.ROW)], [dict(self.ROW), again],
                                 {"p50": ("rel", 20)})
 
     def test_repeated_tolerance_is_config_error(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from cellswitch.config import (
 from cellswitch.engine import MetricsReport, StarNetwork, run_star
 from cellswitch.errors import ConfigError, SimInvariantError
 from cellswitch.fabric import CHECK_INTERVAL
+from cellswitch.scheduler import SafcScheduler
 from cellswitch.voq import VOQBank
 
 
@@ -347,6 +348,38 @@ class TestWorstCaseLatency:
         bound = (config.latency_floor()
                  + (n_ports - 1) * config.voq_capacity() - 1)
         assert max(report.latency_hist) <= bound
+
+    def test_verify_asserts_the_safc_bound(self, monkeypatch):
+        """Every SAFC run checks the bound: an output pointer that never
+        moves past the input it served starves the inputs behind it."""
+        match = SafcScheduler.match
+
+        def stalled(self, out_requests):
+            pointer = self.pointer[:]
+            pairs = match(self, out_requests)
+            self.pointer[:] = pointer
+            return pairs
+
+        monkeypatch.setattr(SafcScheduler, "match", stalled)
+        with pytest.raises(SimInvariantError, match="SAFC latency"):
+            run_star(EngineConfig(n_ports=8, scheduler=SAFC),
+                     TrafficSpec(load=1.0, volume_bytes=20_000))
+
+    @pytest.mark.parametrize("scheduler", [SAFC, ISLIP])
+    def test_verify_safc_bound_is_exact(self, scheduler):
+        """A SAFC cell may take the bound but not one slot more; iSLIP
+        has no bound of this form, so its reports pass either way."""
+        config = EngineConfig(n_ports=4, scheduler=scheduler)
+        bound = config.latency_floor() + 3 * config.voq_capacity() - 1
+        at, over = (dataclasses.replace(report_with({latency: 1}),
+                                        config=config)
+                    for latency in (bound, bound + 1))
+        at.verify()
+        if scheduler == ISLIP:
+            over.verify()
+        else:
+            with pytest.raises(SimInvariantError, match="SAFC latency"):
+                over.verify()
 
 
 class TestDeterminism:
