@@ -8,7 +8,9 @@ Subcommands
     one CSV row, written in spec order.  ``--seed`` may be given
     repeatedly to produce one report per seed, and ``--workers`` must be
     at least 1.  An experiment is checked when it is built, however it
-    is built, before any row runs.  Beside each ``{stem}.csv`` a run
+    is built, before any row runs: a spec is checked by building its
+    rows, and a kind without an entry, or a spec with no rows, is a
+    configuration error (exit 1).  Beside each ``{stem}.csv`` a run
     record, ``{stem}-run.json``, holds one JSON object: ``seed``,
     ``rows`` (the CSV's row count), ``workers`` (the processes the rows
     ran in), ``wall_s`` (the run's wall time in seconds) and ``spec``
@@ -99,7 +101,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -125,12 +127,6 @@ CSV_COLUMNS = [
     "retx", "fc_events", "seed",
 ]
 
-CHECK_COLUMNS = ["check", "status", "detail"]
-
-KIND_SWEEP = "sweep"
-KIND_BER = "ber-sweep"
-KIND_CHECKS = "protocol-checks"
-
 
 # -- experiment description ----------------------------------------------
 
@@ -139,14 +135,16 @@ KIND_CHECKS = "protocol-checks"
 class ExperimentSpec:
     """One experiment, checked in full when built, however it is built.
 
-    The sweep fields default to the defaults of ``config.EngineConfig``
-    and ``config.TrafficSpec``; only the per-flow volume has one of its
-    own.  Each sweep row passes them on by name, beside its sweep axes."""
+    A spec is checked by building its first seed's rows: a kind without
+    an entry in ``_KINDS``, or a spec with no rows, is a configuration
+    error.  The sweep fields default to the defaults of
+    ``config.EngineConfig`` and ``config.TrafficSpec``; only the
+    per-flow volume has one of its own.  Each sweep row passes them on
+    by name, beside its sweep axes."""
 
     name: str
-    kind: str = KIND_SWEEP
+    kind: str = "sweep"
     seeds: tuple[int, ...] = (1,)
-    # kind = sweep
     ports: int = 32
     schedulers: tuple[str, ...] = (EngineConfig.scheduler,)
     islip_iterations: int | None = EngineConfig.islip_iterations
@@ -164,7 +162,6 @@ class ExperimentSpec:
     max_packet_bytes: int = TrafficSpec.max_packet_bytes
     burst_mean_cells: float = TrafficSpec.burst_mean_cells
     workloads: tuple[float, ...] = ()
-    # kind = ber-sweep / protocol-checks
     one_way_delay: int = 7
     slots: int = 1_000_000
     bers: tuple[float, ...] = ()
@@ -174,8 +171,7 @@ class ExperimentSpec:
         for name in ("seeds", "schedulers", "patterns", "workloads", "bers"):
             values = getattr(self, name)
             # a float is compared as its row prints it
-            labels = [_fmt(v) if isinstance(v, float) else v
-                      for v in values]
+            labels = [_fmt(v) if isinstance(v, float) else v for v in values]
             if len(set(labels)) != len(labels):
                 raise ConfigError(f"{name} {values}: list each "
                                   f"{name[:-1]} once (a repeat would run "
@@ -194,17 +190,11 @@ class ExperimentSpec:
             raise ConfigError(f"[experiment] name {self.name!r} names the "
                               "output files: it must be one path component "
                               "that the file system can encode")
-        if self.kind == KIND_SWEEP and not self.workloads:
-            raise ConfigError("[traffic] workloads is required for sweeps")
-        if self.kind == KIND_BER and not self.bers:
-            raise ConfigError("[link] bers is required for a ber sweep")
-        if self.kind != KIND_SWEEP:
-            from .link import check_link, frame_error_probability
-            check_link(self.one_way_delay, self.slots, self.link_load)
-            for ber in self.bers:
-                frame_error_probability(ber)
-        # Building the rows checks every engine and traffic value.
-        _points_for(self, self.seeds[0])
+        if self.kind not in _KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        if not _KINDS[self.kind][1](self, self.seeds[0]):
+            raise ConfigError(f"a {self.kind} experiment has no rows: a "
+                              "list it reads is empty")
 
 
 def _words(convert):
@@ -216,28 +206,11 @@ def _float(raw: str) -> float:
     return float(raw) + 0.0
 
 
-# The file schema of each experiment kind: section -> option ->
-# parser.  Each option sets the ExperimentSpec field of its name, or
-# the one _FIELDS gives; an option left blank keeps its field's default.
+# A file schema maps section -> option -> parser.  Each option sets the
+# ExperimentSpec field of its name, or the one _FIELDS gives; an option
+# left blank keeps its field's default.  Every kind reads these two.
 _COMMON = {"experiment": dict(name=str, kind=str),
            "run": dict(seeds=_words(int))}
-_SCHEMAS = {
-    KIND_SWEEP: {
-        **_COMMON,
-        "topology": dict(
-            ports=int, scheduler=_words(str), islip_iterations=int,
-            uplink_delay=int, downlink_delay=int, egress_delay=int,
-            on_threshold=int, off_threshold=int, channel_buffer=int,
-            max_slots=int),
-        "traffic": dict(
-            pattern=_words(str), size_mode=str, volume_bytes=int,
-            min_packet_bytes=int, max_packet_bytes=int,
-            burst_mean_cells=_float, workloads=_words(_float)),
-    },
-    KIND_BER: {**_COMMON, "link": dict(
-        one_way_delay=int, slots=int, bers=_words(_float), load=_float)},
-    KIND_CHECKS: {**_COMMON, "link": dict(one_way_delay=int)},
-}
 _FIELDS = {"scheduler": "schedulers", "pattern": "patterns",
            "load": "link_load"}
 
@@ -252,9 +225,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
         raise ConfigError(f"malformed experiment file: {exc}") from None
     kind = parser.get("experiment", "kind", fallback="").strip() \
         or ExperimentSpec.kind
-    schema = _SCHEMAS.get(kind)
-    if schema is None:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+    schema = _KINDS[kind][0] if kind in _KINDS else _COMMON
     present = {}
     for section in parser.sections():
         options = schema.get(section)
@@ -296,27 +267,35 @@ def preset_names() -> list[str]:
 # -- row calls -------------------------------------------------------------
 
 
-def _points_for(spec: ExperimentSpec, seed: int) -> list[partial]:
-    """One picklable call per CSV row, in row order."""
-    if spec.kind == KIND_SWEEP:
-        # the spec's fields named as engine or traffic fields pass on
-        given = {f.name: getattr(spec, f.name) for f in fields(spec)}
-        engine, traffic = ({f.name: given[f.name] for f in fields(cls)
-                            if f.name in given}
-                           for cls in (EngineConfig, TrafficSpec))
-        return [
-            partial(_sweep_row,
-                    EngineConfig(n_ports=spec.ports, scheduler=scheduler,
-                                 seed=seed, **engine),
-                    TrafficSpec(mode=pattern, load=load / 100.0, **traffic))
-            for pattern in spec.patterns
-            for load in spec.workloads
-            for scheduler in spec.schedulers
-        ]
-    if spec.kind == KIND_BER:
-        return [partial(_ber_row, spec.one_way_delay, spec.slots, ber,
-                        spec.link_load, seed) for ber in spec.bers]
+def _sweep_points(spec: ExperimentSpec, seed: int) -> list[partial]:
+    # the spec's fields named as engine or traffic fields pass on
+    engine, traffic = ({f.name: getattr(spec, f.name) for f in fields(cls)
+                        if hasattr(spec, f.name)}
+                       for cls in (EngineConfig, TrafficSpec))
+    return [
+        partial(_sweep_row,
+                EngineConfig(n_ports=spec.ports, scheduler=scheduler,
+                             seed=seed, **engine),
+                TrafficSpec(mode=pattern, load=load / 100.0, **traffic))
+        for pattern in spec.patterns
+        for load in spec.workloads
+        for scheduler in spec.schedulers
+    ]
+
+
+def _ber_points(spec: ExperimentSpec, seed: int) -> list[partial]:
+    from .link import check_link, frame_error_probability
+    check_link(spec.one_way_delay, spec.slots, spec.link_load)
+    for ber in spec.bers:
+        frame_error_probability(ber)
+    return [partial(_ber_row, spec.one_way_delay, spec.slots, ber,
+                    spec.link_load, seed) for ber in spec.bers]
+
+
+def _check_points(spec: ExperimentSpec, seed: int) -> list[partial]:
     from .checks import CHECKS
+    from .link import check_link
+    check_link(spec.one_way_delay)
     return [partial(_check_row, check, run, spec.one_way_delay)
             for check, run in CHECKS.items()]
 
@@ -371,6 +350,27 @@ def _check_row(check: str, run, one_way_delay: int) -> dict:
     return {"check": check, "status": "pass", "detail": run(one_way_delay)}
 
 
+# Each kind's one entry, the only place the runner tells kinds apart:
+# (file schema, points function, CSV columns).  Building the picklable
+# row calls, in row order, checks every value the kind reads.
+_KINDS = {
+    "sweep": ({**_COMMON, "topology": dict(
+        ports=int, scheduler=_words(str), islip_iterations=int,
+        uplink_delay=int, downlink_delay=int, egress_delay=int,
+        on_threshold=int, off_threshold=int, channel_buffer=int,
+        max_slots=int), "traffic": dict(
+        pattern=_words(str), size_mode=str, volume_bytes=int,
+        min_packet_bytes=int, max_packet_bytes=int,
+        burst_mean_cells=_float, workloads=_words(_float))},
+        _sweep_points, CSV_COLUMNS),
+    "ber-sweep": ({**_COMMON, "link": dict(
+        one_way_delay=int, slots=int, bers=_words(_float), load=_float)},
+        _ber_points, CSV_COLUMNS),
+    "protocol-checks": ({**_COMMON, "link": dict(one_way_delay=int)},
+                        _check_points, ["check", "status", "detail"]),
+}
+
+
 # -- report emission -------------------------------------------------------
 
 
@@ -418,13 +418,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path,
     if workers < 1:
         raise ConfigError(f"workers {workers}: need at least one worker")
     out_dir.mkdir(parents=True, exist_ok=True)
-    columns = CHECK_COLUMNS if spec.kind == KIND_CHECKS else CSV_COLUMNS
+    schema, points, columns = _KINDS[spec.kind]
     # the spec fields the kind reads, which its run record states
     read = [_FIELDS.get(option, option)
-            for options in _SCHEMAS[spec.kind].values() for option in options]
+            for options in schema.values() for option in options]
+    ran = {name: getattr(spec, name) for name in read}
     written = []
     for seed in spec.seeds:
-        calls = _points_for(spec, seed)
+        calls = points(spec, seed)
         # A pool starts all its workers at once: never more than rows.
         processes = min(workers, len(calls))
         start = time.monotonic()
@@ -439,10 +440,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: Path,
                 else f"{spec.name}-seed{seed}")
         csv_path = out_dir / f"{stem}.csv"
         write_csv(csv_path, columns, rows)
-        ran = {**asdict(spec), "seeds": (seed,)}
         record = {"seed": seed, "rows": len(rows), "workers": processes,
-                  "wall_s": elapsed,
-                  "spec": {name: ran[name] for name in read}}
+                  "wall_s": elapsed, "spec": {**ran, "seeds": (seed,)}}
         record_path = out_dir / f"{stem}-run.json"
         record_path.write_text(json.dumps(record, indent=2) + "\n",
                                encoding="utf-8")

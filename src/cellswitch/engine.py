@@ -252,7 +252,7 @@ class StarNetwork:
         up_delay = config.uplink_delay
         down_delay = config.downlink_delay
         out_delay = config.egress_delay + 1 + down_delay  # match to sink
-        max_slots = config.max_slots
+        max_slots = math.inf if config.max_slots is None else config.max_slots
 
         # Bind the per-port callables once; the slot loop below is the
         # hot path and runs millions of times.
@@ -428,8 +428,8 @@ class StarNetwork:
                     break
                 if wake > slot and not any(control):
                     # an empty network: nothing happens before the wake
-                    slot = wake if max_slots is None else min(wake, max_slots)
-            if max_slots is not None and slot >= max_slots:
+                    slot = min(wake, max_slots)
+            if slot >= max_slots:
                 drained = False
                 break
 

@@ -60,7 +60,7 @@ class TestParsing:
     def test_sweep_spec_round_trip(self):
         spec = cli.parse_experiment(TINY_SWEEP)
         assert spec.name == "tiny"
-        assert spec.kind == cli.KIND_SWEEP
+        assert spec.kind == "sweep"
         assert spec.ports == 4
         assert spec.schedulers == ("islip", "safc")
         assert spec.workloads == (50.0, 100.0)
@@ -70,7 +70,7 @@ class TestParsing:
     def test_defaults_fill_in(self):
         spec = cli.parse_experiment(
             "[experiment]\nname = x\n[traffic]\nworkloads = 30\n")
-        assert spec.kind == cli.KIND_SWEEP
+        assert spec.kind == "sweep"
         assert spec.ports == 32
         assert spec.schedulers == ("islip",)
         assert spec.patterns == ("bernoulli",)
@@ -237,6 +237,29 @@ class TestParsing:
         # nothing is written, in the output directory or beside it
         assert not any(tmp_path.iterdir())
 
+    def test_unknown_kind_is_refused_before_any_file(self, tmp_path):
+        """A kind without an entry is refused by the spec itself, from a
+        file or from ``replace``, before an output directory is made."""
+        with pytest.raises(ConfigError,
+                           match="unknown experiment kind 'dance'"):
+            cli.parse_experiment("[experiment]\nname = x\nkind = dance\n")
+        spec = cli.parse_experiment(cli.load_preset("protocol-checks"))
+        with pytest.raises(ConfigError,
+                           match="unknown experiment kind 'dance'"):
+            cli.run_experiment(replace(spec, kind="dance"), tmp_path / "out")
+        assert not any(tmp_path.iterdir())
+
+    # An empty scheduler or pattern list has no INI form: a blank
+    # option keeps its default.
+    @pytest.mark.parametrize("override", [dict(schedulers=()),
+                                          dict(patterns=())],
+                             ids=["no-schedulers", "no-patterns"])
+    def test_sweep_without_rows_is_config_error(self, tmp_path, override):
+        spec = cli.parse_experiment(TINY_SWEEP)
+        with pytest.raises(ConfigError, match="no rows"):
+            cli.run_experiment(replace(spec, **override), tmp_path / "out")
+        assert not any(tmp_path.iterdir())
+
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
                                                      "name = 50% load"))
@@ -275,12 +298,12 @@ class TestPresets:
             cli.load_preset("bandwidth-bernoulli-fixed-islip"))
         assert len(spec.workloads) == 10
         assert spec.schedulers == ("islip",)
-        loads = [call.args[1].load for call in cli._points_for(spec, 1)]
+        loads = [call.args[1].load for call in cli._sweep_points(spec, 1)]
         assert loads == [w / 100 for w in spec.workloads]
 
     def test_latency_grid_has_sixteen_rows(self):
         spec = cli.parse_experiment(cli.load_preset("latency-grid"))
-        calls = cli._points_for(spec, seed=1)
+        calls = cli._sweep_points(spec, seed=1)
         assert len(calls) == 16
         combos = [(traffic.mode, traffic.load, config.scheduler)
                   for config, traffic in (call.args for call in calls)]
@@ -331,10 +354,13 @@ class TestSchemaDrift:
             elif "=" in line:
                 documented[section].add(line.split("=")[0].strip())
         parsed = {}
-        for schema in cli._SCHEMAS.values():
+        for schema, _, _ in cli._KINDS.values():
             for name, options in schema.items():
                 parsed.setdefault(name, set()).update(options)
         assert documented == parsed
+        # the kinds the docstring lists are the kinds the runner has
+        kinds = re.search(r"^\s*kind = \S+\s*;(.*)$", block, re.M).group(1)
+        assert [k.strip() for k in kinds.split("|")] == list(cli._KINDS)
         columns = re.search(r"CSV columns \(stable, documented\):(.*?)\.",
                             doc, re.DOTALL).group(1)
         assert [c.strip() for c in columns.split(",")] == cli.CSV_COLUMNS
@@ -505,6 +531,15 @@ class TestRunCommand:
         assert [r["check"] for r in rows] == list(CHECKS)
         assert all(r["status"] == "pass" for r in rows)
 
+    def test_protocol_checks_skip_fields_they_do_not_read(self, tmp_path):
+        """The checks read the one-way delay alone, so a slot count
+        they never use is not checked."""
+        spec = cli.parse_experiment(cli.load_preset("protocol-checks"))
+        csv_path, _ = cli.run_experiment(replace(spec, slots=0), tmp_path)
+        rows = cli.read_csv(csv_path)
+        assert [r["check"] for r in rows] == list(CHECKS)
+        assert all(r["status"] == "pass" for r in rows)
+
     def test_pool_never_exceeds_row_count(self, tmp_path, monkeypatch):
         created = []
 
@@ -643,7 +678,7 @@ def loaded_by(code):
 def build_rows(preset):
     return ("from cellswitch import cli\n"
             f"spec = cli.parse_experiment(cli.load_preset({preset!r}))\n"
-            "cli._points_for(spec, spec.seeds[0])")
+            "cli._KINDS[spec.kind][1](spec, spec.seeds[0])")
 
 
 STAR_MODULES = {f"cellswitch.{name}"
@@ -1008,9 +1043,9 @@ def test_reduced_presets_csv_bytes_unchanged(tmp_path):
     digest = hashlib.sha256()
     for name in cli.preset_names():
         spec = cli.parse_experiment(cli.load_preset(name))
-        if spec.kind == cli.KIND_SWEEP:
+        if spec.kind == "sweep":
             spec = replace(spec, ports=8, volume_bytes=2048)
-        elif spec.kind == cli.KIND_BER:
+        elif spec.kind == "ber-sweep":
             spec = replace(spec, slots=10_000)
         workers = 2 if name == "latency-grid" else 1
         csv_path = cli.run_experiment(spec, tmp_path / name,
