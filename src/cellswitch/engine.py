@@ -10,28 +10,34 @@ Pause and unpause commands travel beside the data: every downlink
 frame slot carries a small control word out-of-band of the 264-byte
 cell budget, so backpressure costs latency but never data bandwidth.
 
-Each fixed delay is a ring of per-slot lists shared by all ports: an
-entry put ``delay`` slots ahead is taken when its slot comes round, so
-only cells and control words that are due cost any work.  The uplink
-ring holds bare cell records, since a record names its sending port
-(``src``) and left exactly ``uplink_delay`` slots before it lands; a
-record enters its queue paired with that transmit slot.  Both
+Each fixed delay is a ring of per-slot entries shared by all ports:
+an entry put ``delay`` slots ahead is taken when its slot comes round,
+so only cells and control words that are due cost any work.  The
+uplink ring holds bare cell records, since a record names its sending
+port (``src``) and left exactly ``uplink_delay`` slots before it
+lands; a record enters its queue paired with that transmit slot.  Both
 arbiters give an output at most one cell per slot, so the egress
-stages and the downlink form one fixed delay from match to sink.
+stages and the downlink form one fixed delay from match to sink, and
+the downlink ring holds one entry per matched slot: its pairs, and
+the cells dequeued for them in the same order.
 Every slot runs the same phases, each over all ports before the next:
 
 1. control words land and update the endpoints' paused-channel sets
 2. cells reach sinks
 3. uplink arrivals enter their input's virtual output queue as
-   ``(injected_at, record)``, possibly firing a pause command; the
-   bank keeps its input's bit in the shared per-output request masks
-   that arbitration reads, and its own peak depth
+   ``(injected_at, record)``; the bank keeps its input's bit in the
+   shared per-output request masks that arbitration reads, and its
+   own peak depth, and posts a pause command to the switch's shared
+   list of control words, which then departs with this slot's
+   downlink frame
 4. each endpoint with an arrival due stages at most one new cell,
    and sends one staged cell from an unpaused channel
-5. while any queue holds a cell: arbitration and fabric traversal,
-   possibly firing unpauses; the iSLIP fabric takes the arbiter's
-   pairs and replays them structurally every ``CHECK_INTERVAL``
-   matched slots
+5. while any queue holds a cell: arbitration, fabric traversal and
+   one dequeue per matched pair, whose banks may post unpause
+   commands that depart with the next downlink frame; a matching is
+   a set of pairs, and no result depends on the order ``match``
+   lists them in; the iSLIP fabric takes the arbiter's pairs and
+   replays them structurally every ``CHECK_INTERVAL`` matched slots
 
 No phase of one port reads another port's state within a slot, so
 this order gives the results of running each port's phases in turn.
@@ -231,9 +237,13 @@ class StarNetwork:
                         for port in range(n)]
         # Per output, the bitmask of inputs holding a cell for it: the
         # banks keep their own bits and the arbiter reads the masks.
+        # The banks also post their (port, channel, pause) control
+        # words to one list, which the slot loop empties.
         self.out_requests = [0] * n
+        self.posted = []
         self.banks = [VOQBank(n, config.voq_capacity(), config.on_threshold,
-                              config.off_threshold, self.out_requests, i)
+                              config.off_threshold, self.out_requests,
+                              self.posted, i)
                       for i in range(n)]
         if config.scheduler == ISLIP:
             from .fabric import SortRouteFabric  # only iSLIP needs it
@@ -277,16 +287,20 @@ class StarNetwork:
         # dst, flow_seq, valid_bytes, eop): a record's src is the port
         # that sent it, and it left uplink_delay slots before it lands.
         # From the VOQ on, each record travels paired with its transmit
-        # slot as (injected_at, record).  The rings hold, per slot, the
-        # records landing on the uplinks, (out_port, (injected_at,
-        # record)) sink deliveries and (port, channel, pause) control
-        # words, pause False for an unpause; an entry put at
-        # ring[(slot + delay) % size] is taken at slot + delay.
+        # slot as (injected_at, record).  The uplink and control rings
+        # hold, per slot, a list of the records landing on the uplinks
+        # and of the (port, channel, pause) control words, pause False
+        # for an unpause.  The downlink ring holds, per slot, None or
+        # the one matched slot due at the sinks: (pairs, cells), the
+        # matching and the (injected_at, record) dequeued for each of
+        # its pairs.  An entry put at ring[(slot + delay) % size] is
+        # taken at slot + delay.
         size = max(up_delay, out_delay) + 1
         uplink = [[] for _ in range(size)]
-        downlink = [[] for _ in range(size)]
+        downlink = [None] * size
         control = [[] for _ in range(size)]
         out_requests = self.out_requests
+        posted = self.posted
         expected_seq = [[0] * n for _ in ports]
 
         # Delivered cells per latency, indexed by latency and grown on
@@ -310,38 +324,40 @@ class StarNetwork:
             control[now].clear()
 
             arrivals = downlink[now]
-            for out_port, (injected_at, (src, dst, flow_seq, valid, _)) \
-                    in arrivals:
-                try:
-                    latency_counts[slot - injected_at] += 1
-                except IndexError:  # longer than any latency so far
-                    latency_counts += [0] * (
-                        slot - injected_at + 1 - len(latency_counts))
-                    latency_counts[slot - injected_at] += 1
-                if dst != out_port or flow_seq != expected_seq[src][out_port]:
-                    raise SimInvariantError(
-                        f"output {out_port} got cell {flow_seq} of flow "
-                        f"{src}->{dst}; flow {src}->{out_port} expected "
-                        f"cell {expected_seq[src][out_port]}")
-                expected_seq[src][out_port] = flow_seq + 1
-                delivered_payload += valid
-            if arrivals:
-                delivered += len(arrivals)
+            if arrivals is not None:
+                downlink[now] = None
+                matched, cells = arrivals
+                for (_, out_port), \
+                        (injected_at, (src, dst, flow_seq, valid, _)) \
+                        in zip(matched, cells):
+                    try:
+                        latency_counts[slot - injected_at] += 1
+                    except IndexError:  # longer than any latency so far
+                        latency_counts += [0] * (
+                            slot - injected_at + 1 - len(latency_counts))
+                        latency_counts[slot - injected_at] += 1
+                    if (dst != out_port
+                            or flow_seq != expected_seq[src][out_port]):
+                        raise SimInvariantError(
+                            f"output {out_port} got cell {flow_seq} of flow "
+                            f"{src}->{dst}; flow {src}->{out_port} expected "
+                            f"cell {expected_seq[src][out_port]}")
+                    expected_seq[src][out_port] = flow_seq + 1
+                    delivered_payload += valid
+                delivered += len(cells)
                 last_delivery = slot
-                arrivals.clear()
 
             injected_at = slot - up_delay
             landing = uplink[now]
             for record in landing:
-                i = record[0]
-                out_port = record[1]
-                if bank_enqueue[i](out_port, (injected_at, record)):
-                    # departs with this slot's downlink frame
-                    control[(slot + down_delay) % size].append(
-                        (i, out_port, True))
-                    pauses += 1
+                bank_enqueue[record[0]](record[1], (injected_at, record))
             queued += len(landing)
             landing.clear()
+            if posted:
+                # pauses depart with this slot's downlink frame
+                control[(slot + down_delay) % size] += posted
+                pauses += len(posted)
+                posted.clear()
 
             sent = uplink[(slot + up_delay) % size]
             generated_before = generated
@@ -406,16 +422,14 @@ class StarNetwork:
                 pairs = match(out_requests)
                 if route is not None:
                     route(pairs)
-                sink = downlink[(slot + out_delay) % size]
-                fc = control[(slot + 1 + down_delay) % size]
-                for i, out_port in pairs:
-                    item, unpaused = bank_dequeue[i](out_port)
-                    sink.append((out_port, item))
-                    if unpaused:
-                        # departs with the next downlink frame
-                        fc.append((i, out_port, False))
-                        unpauses += 1
+                downlink[(slot + out_delay) % size] = (
+                    pairs, [bank_dequeue[i](j) for i, j in pairs])
                 queued -= len(pairs)
+                if posted:
+                    # unpauses depart with the next downlink frame
+                    control[(slot + 1 + down_delay) % size] += posted
+                    unpauses += len(posted)
+                    posted.clear()
             elif queued:
                 # queued cells that no arbiter will ever see
                 raise SimInvariantError(
@@ -437,7 +451,8 @@ class StarNetwork:
         # counters, so verify() can check conservation on any run.
         staged = sum(map(len, (chan for chans in src_chan for chan in chans)))
         staged += sum(cell is not None for cell in src_hold)
-        in_flight = sum(map(len, uplink)) + sum(map(len, downlink))
+        in_flight = sum(map(len, uplink))
+        in_flight += sum(len(entry[1]) for entry in downlink if entry)
         in_flight += sum(len(queue) for bank in self.banks
                          for queue in bank.queues)
         return MetricsReport(

@@ -3,7 +3,8 @@
 Two arbiters share one calling convention: ``match(out_requests)``
 takes, for every output port, the bitmask of input ports holding at
 least one cell for it, and returns the (input, output) pairs to serve
-this slot.
+this slot.  The pairs are a set listed in no promised order: callers
+must not read anything into their order.
 
 ``IslipScheduler`` produces a conflict-free partial matching (each
 input and each output at most once) via iterative round-robin
@@ -40,7 +41,8 @@ class IslipScheduler:
     The accept step is folded into the grant pass: outputs grant in
     ascending order, so an input holding output ``prev`` switches to a
     later granting output ``j`` exactly when ``prev < pointer <= j``.
-    Pairs come out in ascending input order within each iteration.
+    Each iteration's accept table is returned as it stands, so the
+    pairs are a set with no promised order.
     """
 
     def __init__(self, n_ports: int, iterations: int | None = None):
@@ -63,30 +65,31 @@ class IslipScheduler:
         pairs: list[tuple[int, int]] = []
         for iteration in range(last + 1):
             accepts = {}  # granted input -> output it accepts so far
+            accepted = accepts.get
             for j in outs:
                 req = out_requests[j] & unmatched_in
                 if req:
                     start = grant_ptr[j]
-                    hi = req >> start
-                    if hi & 1:  # the input at the pointer requests
+                    if req >> start & 1:  # the input at the pointer requests
                         i = start
-                    elif hi:
+                    elif hi := req >> start:
                         i = start + (hi & -hi).bit_length() - 1
                     else:
                         i = (req & -req).bit_length() - 1
-                    prev = accepts.get(i)
+                    prev = accepted(i)
                     if prev is None or prev < accept_ptr[i] <= j:
                         accepts[i] = j
             if not accepts:
                 break
-            for i in sorted(accepts):
-                j = accepts[i]
-                pairs.append((i, j))
-                unmatched_in ^= 1 << i
-                if not iteration:
+            matched = accepts.items()
+            pairs += matched
+            if not iteration:
+                for i, j in matched:
                     grant_ptr[j] = succ[i]
                     accept_ptr[i] = succ[j]
             if iteration < last:
+                for i in accepts:
+                    unmatched_in ^= 1 << i
                 taken = set(accepts.values())
                 outs = [j for j in outs if j not in taken]
         return pairs

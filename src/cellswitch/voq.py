@@ -10,11 +10,14 @@ and every cell still in flight when the pause lands -- so an overflow
 is a simulation bug and aborts the run.  Queued items are opaque to
 the bank.
 
-A bank also keeps the occupancy facts the rest of the switch reads:
-its input's bit in the per-output request masks that the banks of one
-switch share (set while that input's queue for the output holds a
-cell, which is what an arbiter's ``match`` takes), and the deepest
-any of its queues has been.
+A bank reports to the rest of the switch through two lists that the
+banks of one switch share.  It posts each pause and resume request as
+a ``(port, channel, pause)`` control word, pause False for a resume,
+to a list the switch empties into its control path.  It keeps its
+input's bit in the per-output request masks (set while that input's
+queue for the output holds a cell, which is what an arbiter's
+``match`` takes).  It also keeps the deepest any of its queues has
+been.
 """
 
 from __future__ import annotations
@@ -30,29 +33,34 @@ class VOQBank:
     Pause and unpause events strictly alternate per channel: a pause
     fires only on the upward crossing of the on-threshold while the
     channel is unpaused, an unpause only when a paused channel drains
-    to exactly the off-threshold.
+    to exactly the off-threshold.  Each event is appended to
+    ``control`` as the word ``(port, channel, pause)``.
 
     ``requests`` is the switch's shared list of per-output request
     masks: ``requests[channel]`` has bit ``port`` set exactly while
-    channel ``channel`` is non-empty.  ``peak`` is the deepest any
+    channel ``channel`` is non-empty.  ``control`` is the switch's
+    shared list of posted control words.  ``peak`` is the deepest any
     channel has been.
     """
 
     def __init__(self, n_ports: int, capacity: int,
                  on_threshold: int, off_threshold: int,
-                 requests: list[int], port: int):
+                 requests: list[int], control: list[tuple[int, int, bool]],
+                 port: int):
         self.capacity = capacity
         self.on_threshold = on_threshold
         self.off_threshold = off_threshold
         self.queues: list[deque] = [deque() for _ in range(n_ports)]
         self.paused_upstream = [False] * n_ports
         self.requests = requests
+        self.control = control
+        self.port = port
         self.bit = 1 << port
         self.peak = 0
 
-    def enqueue(self, channel: int, cell) -> bool:
-        """Queue ``cell`` on ``channel``; True when this enqueue pauses
-        the channel."""
+    def enqueue(self, channel: int, cell) -> None:
+        """Queue ``cell`` on ``channel``, posting a pause when this
+        enqueue crosses the on-threshold."""
         q = self.queues[channel]
         depth = len(q)
         if depth >= self.peak:  # the peak never passes the capacity
@@ -66,12 +74,12 @@ class VOQBank:
             self.requests[channel] |= self.bit
         if depth >= self.on_threshold and not self.paused_upstream[channel]:
             self.paused_upstream[channel] = True
-            return True
-        return False
+            self.control.append((self.port, channel, True))
 
-    def dequeue(self, channel: int) -> tuple[object, bool]:
-        """Take the head cell of ``channel``; return it with True when
-        this dequeue unpauses the channel."""
+    def dequeue(self, channel: int):
+        """Take and return the head cell of ``channel``, posting an
+        unpause when this dequeue drains a paused channel to the
+        off-threshold."""
         q = self.queues[channel]
         try:
             cell = q.popleft()
@@ -81,5 +89,5 @@ class VOQBank:
             self.requests[channel] &= ~self.bit
         if self.paused_upstream[channel] and len(q) == self.off_threshold:
             self.paused_upstream[channel] = False
-            return cell, True
-        return cell, False
+            self.control.append((self.port, channel, False))
+        return cell

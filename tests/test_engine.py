@@ -654,6 +654,30 @@ def test_every_matching_is_conflict_free(scheduler, n_ports, volume):
     assert report.to_dict() == build().run().to_dict()
 
 
+@pytest.mark.parametrize("scheduler,n_ports,volume", [
+    (ISLIP, 8, 20_000), (ISLIP, 32, 12_000), (SAFC, 8, 20_000)])
+def test_no_result_depends_on_the_order_of_a_matching(scheduler, n_ports,
+                                                      volume):
+    """A matching is a set of pairs: the engine dequeues, routes and
+    delivers them in whatever order ``match`` lists them, so a run
+    whose arbiter lists every matching reversed reports the same
+    figures.  Saturated load makes the banks post pauses and unpauses
+    too, in the order of the pairs that cause them."""
+    def build():
+        return StarNetwork(EngineConfig(n_ports=n_ports, scheduler=scheduler),
+                           TrafficSpec(load=1.0, volume_bytes=volume))
+
+    network = build()
+    match = network.scheduler.match
+    network.scheduler.match = lambda out_requests: match(out_requests)[::-1]
+    reversed_run = network.run()
+    reversed_run.verify()
+    plain = build().run()
+    assert plain.pauses and plain.unpauses
+    assert reversed_run.to_dict() == plain.to_dict()
+    assert reversed_run.latency_hist == plain.latency_hist
+
+
 @pytest.mark.parametrize("scheduler,n_ports,mode,size_mode,volume", [
     (ISLIP, 32, "bernoulli", "fixed", 12_000),
     (SAFC, 8, "bursty", "variable", 20_000)])

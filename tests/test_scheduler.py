@@ -91,8 +91,10 @@ def reference_safc_match(out_requests, n, pointer):
 class TestIslipMatchesReference:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 31, 32, 33, 64, 65, 256])
     def test_same_pairs_and_pointers_over_random_sequences(self, n):
-        """Pair order included, after every call of a sequence that
-        carries the pointer state from call to call."""
+        """The same set of pairs, and the same pointers, after every
+        call of a sequence that carries the pointer state from call to
+        call.  A matching promises no pair order, so the pairs are
+        compared sorted, which also catches a repeated pair."""
         rng = random.Random(0x151 + n)
         calls = max(12, 2400 // n)
         for iterations in (1, 2, 3, 4, None):
@@ -111,7 +113,8 @@ class TestIslipMatchesReference:
                 ]
                 expected = reference_islip_match(reqs, n, rounds,
                                                  grant_ptr, accept_ptr)
-                assert s.match(reqs) == expected, (iterations, call)
+                assert sorted(s.match(reqs)) == sorted(expected), \
+                    (iterations, call)
                 assert s.grant_ptr == grant_ptr, (iterations, call)
                 assert s.accept_ptr == accept_ptr, (iterations, call)
 
@@ -272,3 +275,107 @@ class TestSafc:
                     assert (j in outs) == bool(reqs[j])
                 for i, j in pairs:
                     assert reqs[j] >> i & 1
+
+
+class TestExhaustiveThreePorts:
+    """Every state a 3-port arbiter can reach from zero pointers.
+
+    A state is the arbiter's pointers plus the request matrix over the
+    six VOQs of a 3-port star (an input never queues for its own
+    output).  From a state, ``match`` picks the pairs and moves the
+    pointers; then any request bit may be set by an arrival, and a bit
+    may clear only if its VOQ was just served (it stays set while the
+    VOQ holds more cells).  The search checks, over every reachable
+    state, how many consecutive slots VOQ (0, 1) can stay requested,
+    counting the slot that serves it, and that no cycle of states
+    leaves it requested for ever.
+    """
+
+    N = 3
+    VOQS = sum(1 << 3 * j + i for j in range(3) for i in range(3) if i != j)
+    WATCHED = 1 << 3 * 1 + 0    # input 0's VOQ for output 1
+
+    @staticmethod
+    def raised(base: int, free: int):
+        """``base`` with every subset of the bits of ``free`` set."""
+        extra = free
+        while True:
+            yield base | extra
+            if not extra:
+                return
+            extra = (extra - 1) & free
+
+    def search(self, scheduler, pointers):
+        """Map every reachable (pointers, requests) state to its
+        (pointers after, requests kept, requests served); requests bit
+        3 * j + i is input i's VOQ for output j."""
+        def step(state):
+            scheduler.set_pointers(state[0])
+            requests = state[1]
+            pairs = scheduler.match([requests >> 3 * j & 7
+                                     for j in range(self.N)])
+            served = sum(1 << 3 * j + i for i, j in pairs)
+            return scheduler.get_pointers(), requests & ~served, served
+
+        moves = {}
+        todo = [(pointers, 0)]
+        while todo:
+            state = todo.pop()
+            if state in moves:
+                continue
+            moves[state] = after, kept, _ = step(state)
+            todo.extend((after, requests) for requests
+                        in self.raised(kept, self.VOQS & ~kept))
+        return moves
+
+    def longest_wait(self, moves) -> int:
+        """The most consecutive slots VOQ (0, 1) stays requested,
+        counting the slot that serves it; raises on a starvation
+        cycle, a loop of states that never serves it."""
+        waits: dict = {}
+        path: set = set()
+
+        def wait(state):
+            if state in path:
+                raise AssertionError(f"starvation cycle through {state}")
+            if state not in waits:
+                after, kept, served = moves[state]
+                if served & self.WATCHED:
+                    waits[state] = 1
+                else:
+                    path.add(state)
+                    waits[state] = 1 + max(
+                        wait((after, requests)) for requests
+                        in self.raised(kept, self.VOQS & ~kept))
+                    path.remove(state)
+            return waits[state]
+
+        return max(wait(state) for state in moves
+                   if state[1] & self.WATCHED)
+
+    class Islip(IslipScheduler):
+        def set_pointers(self, pointers):
+            self.grant_ptr[:] = pointers[:3]
+            self.accept_ptr[:] = pointers[3:]
+
+        def get_pointers(self):
+            return (*self.grant_ptr, *self.accept_ptr)
+
+    class Safc(SafcScheduler):
+        def set_pointers(self, pointers):
+            self.pointer[:] = pointers
+
+        def get_pointers(self):
+            return tuple(self.pointer)
+
+    def test_safc_serves_a_requested_voq_within_n_minus_1_slots(self):
+        moves = self.search(self.Safc(self.N), (0,) * 3)
+        assert len(moves) == 768
+        assert self.longest_wait(moves) == self.N - 1
+
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_islip_serves_a_requested_voq_within_n_minus_1_squared_slots(
+            self, iterations):
+        moves = self.search(self.Islip(self.N, iterations), (0,) * 6)
+        assert len(moves) == 6_528
+        assert self.longest_wait(moves) == (self.N - 1) ** 2

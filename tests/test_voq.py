@@ -15,6 +15,25 @@ def make_cell(tag: int) -> tuple:
     return (0, 1, tag, CELL_PAYLOAD_BYTES, True)
 
 
+def make_bank(n_ports: int, capacity: int, on: int, off: int,
+              port: int = 0, requests: list[int] | None = None) -> VOQBank:
+    """A bank with its own request masks and control-word list."""
+    return VOQBank(n_ports, capacity=capacity, on_threshold=on,
+                   off_threshold=off,
+                   requests=[0] * n_ports if requests is None else requests,
+                   control=[], port=port)
+
+
+def posted(bank: VOQBank, call, *args):
+    """Run ``call(*args)`` on ``bank`` and return the control word it
+    posted, or None; no call posts more than one."""
+    before = len(bank.control)
+    call(*args)
+    words = bank.control[before:]
+    assert len(words) <= 1, words
+    return words[0] if words else None
+
+
 class TestSizing:
     def test_reference_fabric_size(self):
         # 64 ports, 7/6-slot links: a pause fires at depth 10 + 1 and 12
@@ -43,59 +62,65 @@ class TestSizing:
 
 class TestFifoOrder:
     def test_cells_come_back_in_order(self):
-        bank = VOQBank(2, capacity=16, on_threshold=12, off_threshold=6,
-                       requests=[0] * 2, port=0)
+        bank = make_bank(2, capacity=16, on=12, off=6)
         for tag in range(10):
             bank.enqueue(tag % 2, make_cell(tag))
-        evens = [bank.dequeue(0)[0][2] for _ in range(5)]
-        odds = [bank.dequeue(1)[0][2] for _ in range(5)]
+        evens = [bank.dequeue(0)[2] for _ in range(5)]
+        odds = [bank.dequeue(1)[2] for _ in range(5)]
         assert evens == [0, 2, 4, 6, 8]
         assert odds == [1, 3, 5, 7, 9]
 
     def test_dequeue_empty_raises(self):
-        bank = VOQBank(2, capacity=4, on_threshold=2, off_threshold=1,
-                       requests=[0] * 2, port=0)
+        bank = make_bank(2, capacity=4, on=2, off=1)
         with pytest.raises(SimInvariantError):
             bank.dequeue(0)
 
 
+PAUSE = (1, 0, True)     # the words port 1 posts for channel 0
+UNPAUSE = (1, 0, False)
+
+
 class TestFlowControlEvents:
     def setup_method(self):
-        self.bank = VOQBank(2, capacity=8, on_threshold=4, off_threshold=2,
-                            requests=[0] * 2, port=0)
+        self.bank = make_bank(2, capacity=8, on=4, off=2, port=1)
 
     def fill(self, n):
-        return [self.bank.enqueue(0, make_cell(i)) for i in range(n)]
+        return [posted(self.bank, self.bank.enqueue, 0, make_cell(i))
+                for i in range(n)]
+
+    def drain(self, n):
+        return [posted(self.bank, self.bank.dequeue, 0) for _ in range(n)]
 
     def test_pause_fires_only_on_upward_crossing(self):
         events = self.fill(8)
-        assert events == [False] * 4 + [True] + [False] * 3
+        assert events == [None] * 4 + [PAUSE] + [None] * 3
         # fifth enqueue, occupancy 5 > 4
         assert self.bank.paused_upstream[0]
 
     def test_unpause_fires_exactly_at_off_threshold(self):
         self.fill(8)
-        events = [self.bank.dequeue(0)[1] for _ in range(8)]
+        events = self.drain(8)
         # occupancy 8 -> 2 on the sixth dequeue
-        assert events == [False] * 5 + [True] + [False] * 2
+        assert events == [None] * 5 + [UNPAUSE] + [None] * 2
         assert not self.bank.paused_upstream[0]
 
     def test_no_unpause_without_prior_pause(self):
         self.fill(3)  # never crosses on=4
-        events = [self.bank.dequeue(0)[1] for _ in range(3)]
-        assert events == [False, False, False]
+        events = self.drain(3)
+        assert events == [None, None, None]
 
     def test_repause_after_unpause(self):
         self.fill(5)
-        for _ in range(3):
-            self.bank.dequeue(0)  # down to 2 -> unpause
+        self.drain(3)  # down to 2 -> unpause
         events = self.fill(3)  # 2 -> 5 crosses again
-        assert events == [False, False, True]
+        assert events == [None, None, PAUSE]
+        assert self.bank.control == [PAUSE, UNPAUSE, PAUSE]
 
     def test_no_second_pause_while_paused(self):
         self.fill(5)  # pause at 5
         self.bank.dequeue(0)  # 4, still paused (off=2 not reached)
-        assert self.bank.enqueue(0, make_cell(99)) is False  # back to 5
+        # back to 5
+        assert posted(self.bank, self.bank.enqueue, 0, make_cell(99)) is None
 
     def test_overflow_raises(self):
         self.fill(8)
@@ -108,8 +133,7 @@ class TestAlternationProperty:
         """Random enqueue/dequeue mix against an independent FSM."""
         for seed in range(5):
             rng = random.Random(0xF0C + seed)
-            bank = VOQBank(6, capacity=12, on_threshold=6, off_threshold=3,
-                           requests=[0] * 6, port=0)
+            bank = make_bank(6, capacity=12, on=6, off=3)
             occupancy = {0: 0, 2: 0, 5: 0}
             paused = {0: False, 2: False, 5: False}
             history = {0: [], 2: [], 5: []}
@@ -119,16 +143,18 @@ class TestAlternationProperty:
                 can_enq = occupancy[ch] < 12
                 do_enq = occupancy[ch] == 0 or (can_enq and rng.random() < 0.5)
                 if do_enq:
-                    ev = bank.enqueue(ch, make_cell(tag))
+                    word = posted(bank, bank.enqueue, ch, make_cell(tag))
                     tag += 1
                     occupancy[ch] += 1
                     expect = occupancy[ch] > 6 and not paused[ch]
                 else:
-                    _, ev = bank.dequeue(ch)
+                    word = posted(bank, bank.dequeue, ch)
                     occupancy[ch] -= 1
                     expect = occupancy[ch] == 3 and paused[ch]
+                ev = word is not None
                 assert ev is expect, (seed, ch, occupancy[ch])
                 if ev:
+                    assert word == (0, ch, do_enq)
                     paused[ch] = do_enq
                     history[ch].append(do_enq)
                 assert len(bank.queues[ch]) == occupancy[ch]
@@ -149,8 +175,8 @@ class TestOccupancyFacts:
         n, port, capacity = 6, 3, 5
         others = [rng.getrandbits(n) & ~(1 << port) for _ in range(n)]
         requests = list(others)
-        bank = VOQBank(n, capacity=capacity, on_threshold=3,
-                       off_threshold=1, requests=requests, port=port)
+        bank = make_bank(n, capacity=capacity, on=3, off=1, port=port,
+                         requests=requests)
         deepest = tag = 0
         for _ in range(5_000):
             ch = rng.randrange(n)
