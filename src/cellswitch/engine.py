@@ -124,7 +124,10 @@ class MetricsReport:
     def percentile(self, p: float) -> int:
         """Nearest-rank percentile of delivered-cell latency: the
         latency at rank ceil(p * n / 100), at least 1, of the n sorted
-        cells, so p = 0 is the minimum and p = 100 the maximum."""
+        cells, so p = 0 is the minimum and p = 100 the maximum.  A p
+        outside [0, 100], NaN included, is a ValueError."""
+        if not 0 <= p <= 100:
+            raise ValueError(f"percentile p = {p} outside [0, 100]")
         if not self.delivered_cells:
             raise SimInvariantError("no deliveries to take a percentile of")
         rank = math.ceil(p * self.delivered_cells / 100)
@@ -336,13 +339,13 @@ class StarNetwork:
                         latency_counts += [0] * (
                             slot - injected_at + 1 - len(latency_counts))
                         latency_counts[slot - injected_at] += 1
-                    if (dst != out_port
-                            or flow_seq != expected_seq[src][out_port]):
+                    seqs = expected_seq[src]
+                    if dst != out_port or flow_seq != seqs[out_port]:
                         raise SimInvariantError(
                             f"output {out_port} got cell {flow_seq} of flow "
                             f"{src}->{dst}; flow {src}->{out_port} expected "
-                            f"cell {expected_seq[src][out_port]}")
-                    expected_seq[src][out_port] = flow_seq + 1
+                            f"cell {seqs[out_port]}")
+                    seqs[out_port] = flow_seq + 1
                     delivered_payload += valid
                 delivered += len(cells)
                 last_delivery = slot

@@ -41,8 +41,12 @@ class IslipScheduler:
     The accept step is folded into the grant pass: outputs grant in
     ascending order, so an input holding output ``prev`` switches to a
     later granting output ``j`` exactly when ``prev < pointer <= j``.
-    Each iteration's accept table is returned as it stands, so the
-    pairs are a set with no promised order.
+    The grant pass also collects the next iteration's state: the inputs
+    that accept for the first time, and the outputs that granted and
+    were refused, the only ones that can still grant, so a pass that
+    refuses nothing is the last.  Each iteration's accept table is
+    returned as it stands, so the pairs are a set with no promised
+    order.
     """
 
     def __init__(self, n_ports: int, iterations: int | None = None):
@@ -56,6 +60,9 @@ class IslipScheduler:
     def match(self, out_requests) -> list[tuple[int, int]]:
         # The round-robin picks are inlined: this runs once per slot
         # and dominates the simulation's per-slot cost at high load.
+        # The last pass has no next pass to collect state for, so it
+        # keeps the plain accept step: collecting cost the single-pass
+        # match of 64 ports about 15 % per call.
         grant_ptr = self.grant_ptr
         accept_ptr = self.accept_ptr
         succ = self._succ
@@ -66,32 +73,55 @@ class IslipScheduler:
         for iteration in range(last + 1):
             accepts = {}  # granted input -> output it accepts so far
             accepted = accepts.get
-            for j in outs:
-                req = out_requests[j] & unmatched_in
-                if req:
-                    start = grant_ptr[j]
-                    if req >> start & 1:  # the input at the pointer requests
-                        i = start
-                    elif hi := req >> start:
-                        i = start + (hi & -hi).bit_length() - 1
-                    else:
-                        i = (req & -req).bit_length() - 1
-                    prev = accepted(i)
-                    if prev is None or prev < accept_ptr[i] <= j:
-                        accepts[i] = j
-            if not accepts:
-                break
+            if iteration == last:
+                for j in outs:
+                    req = out_requests[j] & unmatched_in
+                    if req:
+                        start = grant_ptr[j]
+                        if req >> start & 1:
+                            i = start
+                        elif hi := req >> start:
+                            i = start + (hi & -hi).bit_length() - 1
+                        else:
+                            i = (req & -req).bit_length() - 1
+                        prev = accepted(i)
+                        if prev is None or prev < accept_ptr[i] <= j:
+                            accepts[i] = j
+            else:
+                taken = 0      # inputs that accept for the first time
+                rejected = []  # outputs that granted and were refused
+                for j in outs:
+                    req = out_requests[j] & unmatched_in
+                    if req:
+                        start = grant_ptr[j]
+                        if req >> start & 1:  # the input at the pointer
+                            i = start
+                        elif hi := req >> start:
+                            i = start + (hi & -hi).bit_length() - 1
+                        else:
+                            i = (req & -req).bit_length() - 1
+                        prev = accepted(i)
+                        if prev is None:
+                            accepts[i] = j
+                            taken |= 1 << i
+                        elif prev < accept_ptr[i] <= j:
+                            accepts[i] = j
+                            rejected.append(prev)
+                        else:
+                            rejected.append(j)
             matched = accepts.items()
             pairs += matched
             if not iteration:
                 for i, j in matched:
                     grant_ptr[j] = succ[i]
                     accept_ptr[i] = succ[j]
-            if iteration < last:
-                for i in accepts:
-                    unmatched_in ^= 1 << i
-                taken = set(accepts.values())
-                outs = [j for j in outs if j not in taken]
+            if iteration == last or not rejected:
+                break
+            # Only a refused output can still grant: every other output
+            # is matched or has no unmatched requester left.
+            unmatched_in ^= taken
+            rejected.sort()
+            outs = rejected
         return pairs
 
 

@@ -42,10 +42,16 @@ never cuts: each packet is one cell, so it keeps a second copy of
 sequence rule, with the same draws in the same order), and a flow's
 last cell carries what is left of its budget.
 
-Each arrival process is one generator, its state in locals, that
-``poll()`` resumes: it returns the record arriving at this slot, or
-the number of slots before the next arrival: ``math.inf`` once the
-source is spent, since it draws nothing after its last record.
+Each arrival process is one generator, its state in locals.
+``poll()`` returns the record arriving at this slot, or the number of
+slots before the next arrival: ``math.inf`` once the source is spent,
+since it draws nothing after its last record.  A bursty ``poll()``
+resumes its generator once per call.  A Bernoulli generator yields
+lists instead, each ``CHUNK`` fixed-size cells at most, or one
+variable-size packet, with their gaps; its ``poll()`` walks them in C
+through ``itertools.chain`` and resumes the generator once per list,
+so it draws at most one list ahead of its caller, and still nothing
+after its last record.
 
 ``config.TrafficSpec`` describes the traffic: process, size mode, load,
 volume and packet-size range.
@@ -55,9 +61,13 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import chain, repeat
 
 from .codec import CELL_PAYLOAD_BYTES
 from .config import BERNOULLI, FIXED, TrafficSpec
+
+# Cells per list of a fixed-size Bernoulli stream.
+CHUNK = 32
 
 
 def _geometric_from_one(rng: random.Random, mean: float) -> int:
@@ -87,9 +97,12 @@ class SourceProcess:
     int ``k >= 1``: this slot and the next ``k - 1`` have no arrival.
     The process stands still between calls, so slots the caller skips
     are suspended rather than dropped (a closed-loop host that cannot
-    accept a cell simply does not poll).  A spent source draws nothing
-    after its last record and returns ``math.inf``; an unbounded flow
-    (``volume_bytes`` None) has an infinite budget.
+    accept a cell simply does not poll).  A Bernoulli poll walks
+    per-chunk lists in C and draws at most one chunk ahead, so its rng,
+    budgets and flow counters may run that far ahead of the records it
+    has returned.  A spent source draws nothing after its last record
+    and returns ``math.inf``; an unbounded flow (``volume_bytes`` None)
+    has an infinite budget.
     """
 
     def __init__(self, spec: TrafficSpec, port: int, n_ports: int, seed: int):
@@ -103,8 +116,8 @@ class SourceProcess:
         # The open-flow list changes only when a budget runs dry.
         self._open: list[int] = list(self.budget)
         self._fixed = spec.size_mode == FIXED
-        self.poll = (self._bernoulli if spec.mode == BERNOULLI
-                     else self._bursty)().__next__
+        self.poll = (chain.from_iterable(self._bernoulli()).__next__
+                     if spec.mode == BERNOULLI else self._bursty().__next__)
 
     # -- packet construction -------------------------------------------------
 
@@ -139,6 +152,9 @@ class SourceProcess:
         # inverse transform; this costs one random draw per arrival
         # instead of one per slot.  The initial gap is drawn the same
         # way so the first arrival matches the per-slot coin process.
+        # Each yield is an iterable of records and gaps that poll()
+        # walks in C: the first gap alone, then CHUNK cells or one
+        # packet each, then an endless math.inf once the flows run dry.
         rand = self.rng.random
         log = math.log
         flows = self._open
@@ -147,7 +163,7 @@ class SourceProcess:
             scale = 1.0 / log(1.0 - self.spec.load)
             gap = int(log(1.0 - rand()) * scale)
             if gap:
-                yield gap
+                yield (gap,)
         if self._fixed:
             # Each packet is one cell: _packet's rule inlined, with the
             # same draws in the same order (destination, then gap).
@@ -156,28 +172,40 @@ class SourceProcess:
             budget = self.budget
             flow_cells = self.flow_cells
             port = self.port
+            per_list = range(CHUNK)
             while flows:
-                dst = flows[int(rand() * len(flows))]
-                size = CELL_PAYLOAD_BYTES
-                remaining = budget[dst]
-                if remaining <= size:
-                    size = remaining
-                    flows.remove(dst)
-                budget[dst] = remaining - size
-                seq = flow_cells[dst]
-                flow_cells[dst] = seq + 1
-                yield (port, dst, seq, size, True)
-                if scale and flows and (gap := int(log(1.0 - rand()) * scale)):
-                    yield gap
+                chunk = []
+                for _ in per_list:
+                    dst = flows[int(rand() * len(flows))]
+                    size = CELL_PAYLOAD_BYTES
+                    remaining = budget[dst]
+                    if remaining <= size:
+                        size = remaining
+                        flows.remove(dst)
+                    budget[dst] = remaining - size
+                    seq = flow_cells[dst]
+                    flow_cells[dst] = seq + 1
+                    chunk.append((port, dst, seq, size, True))
+                    if not flows:  # no gap after the last record
+                        break
+                    if scale and (gap := int(log(1.0 - rand()) * scale)):
+                        chunk.append(gap)
+                yield chunk
         while flows:
-            # no gap at full load, nor after the final packet's eop cell
-            for cell in self._packet(flows[int(rand() * len(flows))]):
-                yield cell
-                if scale and (flows or not cell[4]) and (
+            # one packet per list; no gap at full load, nor after the
+            # final packet's eop cell
+            packet = self._packet(flows[int(rand() * len(flows))])
+            if not scale:
+                yield packet
+                continue
+            chunk = []
+            for cell in packet:
+                chunk.append(cell)
+                if (flows or not cell[4]) and (
                         gap := int(log(1.0 - rand()) * scale)):
-                    yield gap
-        while True:
-            yield math.inf
+                    chunk.append(gap)
+            yield chunk
+        yield repeat(math.inf)
 
     def _bursty(self):
         # One destination and a geometric length per burst; a packet

@@ -444,6 +444,14 @@ class TestPercentiles:
         assert summary[0] == 18
         assert summary[-1] == max(report.latency_hist)
 
+    def test_p_outside_0_to_100_refuses(self):
+        report = report_with({18: 1, 20: 3})
+        assert report.percentile(0) == 18
+        assert report.percentile(100) == 20
+        for p in (-5, 101, math.nan):
+            with pytest.raises(ValueError, match=f"p = {p} outside"):
+                report.percentile(p)
+
     def test_empty_distribution_refuses(self):
         report = report_with({18: 1})
         report.delivered_cells = 0

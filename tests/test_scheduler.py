@@ -158,6 +158,71 @@ class TestIslipExamples:
         assert default_iterations(64) == 1
 
 
+class TestIslipFoldExits:
+    """Hand-built matrices for the exits of the folded grant pass.  A
+    pass visits only the outputs the previous pass saw refused, and a
+    pass that refuses nothing is the last.  Each case checks the pairs
+    and both pointer lists against the reference and lists the outputs
+    each call reads the request mask of."""
+
+    class Reads(list):
+        """Request masks that log the outputs whose mask is read."""
+
+        def __init__(self, masks):
+            super().__init__(masks)
+            self.log = []
+
+        def __getitem__(self, j):
+            self.log.append(j)
+            return super().__getitem__(j)
+
+    def check(self, n, requesters, accept_ptr, reads):
+        """``requesters`` maps each output to the inputs requesting it;
+        every grant pointer starts at 0."""
+        reqs = [sum(1 << i for i in requesters.get(j, ())) for j in range(n)]
+        s = IslipScheduler(n, iterations=3)
+        s.accept_ptr[:] = accept_ptr
+        grant_ptr, accept_ptr = [0] * n, list(accept_ptr)
+        masks = self.Reads(reqs)
+        pairs = s.match(masks)
+        assert sorted(pairs) == sorted(
+            reference_islip_match(reqs, n, 3, grant_ptr, accept_ptr))
+        assert s.grant_ptr == grant_ptr
+        assert s.accept_ptr == accept_ptr
+        assert masks.log == reads
+        return sorted(pairs)
+
+    def test_a_pass_that_refuses_nothing_is_the_last(self):
+        # Every grant is accepted in the first pass.
+        assert self.check(4, {0: [0], 1: [1], 2: [2]}, [0] * 4,
+                          [0, 1, 2]) == [(0, 0), (1, 1), (2, 2)]
+        # Input 0 takes output 0 and refuses 1 and 2.  The second pass
+        # finds output 1 without an unmatched requester and output 2
+        # accepted, refuses nothing, and so is the last: output 1 is
+        # not read a third time.
+        assert self.check(3, {0: [0], 1: [0], 2: [0, 1]}, [0] * 3,
+                          [0, 1, 2, 1, 2]) == [(0, 0), (1, 2)]
+
+    def test_an_output_whose_requesters_were_taken_drops_out(self):
+        # Input 0 takes output 0 and refuses 1, 2 and 3.  In the second
+        # pass output 2, requested only by input 0, grants nothing, and
+        # input 1 takes output 1 and refuses 3.  The third pass visits
+        # output 3 alone: output 2 has dropped out.
+        assert self.check(5, {0: [0], 1: [0, 1], 2: [0], 3: [0, 1]},
+                          [0] * 5, [0, 1, 2, 3, 1, 2, 3, 3]) \
+            == [(0, 0), (1, 1)]
+
+    def test_a_switched_away_output_grants_again_in_order(self):
+        # Input 0 holds output 0, input 1 refuses output 2, then input 0
+        # switches to output 3 (its pointer) and refuses output 0, so
+        # the second pass visits outputs 0 and 2 in ascending order,
+        # both granting input 2, which keeps the lower one.  Output 2,
+        # refused again, has no unmatched requester in the third pass.
+        assert self.check(4, {0: [0, 2], 1: [1], 2: [1, 2], 3: [0]},
+                          [3, 0, 0, 0], [0, 1, 2, 3, 0, 2, 2]) \
+            == [(0, 3), (1, 1), (2, 0)]
+
+
 class TestIslipMatchingValidity:
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_random_matrices_give_conflict_free_requested_pairs(self, n):

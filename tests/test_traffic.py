@@ -13,7 +13,7 @@ from cellswitch.codec import CELL_PAYLOAD_BYTES
 from cellswitch.config import TrafficSpec
 from cellswitch.errors import ConfigError
 from cellswitch.traffic import (
-    SourceProcess, _geometric_from_one, _geometric_from_zero)
+    CHUNK, SourceProcess, _geometric_from_one, _geometric_from_zero)
 
 
 # Fields of a source's cell record (src, dst, flow_seq, valid_bytes, eop).
@@ -415,3 +415,53 @@ class TestMatchesReference:
             assert reference.exhausted == (volume is not None)
             drained_mid_burst += reference.drained_mid_burst
         assert drained_mid_burst > 100
+
+
+class TestChunkedDraws:
+    """A Bernoulli source draws a list of its stream at a time: its rng
+    may run ahead of the per-slot reference, never by more than one
+    list, and stops where the reference's last record left it."""
+
+    @staticmethod
+    def draws_past(state, behind, most):
+        """How many draws ``state`` lies past ``behind``, if at most
+        ``most``; None otherwise, a state behind ``behind`` included."""
+        rng = random.Random()
+        rng.setstate(behind)
+        for draws in range(most + 1):
+            if rng.getstate() == state:
+                return draws
+            rng.random()
+        return None
+
+    @pytest.mark.parametrize("size_mode", ["fixed", "variable"])
+    @pytest.mark.parametrize("load", [0.3, 1.0])
+    @pytest.mark.parametrize("volume", [1, 2_560, 3_000])
+    def test_at_most_one_chunk_ahead_and_nothing_after_the_last_record(
+            self, size_mode, load, volume):
+        spec = TrafficSpec(size_mode=size_mode, load=load,
+                           volume_bytes=volume)
+        source = SourceProcess(spec, 1, 8, seed=4)
+        reference = ReferenceSource(spec, 1, 8, seed=4)
+        # One list's draws: a destination and a gap per fixed-size
+        # cell, or a destination, a size and a gap per cell of one
+        # variable-size packet.
+        most = (2 * CHUNK if size_mode == "fixed" else
+                2 + -(-spec.max_packet_bytes // CELL_PAYLOAD_BYTES))
+        leads = []
+        while (got := source.poll()) != math.inf:
+            if got.__class__ is tuple:
+                assert reference.poll() == got
+            else:
+                assert [reference.poll() for _ in range(got)] == [None] * got
+            if not reference.exhausted:  # the last record is below
+                leads.append(self.draws_past(source.rng.getstate(),
+                                             reference.rng.getstate(), most))
+                assert leads[-1] is not None, len(leads)
+        assert reference.exhausted
+        # The reference draws a gap with every record, its last one
+        # included; the source draws nothing after its last record.
+        assert self.draws_past(reference.rng.getstate(),
+                               source.rng.getstate(), 1) == (load < 1.0)
+        if size_mode == "fixed":
+            assert max(leads) > 0  # a list of several cells ran ahead
