@@ -41,10 +41,11 @@ class IslipScheduler:
     The accept step is folded into the grant pass: outputs grant in
     ascending order, so an input holding output ``prev`` switches to a
     later granting output ``j`` exactly when ``prev < pointer <= j``.
-    The grant pass also collects the next iteration's state: the inputs
+    Every grant pass also collects the next pass's state: the inputs
     that accept for the first time, and the outputs that granted and
     were refused, the only ones that can still grant, so a pass that
-    refuses nothing is the last.  Each iteration's accept table is
+    refuses nothing is the last.  The last pass collects it too, so
+    every pass runs one body.  Each iteration's accept table is
     returned as it stands, so the pairs are a set with no promised
     order.
     """
@@ -55,60 +56,43 @@ class IslipScheduler:
         self.grant_ptr = [0] * n_ports
         self.accept_ptr = [0] * n_ports
         self._full = (1 << n_ports) - 1
+        self._ports = range(n_ports)
         self._succ = [*range(1, n_ports), 0]   # (k + 1) % n_ports
 
     def match(self, out_requests) -> list[tuple[int, int]]:
         # The round-robin picks are inlined: this runs once per slot
         # and dominates the simulation's per-slot cost at high load.
-        # The last pass has no next pass to collect state for, so it
-        # keeps the plain accept step: collecting cost the single-pass
-        # match of 64 ports about 15 % per call.
         grant_ptr = self.grant_ptr
         accept_ptr = self.accept_ptr
         succ = self._succ
         last = self.iterations - 1
         unmatched_in = self._full
-        outs = list(compress(range(self.n_ports), out_requests))
+        outs = compress(self._ports, out_requests)  # walked once
         pairs: list[tuple[int, int]] = []
         for iteration in range(last + 1):
             accepts = {}  # granted input -> output it accepts so far
             accepted = accepts.get
-            if iteration == last:
-                for j in outs:
-                    req = out_requests[j] & unmatched_in
-                    if req:
-                        start = grant_ptr[j]
-                        if req >> start & 1:
-                            i = start
-                        elif hi := req >> start:
-                            i = start + (hi & -hi).bit_length() - 1
-                        else:
-                            i = (req & -req).bit_length() - 1
-                        prev = accepted(i)
-                        if prev is None or prev < accept_ptr[i] <= j:
-                            accepts[i] = j
-            else:
-                taken = 0      # inputs that accept for the first time
-                rejected = []  # outputs that granted and were refused
-                for j in outs:
-                    req = out_requests[j] & unmatched_in
-                    if req:
-                        start = grant_ptr[j]
-                        if req >> start & 1:  # the input at the pointer
-                            i = start
-                        elif hi := req >> start:
-                            i = start + (hi & -hi).bit_length() - 1
-                        else:
-                            i = (req & -req).bit_length() - 1
-                        prev = accepted(i)
-                        if prev is None:
-                            accepts[i] = j
-                            taken |= 1 << i
-                        elif prev < accept_ptr[i] <= j:
-                            accepts[i] = j
-                            rejected.append(prev)
-                        else:
-                            rejected.append(j)
+            taken = 0      # inputs that accept for the first time
+            rejected = []  # outputs that granted and were refused
+            for j in outs:
+                req = out_requests[j] & unmatched_in
+                if req:
+                    start = grant_ptr[j]
+                    if req >> start & 1:  # the input at the pointer
+                        i = start
+                    elif hi := req >> start:
+                        i = start + (hi & -hi).bit_length() - 1
+                    else:
+                        i = (req & -req).bit_length() - 1
+                    prev = accepted(i)
+                    if prev is None:
+                        accepts[i] = j
+                        taken |= 1 << i
+                    elif prev < accept_ptr[i] <= j:
+                        accepts[i] = j
+                        rejected.append(prev)
+                    else:
+                        rejected.append(j)
             matched = accepts.items()
             pairs += matched
             if not iteration:

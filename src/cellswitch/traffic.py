@@ -42,16 +42,17 @@ never cuts: each packet is one cell, so it keeps a second copy of
 sequence rule, with the same draws in the same order), and a flow's
 last cell carries what is left of its budget.
 
-Each arrival process is one generator, its state in locals.
-``poll()`` returns the record arriving at this slot, or the number of
-slots before the next arrival: ``math.inf`` once the source is spent,
-since it draws nothing after its last record.  A bursty ``poll()``
-resumes its generator once per call.  A Bernoulli generator yields
-lists instead, each ``CHUNK`` fixed-size cells at most, or one
-variable-size packet, with their gaps; its ``poll()`` walks them in C
-through ``itertools.chain`` and resumes the generator once per list,
-so it draws at most one list ahead of its caller, and still nothing
-after its last record.
+Each arrival process is one generator, its state in locals, and both
+share one poll protocol.  A generator yields iterables of records and
+idle counts: an idle count alone, one packet (a Bernoulli one with its
+gaps), or up to ``CHUNK`` fixed-size Bernoulli cells with theirs, then
+an endless ``math.inf``.  ``poll()`` walks them in C through
+``itertools.chain``, resuming the generator once per iterable, and
+returns the record arriving at this slot, or the number of slots
+before the next arrival: ``math.inf`` once the source is spent, since
+it draws nothing after its last record.  A bursty source draws nothing
+ahead of its records; a Bernoulli source draws at most one iterable
+ahead.
 
 ``config.TrafficSpec`` describes the traffic: process, size mode, load,
 volume and packet-size range.
@@ -97,10 +98,10 @@ class SourceProcess:
     int ``k >= 1``: this slot and the next ``k - 1`` have no arrival.
     The process stands still between calls, so slots the caller skips
     are suspended rather than dropped (a closed-loop host that cannot
-    accept a cell simply does not poll).  A Bernoulli poll walks
-    per-chunk lists in C and draws at most one chunk ahead, so its rng,
-    budgets and flow counters may run that far ahead of the records it
-    has returned.  A spent source draws nothing after its last record
+    accept a cell simply does not poll).  poll walks the generator's
+    iterables in C, so budgets and flow counters may run one iterable
+    ahead of the records it has returned; the rng does so only on the
+    Bernoulli path.  A spent source draws nothing after its last record
     and returns ``math.inf``; an unbounded flow (``volume_bytes`` None)
     has an infinite budget.
     """
@@ -116,8 +117,8 @@ class SourceProcess:
         # The open-flow list changes only when a budget runs dry.
         self._open: list[int] = list(self.budget)
         self._fixed = spec.size_mode == FIXED
-        self.poll = (chain.from_iterable(self._bernoulli()).__next__
-                     if spec.mode == BERNOULLI else self._bursty().__next__)
+        process = self._bernoulli if spec.mode == BERNOULLI else self._bursty
+        self.poll = chain.from_iterable(process()).__next__
 
     # -- packet construction -------------------------------------------------
 
@@ -210,7 +211,8 @@ class SourceProcess:
     def _bursty(self):
         # One destination and a geometric length per burst; a packet
         # that outruns the burst's cell count finishes, and a flow
-        # that drains mid-burst ends the burst at once.
+        # that drains mid-burst ends the burst at once.  Each yield is
+        # an idle count alone or one packet, drawn as poll() reaches it.
         spec = self.spec
         rng = self.rng
         budget = self.budget
@@ -222,10 +224,9 @@ class SourceProcess:
             dst = flows[int(rng.random() * len(flows))]
             burst = _geometric_from_one(rng, mean)
             if idle:
-                yield idle
+                yield (idle,)
             while burst > 0 and budget[dst] != 0:
                 cells = self._packet(dst)
                 burst -= len(cells)
-                yield from cells
-        while True:
-            yield math.inf
+                yield cells
+        yield repeat(math.inf)

@@ -420,7 +420,8 @@ class TestMatchesReference:
 class TestChunkedDraws:
     """A Bernoulli source draws a list of its stream at a time: its rng
     may run ahead of the per-slot reference, never by more than one
-    list, and stops where the reference's last record left it."""
+    list, and stops where the reference's last record left it.  A
+    bursty source draws nothing ahead of its records."""
 
     @staticmethod
     def draws_past(state, behind, most):
@@ -465,3 +466,24 @@ class TestChunkedDraws:
                                source.rng.getstate(), 1) == (load < 1.0)
         if size_mode == "fixed":
             assert max(leads) > 0  # a list of several cells ran ahead
+
+    @pytest.mark.parametrize("size_mode", ["fixed", "variable"])
+    @pytest.mark.parametrize("load", [0.3, 1.0])
+    @pytest.mark.parametrize("volume", [1, 2_560, 3_000])
+    def test_bursty_draws_nothing_ahead_and_nothing_after_the_last_record(
+            self, size_mode, load, volume):
+        spec = TrafficSpec(mode="bursty", size_mode=size_mode, load=load,
+                           volume_bytes=volume)
+        source = SourceProcess(spec, 1, 8, seed=4)
+        reference = ReferenceSource(spec, 1, 8, seed=4)
+        polls = 0
+        while (got := source.poll()) != math.inf:
+            if got.__class__ is tuple:
+                assert reference.poll() == got
+            else:
+                assert [reference.poll() for _ in range(got)] == [None] * got
+            polls += 1
+            # a lead of exactly 0 draws, after the last record included
+            assert source.rng.getstate() == reference.rng.getstate(), polls
+        assert reference.exhausted
+        assert source.rng.getstate() == reference.rng.getstate()
