@@ -38,7 +38,7 @@ each value once, since a repeat would write the same rows again)::
     [topology]                ; kind = sweep
     ports = 32                ; 2..256 (1-byte relative selectors)
     scheduler = islip         ; islip | safc | several, space-separated
-    islip_iterations =        ; blank = automatic
+    islip_iterations = 3
     uplink_delay = 7
     downlink_delay = 7
     egress_delay = 3
@@ -138,16 +138,17 @@ class ExperimentSpec:
     A spec is checked by building its first seed's rows: a kind without
     an entry in ``_KINDS``, or a spec with no rows, is a configuration
     error.  The sweep fields default to the defaults of
-    ``config.EngineConfig`` and ``config.TrafficSpec``; only the
-    per-flow volume has one of its own.  Each sweep row passes them on
-    by name, beside its sweep axes."""
+    ``config.EngineConfig`` and ``config.TrafficSpec``, three iSLIP
+    rounds at every port count among them; only the per-flow volume
+    has one of its own.  Each sweep row passes them on by name,
+    beside its sweep axes."""
 
     name: str
     kind: str = "sweep"
     seeds: tuple[int, ...] = (1,)
     ports: int = 32
     schedulers: tuple[str, ...] = (EngineConfig.scheduler,)
-    islip_iterations: int | None = EngineConfig.islip_iterations
+    islip_iterations: int = EngineConfig.islip_iterations
     uplink_delay: int = EngineConfig.uplink_delay
     downlink_delay: int = EngineConfig.downlink_delay
     egress_delay: int = EngineConfig.egress_delay

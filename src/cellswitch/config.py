@@ -49,7 +49,12 @@ class EngineConfig:
     # channels, which is the work-conserving behavior the bandwidth
     # figures assume.
     channel_buffer: int | None = None
-    islip_iterations: int | None = None
+    # iSLIP grant/accept rounds per slot, the same at every port
+    # count.  At the paper's 32 ports and full load the first round
+    # matches about 24 pairs and rounds two and three add about 5 and
+    # 1 more, so three all but converge.  Fewer rounds cost less per
+    # slot on larger switches, where no shipped run goes; set 1 there.
+    islip_iterations: int = 3
     # Link and pipeline depths, in slots.  The switch sits mid-rack, so
     # both directions cost the same; the egress pipeline covers the
     # output port's buffering and serialization stages.
@@ -67,7 +72,7 @@ class EngineConfig:
             raise ConfigError("need 0 <= off threshold < on threshold")
         if self.channel_buffer is not None and self.channel_buffer < 1:
             raise ConfigError("channel staging depth must hold a cell")
-        if self.islip_iterations is not None and self.islip_iterations < 1:
+        if self.islip_iterations < 1:
             raise ConfigError("need at least one grant/accept round")
         if min(self.uplink_delay, self.downlink_delay) < 1:
             raise ConfigError("link delays must be at least one slot")

@@ -10,7 +10,9 @@ must not read anything into their order.
 input and each output at most once) via iterative round-robin
 grant/accept with the classic pointer-update rule, each input
 accepting while the grants arrive in ascending output order, so it
-can drive a self-routing fabric.  ``SafcScheduler`` models a switch
+can drive a self-routing fabric.  It runs the number of rounds it is
+given (``EngineConfig.islip_iterations``) at every port count: there
+is no automatic round count.  ``SafcScheduler`` models a switch
 whose outputs pull independently: one round-robin arbiter per
 output, no input contention, pointer always advancing.
 """
@@ -18,12 +20,6 @@ output, no input contention, pointer always advancing.
 from __future__ import annotations
 
 from itertools import compress
-
-
-def default_iterations(n_ports: int) -> int:
-    """Grant/accept rounds: three converge quickly up to 32 ports;
-    beyond that a single round keeps the per-slot work bounded."""
-    return 3 if n_ports <= 32 else 1
 
 
 class IslipScheduler:
@@ -50,9 +46,9 @@ class IslipScheduler:
     order.
     """
 
-    def __init__(self, n_ports: int, iterations: int | None = None):
+    def __init__(self, n_ports: int, iterations: int):
         self.n_ports = n_ports
-        self.iterations = iterations or default_iterations(n_ports)
+        self.iterations = iterations
         self.grant_ptr = [0] * n_ports
         self.accept_ptr = [0] * n_ports
         self._full = (1 << n_ports) - 1

@@ -11,11 +11,12 @@ wire occupancy (fraction of uplink slots carrying a cell):
 * bursty: alternating busy and idle periods.  Busy lengths are
   geometric with a configurable mean (in cells, rounded up to whole
   packets when sizes vary); one destination is drawn per burst.  Idle
-  lengths are geometric on {0, 1, ...} with mean
-  ``burst_mean_cells * (1 - load) / load``.  That makes the long-run
-  occupancy of a saturating source match the offered load only for
-  fixed sizes: a burst finishes the packet that overruns it, so
-  variable-size bursts run long.  An unbounded source (seed 1, 2M
+  lengths are geometric on {0, 1, ...} with mean ``idle_mean =
+  burst_mean_cells * (1 - load) / load``: the one geometric sampler,
+  on {1, 2, ...} at mean ``1 + idle_mean``, less one.  That makes the
+  long-run occupancy of a saturating source match the offered load
+  only for fixed sizes: a burst finishes the packet that overruns it,
+  so variable-size bursts run long.  An unbounded source (seed 1, 2M
   slots) occupies 10.02 / 49.84 / 89.94 % of its slots at 10 / 50 /
   90 % offered with fixed sizes, and 16.03 / 63.04 / 93.89 % with
   variable sizes (item 4 of ROADMAP.md).
@@ -24,6 +25,8 @@ Packet sizes are either one full cell of payload or uniform over a
 byte range.  Each flow can carry an exact payload-byte budget; the
 last packet of a flow is truncated so the budget is hit exactly.  A
 flow without a volume has an infinite budget, so it never runs dry.
+A source's per-flow budgets and cell counters are lists indexed by
+destination port; its own port's entry is unused.
 
 A source emits each cell as a plain tuple, the cell record that the
 star engine carries from source to sink:
@@ -80,17 +83,6 @@ def _geometric_from_one(rng: random.Random, mean: float) -> int:
     return count
 
 
-def _geometric_from_zero(rng: random.Random, mean: float) -> int:
-    """Geometric on {0, 1, ...} with the given mean (>= 0)."""
-    if mean <= 0.0:
-        return 0
-    p = 1.0 / (1.0 + mean)
-    count = 0
-    while rng.random() >= p:
-        count += 1
-    return count
-
-
 class SourceProcess:
     """One port's traffic generator.
 
@@ -111,11 +103,10 @@ class SourceProcess:
         self.port = port
         self.rng = random.Random(seed * 1_000_003 + port)
         volume = math.inf if spec.volume_bytes is None else spec.volume_bytes
-        self.budget: dict[int, float] = {
-            dst: volume for dst in range(n_ports) if dst != port}
-        self.flow_cells = {dst: 0 for dst in self.budget}
+        self.budget: list[float] = [volume] * n_ports
+        self.flow_cells = [0] * n_ports
         # The open-flow list changes only when a budget runs dry.
-        self._open: list[int] = list(self.budget)
+        self._open = [dst for dst in range(n_ports) if dst != port]
         self._fixed = spec.size_mode == FIXED
         process = self._bernoulli if spec.mode == BERNOULLI else self._bursty
         self.poll = chain.from_iterable(process()).__next__
@@ -220,7 +211,9 @@ class SourceProcess:
         mean = spec.burst_mean_cells
         idle_mean = mean * (1.0 - spec.load) / spec.load
         while flows:
-            idle = _geometric_from_zero(rng, idle_mean)  # 0 at full load
+            # geometric on {0, 1, ...}; no draw at full load
+            idle = (_geometric_from_one(rng, 1.0 + idle_mean) - 1
+                    if idle_mean else 0)
             dst = flows[int(rng.random() * len(flows))]
             burst = _geometric_from_one(rng, mean)
             if idle:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -492,29 +493,143 @@ class TestBandwidthAccounting:
                                              max(report.latency_hist))
 
 
+def output_queued_runs(load):
+    """The oracles' 16 runs at one load: 32-port SAFC with one-cell
+    Bernoulli packets, seeds 1-8, an unbounded volume cut at 3,000
+    slots.  Each run's report comes with its output backlogs: the
+    cells queued for each output, summed over the inputs, counted
+    over the outputs and slots after a 200-slot warm-up.
+
+    A backlog is kept by wrapping every bank's enqueue and dequeue and
+    sampled at each ``match`` call, after the slot's arrivals and
+    before its service.  The calls do not name their slot, but a call
+    follows its slot's enqueues or, without them, a backlog left by
+    the previous slot's call: so its slot is the later of the previous
+    call's slot plus one and the slot of the latest enqueue.  A slot
+    without a call must have every backlog at 0, so it counts 32
+    zeros; a run of such slots after a call that left cells queued is
+    counted as ``skipped`` instead, an arbitration the engine left
+    out."""
+    runs = []
+    for seed in range(1, 9):
+        network = StarNetwork(
+            EngineConfig(n_ports=32, scheduler=SAFC, seed=seed,
+                         max_slots=3_000),
+            TrafficSpec(load=load, volume_bytes=None))
+        up_delay = network.config.uplink_delay
+        warm_up = 200
+        backlog = [0] * 32
+        counts = [0] * 33  # output-slots per backlog, 32 and over last
+        arrival = slot = -1  # the latest enqueue's slot and call's slot
+        fresh = skipped = 0  # enqueues since the last call; see above
+
+        def counted(enqueue, dequeue):
+            def counted_enqueue(channel, item):
+                nonlocal arrival, fresh
+                backlog[channel] += 1
+                fresh += 1
+                arrival = item[0] + up_delay  # it left up_delay ago
+                return enqueue(channel, item)
+
+            def counted_dequeue(channel):
+                backlog[channel] -= 1
+                return dequeue(channel)
+            return counted_enqueue, counted_dequeue
+
+        def sampled(out_requests, match=network.scheduler.match):
+            nonlocal slot, fresh, skipped
+            previous, slot = slot, max(slot + 1, arrival)
+            if slot > previous + 1 and sum(backlog) > fresh:
+                skipped += 1  # the previous call left cells queued
+            elif slot >= warm_up:
+                counts[0] += 32 * (slot - max(previous + 1, warm_up))
+            fresh = 0
+            if slot >= warm_up:
+                for b in backlog:
+                    counts[min(b, 32)] += 1
+            return match(out_requests)
+
+        for bank in network.banks:
+            bank.enqueue, bank.dequeue = counted(bank.enqueue, bank.dequeue)
+        network.scheduler.match = sampled
+        report = network.run()
+        report.verify()
+        assert backlog == [sum(len(bank.queues[j]) for bank in network.banks)
+                           for j in range(32)]
+        if report.slots_run > slot + 1 and any(backlog):
+            skipped += 1
+        elif report.slots_run > warm_up:
+            counts[0] += 32 * (report.slots_run - max(slot + 1, warm_up))
+        runs.append((report, counts, skipped))
+    return runs
+
+
+def queue_chain_law(m, load, size=100):
+    """Stationary law of B' = max(B - 1, 0) + A, A ~ Binomial(m,
+    load/m), on 0..size, by iterating the chain from B = 0."""
+    p = load / m
+    arrivals = [math.comb(m, k) * p**k * (1 - p)**(m - k)
+                for k in range(m + 1)]
+    law = [1.0] + [0.0] * size
+    for _ in range(10_000):
+        served = [law[0] + law[1], *law[2:], 0.0]
+        new = [0.0] * (size + 1)
+        for b, weight in enumerate(served):
+            for k, a in enumerate(arrivals[:size + 1 - b]):
+                new[b + k] += weight * a
+        done = max(abs(x - y) for x, y in zip(new, law)) < 1e-15
+        law = new
+        if done:
+            return law
+    raise AssertionError("the chain did not settle")
+
+
 class TestAnalyticalOracle:
+    """With one-cell Bernoulli packets and no pause, SAFC is an
+    output-queued switch: each output takes Binomial(M, p/M) arrivals
+    a slot from the M = n - 1 other ports and serves one (Karol,
+    Hluchyj and Morgan, IEEE Trans. Commun. 35(12), 1987).  An
+    unbounded volume cut at max_slots keeps the end-of-run drain,
+    which piles load onto the last open flows, out of it."""
+
+    runs = staticmethod(functools.cache(output_queued_runs))
+
     @pytest.mark.parametrize("load", [0.3, 0.6])
     def test_safc_mean_latency_is_output_queued(self, load):
-        """With one-cell Bernoulli packets and no pause, SAFC is an
-        output-queued switch: each output takes Binomial(M, p/M)
-        arrivals a slot from the M = n - 1 other ports and serves one,
-        so a cell waits (M - 1)/M * p / (2(1 - p)) slots on average
-        (Karol, Hluchyj and Morgan, IEEE Trans. Commun. 35(12), 1987).
-        An unbounded volume cut at max_slots keeps the end-of-run
-        drain, which piles load onto the last open flows, out of it."""
+        """A cell waits (M - 1)/M * p / (2(1 - p)) slots on average."""
         means = []
-        for seed in range(1, 9):
-            config = EngineConfig(n_ports=32, scheduler=SAFC, seed=seed,
-                                  max_slots=3000)
-            report = run_star(config, TrafficSpec(load=load,
-                                                  volume_bytes=None))
+        for report, _, _ in self.runs(load):
             assert report.pauses == 0  # flow control would break the model
             means.append(report.mean_latency())
+        config = report.config
         m = config.n_ports - 1
         closed_form = (config.latency_floor()
                        + (m - 1) / m * load / (2 * (1 - load)))
         stderr = statistics.stdev(means) / math.sqrt(len(means))
         assert abs(statistics.fmean(means) - closed_form) <= 4 * stderr
+
+    @pytest.mark.parametrize("load", [0.3, 0.6])
+    def test_safc_output_backlog_follows_the_queue_chain(self, load):
+        """An output's backlog does not depend on the order it serves
+        its inputs in: it follows B' = max(B - 1, 0) + A.  Each seed's
+        shares of backlog 0, 1, 2 and 3 or more lie within 4 standard
+        errors of that chain's stationary law, and no slot that held
+        cells went without arbitration."""
+        runs = self.runs(load)
+        shares = []
+        for report, counts, _ in runs:
+            assert report.pauses == 0
+            total = sum(counts)
+            shares.append([counts[0] / total, counts[1] / total,
+                           counts[2] / total, sum(counts[3:]) / total])
+        law = queue_chain_law(31, load)
+        expected = [law[0], law[1], law[2], sum(law[3:])]
+        for k, want in enumerate(expected):
+            column = [share[k] for share in shares]
+            stderr = statistics.stdev(column) / math.sqrt(len(column))
+            assert abs(statistics.fmean(column) - want) <= 4 * stderr, \
+                (k, statistics.fmean(column), want, stderr)
+        assert [skipped for _, _, skipped in runs] == [0] * len(runs)
 
 
 class TestByteIdentity:
@@ -543,10 +658,11 @@ class TestByteIdentity:
                 report.last_delivery]).encode())
         assert digest.hexdigest() == self.DIGEST
 
-    # Recorded on the engine whose report keeps one start of its
-    # delivery window, first_generation.
+    # Recorded when EngineConfig.islip_iterations became 3 in place of
+    # None, its automatic count: the previous digest with that one
+    # config value mapped from None to 3.
     WIDE_DIGEST = (
-        "905e8254b7d5b30ae13b17e1bd95578cd43bef7e5979b586540c4c378296baa5")
+        "156d366e7156c8b79e0c4a87e65a81b2fb01715fc9de0623006240d8be075847")
 
     def test_truncated_and_custom_delay_digest_unchanged(self):
         # Every report field, staged and in-flight counts included, of

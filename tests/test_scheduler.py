@@ -7,11 +7,9 @@ import random
 
 import pytest
 
-from cellswitch.scheduler import (
-    IslipScheduler,
-    SafcScheduler,
-    default_iterations,
-)
+from cellswitch.config import EngineConfig, TrafficSpec
+from cellswitch.engine import StarNetwork
+from cellswitch.scheduler import IslipScheduler, SafcScheduler
 
 
 def brute_force_pick(mask: int, start: int, n: int) -> int:
@@ -97,21 +95,19 @@ class TestIslipMatchesReference:
         compared sorted, which also catches a repeated pair."""
         rng = random.Random(0x151 + n)
         calls = max(12, 2400 // n)
-        for iterations in (1, 2, 3, 4, None):
+        for iterations in (1, 2, 3, 4):
             s = IslipScheduler(n, iterations)
             grant_ptr = [rng.randrange(n) for _ in range(n)]
             accept_ptr = [rng.randrange(n) for _ in range(n)]
             s.grant_ptr[:] = grant_ptr
             s.accept_ptr[:] = accept_ptr
-            rounds = default_iterations(n) if iterations is None \
-                else iterations
             for call in range(calls):
                 density = rng.choice([0.05, 0.2, 0.5, 0.8, 1.0])
                 reqs = [
                     sum(1 << i for i in range(n) if rng.random() < density)
                     for _ in range(n)
                 ]
-                expected = reference_islip_match(reqs, n, rounds,
+                expected = reference_islip_match(reqs, n, iterations,
                                                  grant_ptr, accept_ptr)
                 assert sorted(s.match(reqs)) == sorted(expected), \
                     (iterations, call)
@@ -121,7 +117,7 @@ class TestIslipMatchesReference:
 
 class TestIslipExamples:
     def test_single_request(self):
-        s = IslipScheduler(8)
+        s = IslipScheduler(8, 3)
         out_req = [0] * 8
         out_req[7] = 0b100  # input 2 wants output 7
         assert s.match(out_req) == [(2, 7)]
@@ -129,7 +125,7 @@ class TestIslipExamples:
         assert s.accept_ptr[2] == 0  # (7 + 1) % 8
 
     def test_diagonal_all_matched_first_round(self):
-        s = IslipScheduler(4)
+        s = IslipScheduler(4, 3)
         out_req = [1 << i for i in range(4)]
         assert sorted(s.match(out_req)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
         assert s.grant_ptr == [1, 2, 3, 0]
@@ -150,12 +146,16 @@ class TestIslipExamples:
         assert s.accept_ptr == [1, 0, 0, 0]
 
     def test_no_requests(self):
-        s = IslipScheduler(4)
+        s = IslipScheduler(4, 3)
         assert s.match([0, 0, 0, 0]) == []
 
     def test_config_validation(self):
-        assert default_iterations(32) == 3
-        assert default_iterations(64) == 1
+        # One round count at every port count: the engine's default.
+        for n in (32, 33, 64):
+            config = EngineConfig(n_ports=n)
+            assert config.islip_iterations == 3
+            assert StarNetwork(config, TrafficSpec()).scheduler.iterations \
+                == 3
 
 
 class TestIslipFoldExits:
@@ -227,7 +227,7 @@ class TestIslipMatchingValidity:
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_random_matrices_give_conflict_free_requested_pairs(self, n):
         rng = random.Random(0x5EED + n)
-        s = IslipScheduler(n)
+        s = IslipScheduler(n, 3)
         for trial in range(300):
             density = rng.choice([0.05, 0.3, 0.7, 1.0])
             reqs = [

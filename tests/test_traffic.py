@@ -6,14 +6,14 @@ import math
 import random
 import statistics
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from cellswitch.codec import CELL_PAYLOAD_BYTES
 from cellswitch.config import TrafficSpec
 from cellswitch.errors import ConfigError
-from cellswitch.traffic import (
-    CHUNK, SourceProcess, _geometric_from_one, _geometric_from_zero)
+from cellswitch.traffic import CHUNK, SourceProcess
 
 
 # Fields of a source's cell record (src, dst, flow_seq, valid_bytes, eop).
@@ -284,10 +284,32 @@ class TestDeterminism:
         assert digest.hexdigest() == self.STREAM_DIGEST
 
 
+def _geometric_from_one(rng, mean):
+    """Geometric on {1, 2, ...} with the given mean (>= 1)."""
+    p = 1.0 / mean
+    count = 1
+    while rng.random() >= p:
+        count += 1
+    return count
+
+
+def _geometric_from_zero(rng, mean):
+    """Geometric on {0, 1, ...} with the given mean (>= 0)."""
+    if mean <= 0.0:
+        return 0
+    p = 1.0 / (1.0 + mean)
+    count = 0
+    while rng.random() >= p:
+        count += 1
+    return count
+
+
 class ReferenceSource:
     """The per-slot state machine the generators replaced, kept as the
     reference they must reproduce: one poll per slot, None for a slot
-    without an arrival, the same draws in the same order."""
+    without an arrival, the same draws in the same order.  It draws
+    with its own copies of the samplers the sources had when it was
+    kept, so a change to the sources' sampler shows here."""
 
     def __init__(self, spec, port, n_ports, seed):
         self.spec = spec
@@ -487,3 +509,35 @@ class TestChunkedDraws:
             assert source.rng.getstate() == reference.rng.getstate(), polls
         assert reference.exhausted
         assert source.rng.getstate() == reference.rng.getstate()
+
+
+class TestIdleGaps:
+    @pytest.mark.parametrize("idle_mean", [0.0, 1e-17, 0.44, 4.0, 36.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bursty_idle_gap_matches_the_reference_draw_for_draw(
+            self, idle_mean, seed):
+        """``_bursty`` draws each idle gap with the one geometric
+        sampler, shifted by one: over 1,000 bursts every gap equals the
+        reference's geometric draw on {0, 1, ...} and leaves the rng
+        where that draw does.  At load 0.5 the idle mean is exactly the
+        burst mean, so an unchecked spec sets it directly (below one
+        cell too); full load has idle mean 0 and draws no gap.  Two
+        ports give one flow of one-cell packets, so a burst draws its
+        gap, its destination and its length, and nothing else."""
+        load, mean = (1.0, 4.0) if idle_mean == 0.0 else (0.5, idle_mean)
+        spec = SimpleNamespace(mode="bursty", size_mode="fixed", load=load,
+                               volume_bytes=None, burst_mean_cells=mean)
+        source = SourceProcess(spec, 0, 2, seed)
+        reference = random.Random()
+        reference.setstate(source.rng.getstate())
+        for burst in range(1_000):
+            idle = _geometric_from_zero(reference, idle_mean)
+            reference.random()  # the burst's destination
+            length = _geometric_from_one(reference, mean)
+            got = source.poll()  # the burst's draws, then its first item
+            assert source.rng.getstate() == reference.getstate(), burst
+            if idle:
+                assert got == idle, burst
+                got = source.poll()
+            cells = [got] + [source.poll() for _ in range(length - 1)]
+            assert [cell[DST] for cell in cells] == [1] * length, burst
