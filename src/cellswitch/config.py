@@ -9,7 +9,7 @@ defaults and build run descriptions without loading the star engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .codec import MAX_SWITCH_PORTS
 from .errors import ConfigError
@@ -21,6 +21,21 @@ BERNOULLI = "bernoulli"
 BURSTY = "bursty"
 FIXED = "fixed"
 VARIABLE = "variable"
+
+
+# What each int field's annotation lets it hold.
+_INT_TYPES = {"int": int, "int | None": (int, type(None))}
+
+
+def _check_ints(spec) -> None:
+    """Raise ConfigError unless each int field of ``spec`` holds an
+    int, or None where its type allows None.  A run built in Python,
+    not from an INI file, can put anything in a field, and the range
+    checks that follow must not meet a None or a float."""
+    for f in fields(spec):
+        kinds = _INT_TYPES.get(f.type)
+        if kinds and not isinstance(value := getattr(spec, f.name), kinds):
+            raise ConfigError(f"{f.name} {value!r}: not an int")
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,7 @@ class EngineConfig:
     max_slots: int | None = None
 
     def __post_init__(self):
+        _check_ints(self)
         if not 2 <= self.n_ports <= MAX_SWITCH_PORTS:
             raise ConfigError(f"ports must be 2..{MAX_SWITCH_PORTS}")
         if self.scheduler not in (ISLIP, SAFC):
@@ -112,6 +128,7 @@ class TrafficSpec:
     burst_mean_cells: float = 4.0
 
     def __post_init__(self):
+        _check_ints(self)
         if self.mode not in (BERNOULLI, BURSTY):
             raise ConfigError(f"unknown arrival process {self.mode!r}")
         if self.size_mode not in (FIXED, VARIABLE):

@@ -116,6 +116,9 @@ def frame_error_probability(ber: float, frame_bits: int = FRAME_BITS) -> float:
 def check_link(one_way_delay: int, slots: int = 1,
                load: float = 1.0) -> None:
     """Raise ConfigError unless ``run_point_to_point`` accepts these."""
+    for name, value in (("one_way_delay", one_way_delay), ("slots", slots)):
+        if not isinstance(value, int):
+            raise ConfigError(f"{name} {value!r}: not an int")
     if not 1 <= one_way_delay <= MAX_ONE_WAY_DELAY:
         raise ConfigError(f"one-way delay must be 1..{MAX_ONE_WAY_DELAY} "
                           f"slots ({SEQ_MODULUS}-value sequence field)")

@@ -8,7 +8,10 @@ Queues must never overflow: ``EngineConfig`` sizes them to exactly
 the pause headroom -- the on-threshold, the enqueue that crosses it,
 and every cell still in flight when the pause lands -- so an overflow
 is a simulation bug and aborts the run.  Queued items are opaque to
-the bank.
+the bank.  Each queue is a plain list, bounded by the capacity, so
+taking its head shifts at most capacity - 1 entries; an empty list is
+a fraction of an empty deque's 64-slot block, and a switch holds n²
+queues before any cell moves.
 
 A bank reports to the rest of the switch through two lists that the
 banks of one switch share.  It posts each pause and resume request as
@@ -21,8 +24,6 @@ been.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import SimInvariantError
 
@@ -50,7 +51,7 @@ class VOQBank:
         self.capacity = capacity
         self.on_threshold = on_threshold
         self.off_threshold = off_threshold
-        self.queues: list[deque] = [deque() for _ in range(n_ports)]
+        self.queues: list[list] = [[] for _ in range(n_ports)]
         self.paused_upstream = [False] * n_ports
         self.requests = requests
         self.control = control
@@ -82,7 +83,7 @@ class VOQBank:
         off-threshold."""
         q = self.queues[channel]
         try:
-            cell = q.popleft()
+            cell = q.pop(0)
         except IndexError:
             raise SimInvariantError(f"dequeue from empty channel {channel}")
         if not q:

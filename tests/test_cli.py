@@ -260,6 +260,25 @@ class TestParsing:
             cli.run_experiment(replace(spec, **override), tmp_path / "out")
         assert not any(tmp_path.iterdir())
 
+    # A Python caller can put None in any int field, which the INI form
+    # cannot (a blank option keeps the default).  The engine, traffic
+    # and link descriptions the spec builds refuse it by the name they
+    # give the field.
+    @pytest.mark.parametrize("preset, field, named", [
+        ("latency-grid", "ports", "n_ports"),
+        *(("latency-grid", name, name) for name in (
+            "islip_iterations", "uplink_delay", "downlink_delay",
+            "egress_delay", "on_threshold", "off_threshold",
+            "min_packet_bytes", "max_packet_bytes")),
+        ("ber-sweep", "one_way_delay", "one_way_delay"),
+        ("ber-sweep", "slots", "slots"),
+    ])
+    def test_none_in_an_int_field_is_a_config_error(self, preset, field,
+                                                    named):
+        spec = cli.parse_experiment(cli.load_preset(preset))
+        with pytest.raises(ConfigError, match=f"^{named} None: not an int$"):
+            replace(spec, **{field: None})
+
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",
                                                      "name = 50% load"))

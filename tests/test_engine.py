@@ -9,6 +9,7 @@ import json
 import math
 import random
 import statistics
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -64,6 +65,34 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="max_slots"):
                 EngineConfig(n_ports=8, max_slots=max_slots)
         EngineConfig(n_ports=8, max_slots=1)
+
+    @pytest.mark.parametrize("cls, name, optional", [
+        (EngineConfig, "n_ports", False), (EngineConfig, "seed", False),
+        (EngineConfig, "on_threshold", False),
+        (EngineConfig, "off_threshold", False),
+        (EngineConfig, "channel_buffer", True),
+        (EngineConfig, "islip_iterations", False),
+        (EngineConfig, "uplink_delay", False),
+        (EngineConfig, "downlink_delay", False),
+        (EngineConfig, "egress_delay", False),
+        (EngineConfig, "max_slots", True),
+        (TrafficSpec, "volume_bytes", True),
+        (TrafficSpec, "min_packet_bytes", False),
+        (TrafficSpec, "max_packet_bytes", False),
+    ])
+    def test_int_fields_hold_ints(self, cls, name, optional):
+        """An int field refuses a float, and a None unless its type
+        allows None, with a ConfigError that names it."""
+        build = functools.partial(cls, n_ports=8) if cls is EngineConfig \
+            else cls
+        with pytest.raises(ConfigError, match=f"^{name} 7.0: not an int$"):
+            build(**{name: 7.0})
+        if optional:
+            assert getattr(build(**{name: None}), name) is None
+        else:
+            with pytest.raises(ConfigError,
+                               match=f"^{name} None: not an int$"):
+                build(**{name: None})
 
     def test_port_count_bounded_by_selector_width(self):
         # Selector 255 is broadcast, so unicast selectors 0..254
@@ -907,3 +936,32 @@ def test_empty_network_skips_to_its_next_arrival(monkeypatch, scheduler,
     assert calls < report.slots_run // 50
     assert hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True)
                           .encode()).hexdigest() == digest
+
+
+class TestMemory:
+    """A star run holds its cells, not its port pairs: each of the 2n²
+    VOQs and staging channels starts as an empty list, so neither the
+    built network nor a saturated run pays a fixed block per pair."""
+
+    CONFIG = EngineConfig(n_ports=32)
+    TRAFFIC = TrafficSpec(load=1.0, volume_bytes=4_000)
+
+    def test_a_built_32_port_network_is_small(self):
+        tracemalloc.start()
+        try:
+            network = StarNetwork(self.CONFIG, self.TRAFFIC)
+            built, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(network.banks) == 32
+        assert built < 400_000
+
+    def test_a_saturated_32_port_run_peaks_under_a_megabyte(self):
+        tracemalloc.start()
+        try:
+            report = run_star(self.CONFIG, self.TRAFFIC)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.drained and report.delivered_cells == 32 * 31 * 16
+        assert peak < 1_000_000

@@ -504,6 +504,13 @@ class TestOfferedLoadGoodput:
         with pytest.raises(ConfigError):
             run_point_to_point(2, slots=0)
 
+    @pytest.mark.parametrize("delay, slots, named", [
+        (None, 10, "one_way_delay"), (4.0, 10, "one_way_delay"),
+        (4, None, "slots"), (4, 10.0, "slots")])
+    def test_counts_must_be_ints(self, delay, slots, named):
+        with pytest.raises(ConfigError, match=f"^{named} .*: not an int$"):
+            run_point_to_point(delay, slots)
+
 
 class TestByteIdentity:
     """Pins every field of a grid of link runs and the counters of
