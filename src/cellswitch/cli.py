@@ -110,7 +110,7 @@ from pathlib import Path
 # and traceback are imported in the functions that use them (the engine
 # where a star row runs): every short run and pool worker pays its
 # set-up, so a link run loads no star code and a star sweep no link code.
-from .config import EngineConfig, TrafficSpec
+from .config import EngineConfig, TrafficSpec, check_numbers
 from .errors import ConfigError
 
 EXIT_OK = 0
@@ -135,9 +135,12 @@ CSV_COLUMNS = [
 class ExperimentSpec:
     """One experiment, checked in full when built, however it is built.
 
-    A spec is checked by building its first seed's rows: a kind without
-    an entry in ``_KINDS``, or a spec with no rows, is a configuration
-    error.  The sweep fields default to the defaults of
+    Each number field, and each element of a list of numbers, is first
+    checked against its annotation, so a None where the spec allows none
+    never reaches the engine or traffic description (a None volume there
+    means unbounded flows).  Then a spec is checked by building its
+    first seed's rows: a kind without an entry in ``_KINDS``, or a spec
+    with no rows, is a configuration error.  The sweep fields default to the defaults of
     ``config.EngineConfig`` and ``config.TrafficSpec``, three iSLIP
     rounds at every port count among them; only the per-flow volume
     has one of its own.  Each sweep row passes them on by name,
@@ -169,6 +172,7 @@ class ExperimentSpec:
     link_load: float = 1.0
 
     def __post_init__(self):
+        check_numbers(self)
         for name in ("seeds", "schedulers", "patterns", "workloads", "bers"):
             values = getattr(self, name)
             # a float is compared as its row prints it

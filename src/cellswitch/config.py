@@ -23,19 +23,28 @@ FIXED = "fixed"
 VARIABLE = "variable"
 
 
-# What each int field's annotation lets it hold.
-_INT_TYPES = {"int": int, "int | None": (int, type(None))}
+# What each number field's annotation lets it hold, and its name in an
+# error; a field annotated tuple[T, ...] holds only what T allows.
+_NUMBER_TYPES = {"int": (int, "an int"),
+                 "int | None": ((int, type(None)), "an int"),
+                 "float": ((int, float), "a float")}
 
 
-def _check_ints(spec) -> None:
-    """Raise ConfigError unless each int field of ``spec`` holds an
-    int, or None where its type allows None.  A run built in Python,
-    not from an INI file, can put anything in a field, and the range
-    checks that follow must not meet a None or a float."""
+def check_numbers(spec) -> None:
+    """Raise ConfigError unless each number field of ``spec``, or each
+    element of a tuple of them, holds what its annotation allows.  A run
+    built in Python, not from an INI file, can put anything in a field,
+    and the range checks that follow must not meet a None or a str."""
     for f in fields(spec):
-        kinds = _INT_TYPES.get(f.type)
-        if kinds and not isinstance(value := getattr(spec, f.name), kinds):
-            raise ConfigError(f"{f.name} {value!r}: not an int")
+        many = f.type.startswith("tuple[")
+        kinds, what = _NUMBER_TYPES.get(f.type[6:-6] if many else f.type,
+                                        (None, None))
+        if kinds:
+            value = getattr(spec, f.name)
+            items = value if many and isinstance(value, tuple) else (value,)
+            for item in items:
+                if not isinstance(item, kinds):
+                    raise ConfigError(f"{f.name} {item!r}: not {what}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +66,13 @@ class EngineConfig:
     off_threshold: int = 7
     # Per-channel staging depth at each endpoint, in cells; None leaves
     # the staging unbounded.  With a finite depth the host blocks --
-    # suspending generation -- whenever the channel it must write next
-    # is full, so endpoints throttle themselves against sustained
-    # backpressure; unbounded staging instead lets the endpoint queue
-    # behind a paused channel and keep the uplink busy with other
-    # channels, which is the work-conserving behavior the bandwidth
-    # figures assume.
+    # suspending generation -- once a cell overfills its channel, so
+    # endpoints throttle themselves against sustained backpressure.
+    # That cell waits in the channel, and the host polls again in the
+    # slot after a send brings the channel back to this depth.
+    # Unbounded staging instead lets the endpoint queue behind a paused
+    # channel and keep the uplink busy with other channels, which is the
+    # work-conserving behavior the bandwidth figures assume.
     channel_buffer: int | None = None
     # iSLIP grant/accept rounds per slot, the same at every port
     # count.  At the paper's 32 ports and full load the first round
@@ -79,7 +89,7 @@ class EngineConfig:
     max_slots: int | None = None
 
     def __post_init__(self):
-        _check_ints(self)
+        check_numbers(self)
         if not 2 <= self.n_ports <= MAX_SWITCH_PORTS:
             raise ConfigError(f"ports must be 2..{MAX_SWITCH_PORTS}")
         if self.scheduler not in (ISLIP, SAFC):
@@ -128,7 +138,7 @@ class TrafficSpec:
     burst_mean_cells: float = 4.0
 
     def __post_init__(self):
-        _check_ints(self)
+        check_numbers(self)
         if self.mode not in (BERNOULLI, BURSTY):
             raise ConfigError(f"unknown arrival process {self.mode!r}")
         if self.size_mode not in (FIXED, VARIABLE):

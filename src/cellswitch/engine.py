@@ -32,7 +32,7 @@ Every slot runs the same phases, each over all ports before the next:
    downlink frame
 4. each endpoint with an arrival due stages at most one new cell,
    and sends one staged cell from an unpaused channel
-5. while any queue holds a cell: arbitration, fabric traversal and
+5. while the VOQs hold a cell: arbitration, fabric traversal and
    one dequeue per matched pair, whose banks may post unpause
    commands that depart with the next downlink frame; a matching is
    a set of pairs, and no result depends on the order ``match``
@@ -47,10 +47,12 @@ per slot and deposits it in generation order into a per-channel
 staging list, and the adapter side round-robins over nonempty
 unpaused channels, taking each one's head, so one paused channel
 never blocks traffic for the others.  An optional per-channel staging
-cap makes the host block -- suspending generation -- whenever the
-channel it must write next is full, modeling endpoints that throttle
-themselves against sustained backpressure instead of queueing behind
-it.
+cap makes the host block -- suspending generation -- once a cell
+overfills its channel, modeling endpoints that throttle themselves
+against sustained backpressure instead of queueing behind it.  That
+cell waits in the channel, behind at least a cap's worth of cells, and
+the host stops polling; it polls again in the slot after its adapter's
+send brings the channel back to the cap.
 
 A cell's recorded latency runs from its uplink transmission to its
 sink delivery and therefore excludes time spent queued inside the
@@ -74,8 +76,8 @@ immediately, a fabric misroute at its structural replay, and every
 sink checks per-flow sequence numbers and raises at the first
 misrouted, dropped, duplicated or reordered cell.  The run also counts
 the cells in the VOQs and raises at the first slot where some are
-queued but no request bit is set, since no arbiter would ever serve
-them and the run would stall.
+queued but arbitration matches none: either arbiter pairs an output
+that has a request, so no request bit is set and the run would stall.
 
 A run is described by ``config.EngineConfig`` and
 ``config.TrafficSpec``, which state its defaults and check its values.
@@ -86,6 +88,7 @@ them, and the components do not check those values again.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .codec import FRAME_BYTES, HEADER_BYTES
@@ -107,7 +110,7 @@ class MetricsReport:
     generated_cells: int
     injected_cells: int
     delivered_cells: int
-    staged_cells: int       # at exit: in endpoint staging, held included
+    staged_cells: int       # at exit: in endpoint staging
     in_flight_cells: int    # at exit: on links, in egress, in VOQs
     delivered_wire_bytes: int
     last_delivery: int
@@ -282,21 +285,21 @@ class StarNetwork:
         # fixed-size SAFC and 114 for Bernoulli fixed-size iSLIP.
         src_chan = [[[] for _ in ports] for _ in ports]
         src_mask = [0] * n                   # nonempty staging channels
-        src_hold = [None] * n                # generated, staging full
         src_rr = [0] * n
         src_pause = [0] * n
         due = [0] * n                        # slot of the next poll
         succ = [*range(1, n), 0]             # (k + 1) % n
         hosts = list(zip(ports, [s.poll for s in self.sources], src_chan))
-        staging = (math.inf if config.channel_buffer is None
+        # an int bound: no list reaches it, and an int compares faster
+        staging = (sys.maxsize if config.channel_buffer is None
                    else config.channel_buffer)
 
-        # The staging lists, the held cells and the uplink hold traffic
-        # cell records (src, dst, flow_seq, valid_bytes, eop): a
-        # record's src is the port that sent it, and it left
-        # uplink_delay slots before it lands.  From the VOQ on, each
-        # record travels paired with its transmit slot as
-        # (injected_at, record), and the VOQs are lists too.  The
+        # The staging lists, where a cell that overfills its channel
+        # waits too, and the uplink hold traffic cell records (src, dst,
+        # flow_seq, valid_bytes, eop): a record's src is the port that
+        # sent it, and it left uplink_delay slots before it lands.  From
+        # the VOQ on, each record travels paired with its transmit slot
+        # as (injected_at, record), and the VOQs are lists too.  The
         # uplink and control rings hold, per slot, a list of the records
         # landing on the uplinks and of the (port, channel, pause)
         # control words, pause False for an unpause.  The downlink ring
@@ -371,39 +374,32 @@ class StarNetwork:
             sent = uplink[(slot + up_delay) % size]
             generated_before = generated
             for i, poll, chans in hosts:
-                # host step, closed-loop: retry the held cell, then
-                # generate at most one new cell.  The host never runs
-                # ahead of real time and blocks -- suspending
-                # generation -- while staging is full, so staging holds
-                # only the most recent slice of the arrival process.
-                # It polls only when an arrival may be due (as it is
-                # during a hold, which only a returned cell starts).
+                # host step, closed-loop: generate at most one new cell,
+                # polling only when an arrival may be due.  A cell that
+                # overfills its channel blocks the host -- suspending
+                # generation -- until the send below brings that channel
+                # back to the cap.  A blocked host has a staged cell, so
+                # neither the drain test nor the empty-network jump
+                # below takes its math.inf for a spent source.
                 if due[i] <= slot:
-                    cell = src_hold[i]
-                    if cell is not None and len(chans[cell[1]]) < staging:
-                        chans[cell[1]].append(cell)
-                        src_mask[i] |= 1 << cell[1]
-                        src_hold[i] = cell = None
-                    if cell is None:
-                        cell = poll()
-                        if cell.__class__ is not tuple:
-                            due[i] = slot + cell  # idle slots ahead
-                        else:
-                            generated += 1
-                            dst = cell[1]
-                            paused = src_pause[i]
-                            if not (src_mask[i] & ~paused
-                                    or paused >> dst & 1):
-                                # the only sendable cell, for an empty
-                                # channel: the round robin would send it
-                                src_rr[i] = succ[dst]
-                                sent.append(cell)
-                                continue
-                            if len(chans[dst]) < staging:
-                                chans[dst].append(cell)
-                                src_mask[i] |= 1 << dst
-                            else:
-                                src_hold[i] = cell
+                    cell = poll()
+                    if cell.__class__ is not tuple:
+                        due[i] = slot + cell  # idle slots ahead
+                    else:
+                        generated += 1
+                        dst = cell[1]
+                        paused = src_pause[i]
+                        if not (src_mask[i] & ~paused or paused >> dst & 1):
+                            # the only sendable cell, for an empty
+                            # channel: the round robin would send it
+                            src_rr[i] = succ[dst]
+                            sent.append(cell)
+                            continue
+                        queue = chans[dst]
+                        queue.append(cell)
+                        src_mask[i] |= 1 << dst
+                        if len(queue) > staging:
+                            due[i] = math.inf  # blocked
 
                 # adapter transmit: round robin over unpaused channels
                 mask = src_mask[i]
@@ -419,16 +415,24 @@ class StarNetwork:
                     sent.append(queue.pop(0))
                     if not queue:
                         src_mask[i] &= ~(1 << dst)
+                    elif len(queue) == staging:
+                        # back at the cap, which only a blocking cell
+                        # passes: the host polls again next slot
+                        due[i] = slot + 1
             injected += len(sent)
             if generated != generated_before:
                 last_generation = slot
                 if first_generation < 0:
                     first_generation = slot
 
-            # arbitration and fabric traversal, only while some queue
-            # holds a cell: an empty match moves no arbiter pointer
-            if any(out_requests):
+            # arbitration and fabric traversal, only while the VOQs hold
+            # a cell: either arbiter pairs an output that has a request
+            if queued:
                 pairs = match(out_requests)
+                if not pairs:
+                    # queued cells that no arbiter will ever see
+                    raise SimInvariantError(
+                        f"{queued} cells queued with no request bit set")
                 if route is not None:
                     route(pairs)
                 downlink[(slot + out_delay) % size] = (
@@ -439,10 +443,6 @@ class StarNetwork:
                     control[(slot + 1 + down_delay) % size] += posted
                     unpauses += len(posted)
                     posted.clear()
-            elif queued:
-                # queued cells that no arbiter will ever see
-                raise SimInvariantError(
-                    f"{queued} cells queued with no request bit set")
 
             slot += 1
             if delivered == injected == generated:
@@ -459,7 +459,6 @@ class StarNetwork:
         # Count the cells where they sit, independently of the running
         # counters, so verify() can check conservation on any run.
         staged = sum(map(len, (chan for chans in src_chan for chan in chans)))
-        staged += sum(cell is not None for cell in src_hold)
         in_flight = sum(map(len, uplink))
         in_flight += sum(len(entry[1]) for entry in downlink if entry)
         in_flight += sum(len(queue) for bank in self.banks

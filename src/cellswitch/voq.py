@@ -9,9 +9,9 @@ the pause headroom -- the on-threshold, the enqueue that crosses it,
 and every cell still in flight when the pause lands -- so an overflow
 is a simulation bug and aborts the run.  Queued items are opaque to
 the bank.  Each queue is a plain list, bounded by the capacity, so
-taking its head shifts at most capacity - 1 entries; an empty list is
-a fraction of an empty deque's 64-slot block, and a switch holds n²
-queues before any cell moves.
+taking its head shifts at most capacity - 1 entries, and an empty
+queue costs only an empty list: a switch holds n² queues before any
+cell moves.
 
 A bank reports to the rest of the switch through two lists that the
 banks of one switch share.  It posts each pause and resume request as

@@ -260,24 +260,40 @@ class TestParsing:
             cli.run_experiment(replace(spec, **override), tmp_path / "out")
         assert not any(tmp_path.iterdir())
 
-    # A Python caller can put None in any int field, which the INI form
-    # cannot (a blank option keeps the default).  The engine, traffic
-    # and link descriptions the spec builds refuse it by the name they
-    # give the field.
+    # A Python caller can put None in any number field, or in a list of
+    # numbers, which the INI form cannot (a blank option keeps the
+    # default).  The spec refuses it by its own field name, before it
+    # builds any engine, traffic or link description.  A None volume
+    # would otherwise reach TrafficSpec, where None means unbounded, and
+    # the sweep would never drain.
     @pytest.mark.parametrize("preset, field, named", [
-        ("latency-grid", "ports", "n_ports"),
+        ("latency-grid", "ports", "ports"),
         *(("latency-grid", name, name) for name in (
             "islip_iterations", "uplink_delay", "downlink_delay",
             "egress_delay", "on_threshold", "off_threshold",
-            "min_packet_bytes", "max_packet_bytes")),
+            "min_packet_bytes", "max_packet_bytes", "volume_bytes",
+            "burst_mean_cells")),
         ("ber-sweep", "one_way_delay", "one_way_delay"),
         ("ber-sweep", "slots", "slots"),
+        ("ber-sweep", "link_load", "link_load"),
+        ("latency-grid", "seeds", "seeds"),
+        ("latency-grid", "workloads", "workloads"),
+        ("ber-sweep", "bers", "bers"),
     ])
     def test_none_in_an_int_field_is_a_config_error(self, preset, field,
                                                     named):
         spec = cli.parse_experiment(cli.load_preset(preset))
-        with pytest.raises(ConfigError, match=f"^{named} None: not an int$"):
-            replace(spec, **{field: None})
+        kind = {f.name: f.type for f in fields(spec)}[field]
+        what = "a float" if "float" in kind else "an int"
+        value = (None,) if kind.startswith("tuple[") else None
+        with pytest.raises(ConfigError, match=f"^{named} None: not {what}$"):
+            replace(spec, **{field: value})
+
+    def test_a_spec_without_a_volume_is_refused_at_once(self):
+        spec = cli.parse_experiment(cli.load_preset("latency-grid"))
+        with pytest.raises(ConfigError, match="^volume_bytes None"):
+            replace(spec, volume_bytes=None, ports=2, workloads=(30.0,),
+                    schedulers=("safc",), patterns=("bernoulli",))
 
     def test_percent_sign_is_literal(self):
         spec = cli.parse_experiment(TINY_BER.replace("name = tinyber",

@@ -904,6 +904,102 @@ def test_idle_hosts_do_not_poll():
     assert report.generated_cells < polls < 0.3 * 8 * report.slots_run
 
 
+@pytest.mark.parametrize("scheduler", [ISLIP, SAFC])
+@pytest.mark.parametrize("n_ports,volume", [(8, 20_000), (32, 12_000)])
+@pytest.mark.parametrize("channel_buffer", [None, 1, 2])
+def test_every_arbitration_has_a_request_and_matches_one(scheduler, n_ports,
+                                                          volume,
+                                                          channel_buffer):
+    """The slot loop arbitrates exactly while its count of queued cells
+    is positive, and takes an empty matching for a stall.  Both rest on
+    the count agreeing with the request masks, and on either arbiter
+    pairing at least one output that has a request.  Check both on
+    every call, in drained runs and in runs cut at half their length."""
+    def build(max_slots=None):
+        return StarNetwork(
+            EngineConfig(n_ports=n_ports, scheduler=scheduler,
+                         channel_buffer=channel_buffer, max_slots=max_slots),
+            TrafficSpec(load=1.0, volume_bytes=volume))
+
+    def run(network):
+        match = network.scheduler.match
+        calls = 0
+
+        def checked(out_requests):
+            nonlocal calls
+            assert any(out_requests)
+            pairs = match(out_requests)
+            assert pairs
+            calls += 1
+            return pairs
+        network.scheduler.match = checked
+        report = network.run()
+        report.verify()
+        assert calls > CHECK_INTERVAL
+        return report
+
+    drained = run(build())
+    assert drained.drained and drained.pauses
+    cut = run(build(drained.slots_run // 2))
+    assert not cut.drained and cut.in_flight_cells
+
+
+def test_a_capped_host_polls_on_a_hand_derived_schedule():
+    """A 2-port star with ``channel_buffer`` = 1.  Host 0 has a cell for
+    output 1 at every poll.  Host 1 reports one idle slot at every poll,
+    so it polls every slot, after host 0: its poll count at host 0's
+    poll is the slot number.  Bank 0 posts a pause at its first enqueue
+    (slot 7), which lands at slot 14, and an unpause at its 14th
+    dequeue (slot 20, the last cell in flight), which lands at slot 28.
+
+    Host 0 sends each cell in the slot it polls until slot 14.  It
+    stages the cell of slot 14 behind the pause; the cell of slot 15
+    overfills the channel, so host 0 stops polling.  Slot 28's send
+    takes the cell of slot 14 and brings the channel back to the cap,
+    and from slot 29 host 0 polls, and sends, every slot."""
+    network = StarNetwork(
+        EngineConfig(n_ports=2, scheduler=SAFC, channel_buffer=1,
+                     max_slots=40),
+        TrafficSpec())
+    clock = 0
+    polled = []
+    seqs = itertools.count()
+
+    def cells():
+        polled.append(clock)
+        return (0, 1, next(seqs), CELL_PAYLOAD_BYTES, True)
+
+    def ticks():
+        nonlocal clock
+        clock += 1
+        return 1
+
+    bank = network.banks[0]
+    enqueue, dequeue = bank.enqueue, bank.dequeue
+    counts = {"enqueue": 0, "dequeue": 0}
+
+    def pausing(channel, item):
+        counts["enqueue"] += 1
+        if counts["enqueue"] == 1:
+            network.posted.append((0, 1, True))
+        return enqueue(channel, item)
+
+    def unpausing(channel):
+        counts["dequeue"] += 1
+        if counts["dequeue"] == 14:
+            network.posted.append((0, 1, False))
+        return dequeue(channel)
+
+    network.sources[0].poll = cells
+    network.sources[1].poll = ticks
+    bank.enqueue, bank.dequeue = pausing, unpausing
+    report = network.run()
+    report.verify()
+    assert polled == [*range(16), *range(29, 40)]
+    # the cell of slot 39 waits in its channel behind the one of slot 38
+    assert report.staged_cells == 1
+
+
 @pytest.mark.parametrize("scheduler,max_slots,digest", [
     (ISLIP, None,
      "f426793cf38a5babd45049a93f6c81d7cfd2184fe8b4101c1c4190699e1c450e"),
@@ -919,8 +1015,9 @@ def test_empty_network_skips_to_its_next_arrival(monkeypatch, scheduler,
     """At load 1e-4 the network is empty with no source due for most of
     the run, and the slot loop jumps to the next arrival instead of
     passing each such slot; a run cut short stops at ``max_slots``,
-    which falls in such a stretch.  Each pass calls the engine's
-    ``any`` once or twice, so counting those calls bounds the passes.
+    which falls in such a stretch.  The jump's check of the control
+    ring is the engine's only call of ``any``, made once per pass over
+    an empty network, so counting those calls bounds such passes.
     The report is the one recorded when every slot was passed."""
     calls = 0
 

@@ -4,6 +4,7 @@ reference SAFC."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -444,3 +445,71 @@ class TestExhaustiveThreePorts:
         moves = self.search(self.Islip(self.N, iterations), (0,) * 6)
         assert len(moves) == 6_528
         assert self.longest_wait(moves) == (self.N - 1) ** 2
+
+
+class TestIslipPointerMap:
+    """iSLIP's pointer map under persistent requests, exhaustively.
+
+    With every request bit held set, a slot's matching depends only on
+    the 2n pointers, so ``match`` is a map on the n ** (2n) pointer
+    states and every state runs into one of its limit cycles.  A
+    cycle's throughput is its pairs per port-slot.  A star has no
+    self-traffic, so its saturated request matrix has an empty
+    diagonal, and then iSLIP's pointers need not desynchronize: some
+    cycles stay below 1.  With the diagonal requested every cycle
+    reaches 1.
+    """
+
+    @staticmethod
+    def cycles(n, iterations, diagonal=False):
+        """The throughput of every limit cycle of the pointer map, and
+        of the one reached from zero pointers."""
+        scheduler = IslipScheduler(n, iterations)
+        full = (1 << n) - 1
+        requests = [full if diagonal else full & ~(1 << j) for j in range(n)]
+        states = list(itertools.product(range(n), repeat=2 * n))
+        index = {state: k for k, state in enumerate(states)}
+        after, pairs = [], []
+        for state in states:
+            scheduler.grant_ptr[:] = state[:n]
+            scheduler.accept_ptr[:] = state[n:]
+            pairs.append(len(scheduler.match(requests)))
+            after.append(index[(*scheduler.grant_ptr, *scheduler.accept_ptr)])
+        # Walk from each unvisited state; a walk that meets its own
+        # trail has found a new cycle, and every state it passed leads
+        # to the cycle it ends on.
+        cycle_of = [None] * len(states)
+        throughputs = []
+        for start in range(len(states)):
+            trail, on_trail = [], {}
+            k = start
+            while cycle_of[k] is None and k not in on_trail:
+                on_trail[k] = len(trail)
+                trail.append(k)
+                k = after[k]
+            if cycle_of[k] is None:  # a new cycle: trail[on_trail[k]:]
+                loop = trail[on_trail[k]:]
+                throughputs.append(Fraction(sum(pairs[m] for m in loop),
+                                            n * len(loop)))
+                for m in loop:
+                    cycle_of[m] = len(throughputs) - 1
+            for m in trail:
+                if cycle_of[m] is None:
+                    cycle_of[m] = cycle_of[k]
+        return sorted(throughputs), throughputs[cycle_of[0]]
+
+    @pytest.mark.parametrize("n, iterations, spectrum, from_zero", [
+        (3, 1, [Fraction(2, 3)] * 2 + [1], Fraction(2, 3)),
+        (3, 3, [Fraction(2, 3)] * 2 + [1], Fraction(2, 3)),
+        (4, 1, [Fraction(3, 4)] * 5 + [1], Fraction(3, 4)),
+        (4, 3, [Fraction(3, 4)] * 2 + [1] * 4, 1),
+    ])
+    def test_off_diagonal_limit_cycles(self, n, iterations, spectrum,
+                                       from_zero):
+        assert self.cycles(n, iterations) == (spectrum, from_zero)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("iterations", [1, 3])
+    def test_with_the_diagonal_every_cycle_is_full(self, n, iterations):
+        spectrum, from_zero = self.cycles(n, iterations, diagonal=True)
+        assert set(spectrum) == {1} and from_zero == 1
