@@ -39,9 +39,9 @@ each value once, since a repeat would write the same rows again)::
     ports = 32                ; 2..256 (1-byte relative selectors)
     scheduler = islip         ; islip | safc | several, space-separated
     islip_iterations = 3
-    uplink_delay = 7
-    downlink_delay = 7
-    egress_delay = 3
+    uplink_delay = 7          ; 1..31 (7-bit sequence field)
+    downlink_delay = 7        ; 1..31
+    egress_delay = 3          ; 0..31
     on_threshold = 10
     off_threshold = 7
     channel_buffer =          ; blank = unbounded staging

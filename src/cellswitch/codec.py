@@ -40,9 +40,11 @@ ROUTE_SLOTS = 5
 BROADCAST_SELECTOR = 255
 # Unicast selectors 0..n-2 must stay below the broadcast selector.
 MAX_SWITCH_PORTS = BROADCAST_SELECTOR + 1
-# The line header stores the frame sequence modulo this, which bounds
-# the link's one-way delay (``link.MAX_ONE_WAY_DELAY``).
+# The line header stores the frame sequence modulo this.  A link of
+# one-way delay D needs 2 * (2D + 2) distinct seqs (``link``'s module
+# docstring), so D is at most 31.
 SEQ_MODULUS = 128
+MAX_ONE_WAY_DELAY = SEQ_MODULUS // 4 - 1
 
 
 @dataclass(slots=True)

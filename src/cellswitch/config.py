@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .codec import MAX_SWITCH_PORTS
+from .codec import MAX_ONE_WAY_DELAY, MAX_SWITCH_PORTS
 from .errors import ConfigError
 
 ISLIP = "islip"
@@ -82,7 +82,9 @@ class EngineConfig:
     islip_iterations: int = 3
     # Link and pipeline depths, in slots.  The switch sits mid-rack, so
     # both directions cost the same; the egress pipeline covers the
-    # output port's buffering and serialization stages.
+    # output port's buffering and serialization stages.  A link's 7-bit
+    # sequence field bounds its delay; the on-chip egress stages take the
+    # same bound, so no slot ring is sized by a mistyped delay.
     uplink_delay: int = 7
     downlink_delay: int = 7
     egress_delay: int = 3
@@ -100,10 +102,13 @@ class EngineConfig:
             raise ConfigError("channel staging depth must hold a cell")
         if self.islip_iterations < 1:
             raise ConfigError("need at least one grant/accept round")
-        if min(self.uplink_delay, self.downlink_delay) < 1:
-            raise ConfigError("link delays must be at least one slot")
-        if self.egress_delay < 0:
-            raise ConfigError("egress delay cannot be negative")
+        if not (1 <= self.uplink_delay <= MAX_ONE_WAY_DELAY
+                and 1 <= self.downlink_delay <= MAX_ONE_WAY_DELAY):
+            raise ConfigError(
+                f"link delays must be 1..{MAX_ONE_WAY_DELAY} slots")
+        if not 0 <= self.egress_delay <= MAX_ONE_WAY_DELAY:
+            raise ConfigError(
+                f"egress delay must be 0..{MAX_ONE_WAY_DELAY} slots")
         if self.max_slots is not None and self.max_slots < 1:
             raise ConfigError("max_slots must allow at least one slot")
 

@@ -85,12 +85,10 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .codec import FRAME_BYTES, SEQ_MODULUS
+from .codec import FRAME_BYTES, MAX_ONE_WAY_DELAY, SEQ_MODULUS
 from .errors import ConfigError, SimInvariantError
 
 FRAME_BITS = FRAME_BYTES * 8
-# The largest D with 2 * (2D + 2) <= SEQ_MODULUS (module docstring).
-MAX_ONE_WAY_DELAY = SEQ_MODULUS // 4 - 1
 
 IDLE_KIND = "idle"
 DATA_KIND = "data"

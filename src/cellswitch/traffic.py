@@ -37,13 +37,13 @@ star engine carries from source to sink:
 flow's cells from 0, ``valid_bytes`` is the payload the cell carries
 and ``eop`` marks the last cell of a packet.  The star path never
 serializes a cell, so it has no frame (``codec`` gives the frame's
-layout).  ``SourceProcess._packet`` cuts packets: full
-``CELL_PAYLOAD_BYTES`` cells, then the remainder with ``eop`` set; an
-exact multiple gets no padding cell.  A fixed-size Bernoulli source
-never cuts: each packet is one cell, so it keeps a second copy of
-``_packet``'s one-cell case inline (the same budget, flow-removal and
-sequence rule, with the same draws in the same order), and a flow's
-last cell carries what is left of its budget.
+layout).  Each process's loop makes a packet's records in place, by
+one rule: once the packet's destination is drawn, draw its size
+(variable sizes only); cap the size at the flow's budget, closing the
+flow when it takes all that is left; then cut full
+``CELL_PAYLOAD_BYTES`` cells, and the remainder with ``eop`` set.  An
+exact multiple gets no padding cell, and a fixed-size flow's last cell
+carries what is left of its budget.
 
 Each arrival process is one generator, its state in locals, and both
 share one poll protocol.  A generator yields iterables of records and
@@ -91,11 +91,11 @@ class SourceProcess:
     The process stands still between calls, so slots the caller skips
     are suspended rather than dropped (a closed-loop host that cannot
     accept a cell simply does not poll).  poll walks the generator's
-    iterables in C, so budgets and flow counters may run one iterable
-    ahead of the records it has returned; the rng does so only on the
-    Bernoulli path.  A spent source draws nothing after its last record
-    and returns ``math.inf``; an unbounded flow (``volume_bytes`` None)
-    has an infinite budget.
+    iterables in C, so budgets, and a Bernoulli source's rng, may run
+    one iterable ahead of the records it has returned; a bursty source
+    stores a flow's cell count when its burst ends.  A spent source
+    draws nothing after its last record and returns ``math.inf``; an
+    unbounded flow (``volume_bytes`` None) has an infinite budget.
     """
 
     def __init__(self, spec: TrafficSpec, port: int, n_ports: int, seed: int):
@@ -107,34 +107,8 @@ class SourceProcess:
         self.flow_cells = [0] * n_ports
         # The open-flow list changes only when a budget runs dry.
         self._open = [dst for dst in range(n_ports) if dst != port]
-        self._fixed = spec.size_mode == FIXED
         process = self._bernoulli if spec.mode == BERNOULLI else self._bursty
         self.poll = chain.from_iterable(process()).__next__
-
-    # -- packet construction -------------------------------------------------
-
-    def _packet(self, dst: int) -> tuple[tuple, ...]:
-        """Draw the next packet for ``dst`` and cut it into its records."""
-        if self._fixed:
-            size = CELL_PAYLOAD_BYTES
-        else:
-            spec = self.spec
-            size = spec.min_packet_bytes + int(self.rng.random() * (
-                spec.max_packet_bytes - spec.min_packet_bytes + 1))
-        remaining = self.budget[dst]
-        if size >= remaining:
-            size = remaining
-            self._open.remove(dst)
-        self.budget[dst] = remaining - size
-        port = self.port
-        seq = self.flow_cells[dst]
-        full = (size - 1) // CELL_PAYLOAD_BYTES
-        self.flow_cells[dst] = seq + full + 1
-        last = (port, dst, seq + full, size - full * CELL_PAYLOAD_BYTES, True)
-        if not full:
-            return (last,)
-        return (*[(port, dst, k, CELL_PAYLOAD_BYTES, False)
-                  for k in range(seq, seq + full)], last)
 
     # -- arrival processes ---------------------------------------------------
 
@@ -145,56 +119,53 @@ class SourceProcess:
         # instead of one per slot.  The initial gap is drawn the same
         # way so the first arrival matches the per-slot coin process.
         # Each yield is an iterable of records and gaps that poll()
-        # walks in C: the first gap alone, then CHUNK cells or one
-        # packet each, then an endless math.inf once the flows run dry.
+        # walks in C: the first gap alone, then CHUNK one-cell packets
+        # or one variable-size packet each, then an endless math.inf
+        # once the flows run dry.  A gap is drawn after each cell, none
+        # at full load nor after the last record.
+        spec = self.spec
         rand = self.rng.random
         log = math.log
+        budget = self.budget
+        flow_cells = self.flow_cells
         flows = self._open
+        port = self.port
+        fixed = spec.size_mode == FIXED
+        if not fixed:
+            low = spec.min_packet_bytes
+            span = spec.max_packet_bytes - low + 1
         scale = gap = 0
-        if self.spec.load < 1.0:
-            scale = 1.0 / log(1.0 - self.spec.load)
+        if spec.load < 1.0:
+            scale = 1.0 / log(1.0 - spec.load)
             gap = int(log(1.0 - rand()) * scale)
             if gap:
                 yield (gap,)
-        if self._fixed:
-            # Each packet is one cell: _packet's rule inlined, with the
-            # same draws in the same order (destination, then gap).
-            # tests/test_traffic.py::TestMatchesReference keeps this
-            # copy in step with _packet, budgets of 2_560 bytes included.
-            budget = self.budget
-            flow_cells = self.flow_cells
-            port = self.port
-            per_list = range(CHUNK)
-            while flows:
-                chunk = []
-                for _ in per_list:
-                    dst = flows[int(rand() * len(flows))]
-                    size = CELL_PAYLOAD_BYTES
-                    remaining = budget[dst]
-                    if remaining <= size:
-                        size = remaining
-                        flows.remove(dst)
-                    budget[dst] = remaining - size
-                    seq = flow_cells[dst]
-                    flow_cells[dst] = seq + 1
-                    chunk.append((port, dst, seq, size, True))
-                    if not flows:  # no gap after the last record
-                        break
+        per_list = range(CHUNK if fixed else 1)
+        n_open = len(flows)  # kept by hand: a len() call less per packet
+        while flows:
+            chunk = []
+            for _ in per_list:
+                dst = flows[int(rand() * n_open)]
+                size = (CELL_PAYLOAD_BYTES if fixed
+                        else low + int(rand() * span))
+                remaining = budget[dst]
+                if size >= remaining:
+                    size = remaining
+                    flows.remove(dst)
+                    n_open -= 1
+                budget[dst] = remaining - size
+                seq = flow_cells[dst]
+                while size > CELL_PAYLOAD_BYTES:
+                    chunk.append((port, dst, seq, CELL_PAYLOAD_BYTES, False))
                     if scale and (gap := int(log(1.0 - rand()) * scale)):
                         chunk.append(gap)
-                yield chunk
-        while flows:
-            # one packet per list; no gap at full load, nor after the
-            # final packet's eop cell
-            packet = self._packet(flows[int(rand() * len(flows))])
-            if not scale:
-                yield packet
-                continue
-            chunk = []
-            for cell in packet:
-                chunk.append(cell)
-                if (flows or not cell[4]) and (
-                        gap := int(log(1.0 - rand()) * scale)):
+                    seq += 1
+                    size -= CELL_PAYLOAD_BYTES
+                flow_cells[dst] = seq + 1
+                chunk.append((port, dst, seq, size, True))
+                if not flows:  # no gap after the last record
+                    break
+                if scale and (gap := int(log(1.0 - rand()) * scale)):
                     chunk.append(gap)
             yield chunk
         yield repeat(math.inf)
@@ -206,20 +177,41 @@ class SourceProcess:
         # an idle count alone or one packet, drawn as poll() reaches it.
         spec = self.spec
         rng = self.rng
+        rand = rng.random
         budget = self.budget
+        flow_cells = self.flow_cells
         flows = self._open
+        port = self.port
+        fixed = spec.size_mode == FIXED
+        if not fixed:  # a fixed-size spec need not have size fields
+            low = spec.min_packet_bytes
+            span = spec.max_packet_bytes - low + 1
         mean = spec.burst_mean_cells
         idle_mean = mean * (1.0 - spec.load) / spec.load
+        packet = ()  # the full cells cut so far from the packet in hand
         while flows:
             # geometric on {0, 1, ...}; no draw at full load
             idle = (_geometric_from_one(rng, 1.0 + idle_mean) - 1
                     if idle_mean else 0)
-            dst = flows[int(rng.random() * len(flows))]
-            burst = _geometric_from_one(rng, mean)
+            dst = flows[int(rand() * len(flows))]
+            seq = flow_cells[dst]
+            end = seq + _geometric_from_one(rng, mean)  # where the burst ends
             if idle:
                 yield (idle,)
-            while burst > 0 and budget[dst] != 0:
-                cells = self._packet(dst)
-                burst -= len(cells)
-                yield cells
+            while seq < end and budget[dst] != 0:
+                size = (CELL_PAYLOAD_BYTES if fixed
+                        else low + int(rand() * span))
+                remaining = budget[dst]
+                if size >= remaining:
+                    size = remaining
+                    flows.remove(dst)
+                budget[dst] = remaining - size
+                while size > CELL_PAYLOAD_BYTES:
+                    packet += ((port, dst, seq, CELL_PAYLOAD_BYTES, False),)
+                    seq += 1
+                    size -= CELL_PAYLOAD_BYTES
+                yield packet + ((port, dst, seq, size, True),)
+                packet = ()
+                seq += 1
+            flow_cells[dst] = seq
         yield repeat(math.inf)

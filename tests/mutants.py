@@ -107,33 +107,53 @@ MUTANTS = [
            "elif prev <= accept_ptr[i] <= j:",
            (ISLIP_REFERENCE, POINTER_MAP),
            (ISLIP_SEARCH,)),
-    # traffic: chunked and bursty streams, the geometric sampler
+    # traffic: chunked and bursty streams, the budget rule, the
+    # geometric sampler
     Mutant("chunks-of-10000-cells", "traffic.py",
-           "per_list = range(CHUNK)", "per_list = range(10_000)",
+           "per_list = range(CHUNK if", "per_list = range(10_000 if",
            (f"{TRAFFIC}::TestChunkedDraws::"
             "test_at_most_one_chunk_ahead_and_nothing_after_the_last_record",)),
+    Mutant("bernoulli-open-at-an-exact-budget", "traffic.py",
+           "                if size >= remaining:\n"
+           "                    size = remaining\n"
+           "                    flows.remove(dst)\n"
+           "                    n_open -= 1\n",
+           "                if size > remaining:\n"
+           "                    size = remaining\n"
+           "                    flows.remove(dst)\n"
+           "                    n_open -= 1\n",
+           (f"{TRAFFIC}::TestMatchesReference",
+            f"{TRAFFIC}::TestVolumeBudget::test_fixed_mode_exact_cell_count")),
+    Mutant("bursty-open-at-an-exact-budget", "traffic.py",
+           "                if size >= remaining:\n"
+           "                    size = remaining\n"
+           "                    flows.remove(dst)\n"
+           "                budget[dst]",
+           "                if size > remaining:\n"
+           "                    size = remaining\n"
+           "                    flows.remove(dst)\n"
+           "                budget[dst]",
+           (f"{TRAFFIC}::TestMatchesReference",
+            f"{TRAFFIC}::TestChunkedDraws::"
+            "test_bursty_draws_nothing_ahead_and_nothing_after_the_last_"
+            "record",
+            f"{TRAFFIC}::TestVolumeBudget::test_bursty_volume_conserved")),
     Mutant("bursty-two-packets-per-list", "traffic.py",
-           "                burst -= len(cells)\n"
-           "                yield cells\n",
-           "                burst -= len(cells)\n"
-           "                if burst > 0 and budget[dst] != 0:\n"
-           "                    more = self._packet(dst)\n"
-           "                    burst -= len(more)\n"
-           "                    cells += more\n"
-           "                yield cells\n",
+           "                yield packet + ((port, dst, seq, size, True),)\n"
+           "                packet = ()\n",
+           "                packet += ((port, dst, seq, size, True),)\n"
+           "                if (len(packet) > 1 or seq + 1 >= end\n"
+           "                        or budget[dst] == 0):\n"
+           "                    yield packet\n"
+           "                    packet = ()\n",
            (f"{TRAFFIC}::TestChunkedDraws::"
             "test_bursty_draws_nothing_ahead_and_nothing_after_the_last_"
             "record",)),
     Mutant("bursty-idle-with-the-first-packet", "traffic.py",
            "            if idle:\n"
-           "                yield (idle,)\n"
-           "            while burst > 0 and budget[dst] != 0:\n"
-           "                cells = self._packet(dst)\n",
-           "            while burst > 0 and budget[dst] != 0:\n"
-           "                cells = self._packet(dst)\n"
-           "                if idle:\n"
-           "                    cells = (idle, *cells)\n"
-           "                    idle = 0\n",
+           "                yield (idle,)\n",
+           "            if idle:\n"
+           "                packet = (idle,)\n",
            (f"{TRAFFIC}::TestChunkedDraws::"
             "test_bursty_draws_nothing_ahead_and_nothing_after_the_last_"
             "record",)),

@@ -624,6 +624,19 @@ class TestRunCommand:
         assert not out.exists()
         assert not (tmp_path / "cellswitch-error.txt").exists()
 
+    def test_out_of_range_delay_exits_1_with_an_error_line(
+            self, tmp_path, monkeypatch, capsys):
+        """A delay the engine would size a ring by is refused while the
+        spec is read: exit 1, one error line, nothing run."""
+        monkeypatch.chdir(tmp_path)
+        code, out = run_main(tmp_path, TINY_SWEEP.replace(
+            "ports = 4", "ports = 4\nuplink_delay = 100000000"))
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: link delays must be 1..31 slots\n"
+        assert not out.exists()
+        assert not (tmp_path / "cellswitch-error.txt").exists()
+
     def test_bad_spec_path_is_config_error(self, tmp_path):
         code = cli.main(["run", "--spec", str(tmp_path / "missing.ini"),
                          "--out", str(tmp_path)])

@@ -16,7 +16,12 @@ from pathlib import Path
 import pytest
 
 from cellswitch import engine
-from cellswitch.codec import CELL_PAYLOAD_BYTES, FRAME_BYTES, MAX_SWITCH_PORTS
+from cellswitch.codec import (
+    CELL_PAYLOAD_BYTES,
+    FRAME_BYTES,
+    MAX_ONE_WAY_DELAY,
+    MAX_SWITCH_PORTS,
+)
 from cellswitch.config import (
     BERNOULLI,
     BURSTY,
@@ -65,6 +70,24 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="max_slots"):
                 EngineConfig(n_ports=8, max_slots=max_slots)
         EngineConfig(n_ports=8, max_slots=1)
+
+    @pytest.mark.parametrize("name, low, what", [
+        ("uplink_delay", 1, "link delays"),
+        ("downlink_delay", 1, "link delays"),
+        ("egress_delay", 0, "egress delay")])
+    def test_delays_bounded_by_the_sequence_field(self, name, low, what):
+        """A link's 7-bit sequence field bounds its delay to 31 slots,
+        and the egress stages take the same bound.  A delay outside it
+        is refused when the config is built, before the engine sizes a
+        slot ring by it."""
+        assert MAX_ONE_WAY_DELAY == 31
+        for good in (low, MAX_ONE_WAY_DELAY):
+            assert getattr(EngineConfig(n_ports=8, **{name: good}),
+                           name) == good
+        for bad in (low - 1, MAX_ONE_WAY_DELAY + 1, 100_000_000):
+            with pytest.raises(ConfigError,
+                               match=f"^{what} must be {low}..31 slots$"):
+                EngineConfig(n_ports=8, **{name: bad})
 
     @pytest.mark.parametrize("cls, name, optional", [
         (EngineConfig, "n_ports", False), (EngineConfig, "seed", False),

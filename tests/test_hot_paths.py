@@ -37,7 +37,6 @@ PER_SLOT = {
     "SafcScheduler.match": SafcScheduler.match,
     "SourceProcess._bernoulli": SourceProcess._bernoulli,
     "SourceProcess._bursty": SourceProcess._bursty,
-    "SourceProcess._packet": SourceProcess._packet,
 }
 
 

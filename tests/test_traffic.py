@@ -246,6 +246,7 @@ class TestVolumeBudget:
         counts = Counter(c[DST] for c in cells)
         assert counts == {0: 100, 1: 100, 3: 100}
         assert sum(c[VALID] for c in cells) == 3 * 25_600
+        assert source.poll() == source.poll() == math.inf
 
 
 class TestDeterminism:
